@@ -14,6 +14,7 @@ quadrature non-convergence (including mass-loss and step instability),
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -25,9 +26,16 @@ from .csvio import format_value, write_density, write_table, write_trajectory
 from .errors import ConfigError, ConvergenceError, MassLossError, StepInstabilityError
 from .gamma import closed_trajectory, gamma_ode
 from .gaussoracle import GaussPair, convergence_study, posterior_moments
-from .meanfield import SolverConfig, evolve_transient, residual_resummed, residual_steady, solve_steady
+from .meanfield import (
+    SolverConfig,
+    evolve_transient,
+    residual_resummed,
+    residual_steady,
+    resolve_init,
+    solve_steady,
+)
 from .popmc import empirical_density, run_steady, run_transient
-from .udist import UGrid, default_init_density, exponential_density, moment, point_mass
+from .udist import UGrid, moment
 
 __all__ = ["main"]
 
@@ -60,9 +68,6 @@ def _solver_config(cfg: dict, **kw) -> SolverConfig:
     )
 
 
-_INITS = {"ue": default_init_density, "exp": exponential_density, "point": lambda g: point_mass(g, 1.0)}
-
-
 def cmd_gamma(cfg: dict, run_dir: Path) -> None:
     if cfg["method"] == "closed":
         traj = closed_trajectory(cfg["g0"], cfg["tau_end"], cfg["dtau"])
@@ -86,7 +91,7 @@ def cmd_transient(cfg: dict, run_dir: Path) -> None:
     dtau = cfg["dtau"] if cfg["dtau"] > 0.0 else None
     sc = _solver_config(cfg, dtau=dtau)
     grid = sc.grid
-    p0 = _INITS[cfg["init"]](grid)
+    p0 = resolve_init(grid, cfg["init"])
     if cfg["g_mode"] == "closed":
         g = closed_trajectory(cfg["g0"], cfg["tau_end"], sc.dtau_resolved)
     else:
@@ -167,12 +172,19 @@ def _mc_one(subcommand: str, cfg: dict, run_dir_s: str, seed: int) -> None:
     _write_mc_outputs(run_dir, cfg, seed, snaps, pop)
 
 
+def _worker_count(jobs: int, n_seeds: int) -> int:
+    """Worker processes for a seed sweep: at most jobs, one per seed and one
+    per CPU; 1 means the seeds run in this process."""
+    return max(1, min(jobs, n_seeds, os.cpu_count() or 1))
+
+
 def cmd_mc(subcommand: str, cfg: dict, run_dir: Path, jobs: int) -> None:
     seeds = cfg["seeds"]
     if not seeds:
         raise ConfigError("seeds must list at least one integer")
-    if jobs > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as ex:
+    workers = _worker_count(jobs, len(seeds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             futures = [
                 ex.submit(_mc_one, subcommand, cfg, str(run_dir), s) for s in seeds
             ]
@@ -222,11 +234,7 @@ def cmd_fig1(cfg: dict, run_dir: Path) -> None:
         write_trajectory(
             run_dir / f"curve_{g0!r}.csv", traj.taus, traj.values, _meta(cfg, g0=g0)
         )
-    sc = SolverConfig(
-        u_max=cfg["u_max"], h=cfg["h"], alpha=cfg["alpha"],
-        tol_fixed_point=cfg["tol_fixed_point"], max_iters=cfg["max_iters"],
-    )
-    p = solve_steady(sc)
+    p = solve_steady(_solver_config(cfg))
     write_density(run_dir / "inset_steady.csv", p, _meta(cfg, mean_u=moment(p, 1)))
 
 

@@ -53,7 +53,7 @@ _GRID = {
 }
 _SOLVER = {
     **_GRID,
-    "alpha": Field("float", 0.5),
+    "alpha": Field("float", 1.0),
     "tol_fixed_point": Field("float", 1e-8),
     "max_iters": Field("int", 500),
     "init": Field("str", "ue", ("ue", "exp", "point")),
@@ -123,7 +123,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "dtau": Field("float", 0.01),
         "u_max": Field("float", 30.0),
         "h": Field("float", 0.05),
-        "alpha": Field("float", 0.5),
+        "alpha": Field("float", 1.0),
         "tol_fixed_point": Field("float", 1e-8),
         "max_iters": Field("int", 500),
         "name": Field("str", ""),

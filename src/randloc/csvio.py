@@ -5,11 +5,13 @@ floats printed with %.17g so a write/read cycle reproduces every float64
 bit-exactly. Each file starts with `# key = value` metadata lines (sorted
 by key, no timestamps), then the column header, then data. Byte-identical
 reruns are a feature: nothing in these files depends on when they were
-written.
+written. A table is moved into place only once it is complete, so an
+interrupted write never leaves a truncated file behind.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,11 @@ def format_value(v) -> str:
 
 
 def write_table(path, columns: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    """Write named columns with sorted `# key = value` meta lines on top."""
+    """Write named columns with sorted `# key = value` meta lines on top.
+
+    The rows go to a temporary file beside path, which then replaces path in
+    one step: a write that fails part way leaves any earlier file intact.
+    """
     cols = {k: np.asarray(v) for k, v in columns.items()}
     lengths = {c.size for c in cols.values()}
     if len(lengths) > 1:
@@ -49,9 +55,16 @@ def write_table(path, columns: dict[str, np.ndarray], meta: dict | None = None) 
     lines.append(",".join(cols))
     n = lengths.pop() if lengths else 0
     series = list(cols.values())
-    for i in range(n):
-        lines.append(",".join(format_value(c[i]) for c in series))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+            fh.writelines(",".join(format_value(c[i]) for c in series) + "\n" for i in range(n))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_table(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:

@@ -12,11 +12,15 @@ each cell, giving the fixed-point map
 
     p_{k+1}(u) = int_0^u e^{-(u-s)} K[p_k, p_k](s) ds,
 
-under-relaxed with a mixing weight and renormalized each sweep. The
-residual ``residual_steady`` (the norms of ``steady_defect``) pairs the
-same kernel with a fourth-order derivative stencil, so it measures the
-defect of a candidate density rather than the mismatch between two
-second-order discretizations.
+renormalized each sweep. ``solve_steady`` accelerates this map with
+Anderson mixing (D. G. Anderson, J. ACM 12, 1965): each step fits the last
+few sweeps' residuals by least squares and extrapolates, damped by the
+config's alpha, then projects onto nonnegative values and renormalizes. It
+stops on the fixed-point residual itself, the L1 norm of one sweep's change,
+not on the change between mixed iterates. The residual ``residual_steady``
+(the norms of ``steady_defect``) pairs the same kernel with a fourth-order
+derivative stencil, so it measures the defect of a candidate density rather
+than the mismatch between two second-order discretizations.
 
 Transient. The time-dependent density follows the local balance
 
@@ -70,6 +74,7 @@ __all__ = [
     "SteadyResidual",
     "TransientSolution",
     "ResummedResidual",
+    "resolve_init",
     "solve_steady",
     "residual_steady",
     "steady_defect",
@@ -87,6 +92,11 @@ _HIERARCHY_LIMIT = 3
 class SolverConfig:
     """Grid and iteration controls shared by the mean-field solvers.
 
+    alpha is the damping of the Anderson-accelerated steady solve: the step
+    without history is p + alpha (G(p) - p), and every Anderson step mixes
+    its extrapolated residual in with the same weight. The default 1 takes
+    the undamped sweep. tol_fixed_point bounds the trapezoid L1 residual
+    w @ |G(p) - p| at which the steady solve stops.
     dtau defaults to the grid spacing h so that the transient drift is an
     exact one-cell shift; any integer multiple of h is accepted.
     tol_mass bounds the tolerated per-step mass defect before the transient
@@ -96,7 +106,7 @@ class SolverConfig:
 
     u_max: float = 30.0
     h: float = 0.01
-    alpha: float = 0.5
+    alpha: float = 1.0
     tol_fixed_point: float = 1e-8
     tol_mass: float = 1e-8
     max_iters: int = 500
@@ -141,6 +151,8 @@ class SolverConfig:
 _CELL_STENCILS = ((0, 1, 2, 3), (-1, 0, 1, 2), (-2, -1, 0, 1))
 # The steady discretization needs five nodes for its one-sided stencils.
 _STEADY_MIN_BINS = 4
+# Number of past iterate and residual differences the Anderson step fits.
+_ANDERSON_DEPTH = 5
 
 
 @lru_cache(maxsize=8)
@@ -188,7 +200,9 @@ def _check_steady_grid(grid: UGrid) -> None:
         )
 
 
-def _resolve_init(grid: UGrid, init) -> UDensity:
+def resolve_init(grid: UGrid, init) -> UDensity:
+    """The initial density named by init ("ue", "exp" or "point") on grid,
+    or init itself renormalized when it is a UDensity on grid."""
     if isinstance(init, UDensity):
         if init.grid != grid:
             raise ValueError("initial guess lives on a different grid")
@@ -204,31 +218,65 @@ def _resolve_init(grid: UGrid, init) -> UDensity:
 
 
 def solve_steady(cfg: SolverConfig, init="ue") -> UDensity:
-    """Fixed-point solve of the steady balance p + p' = K[p, p].
+    """Anderson-accelerated fixed-point solve of p + p' = K[p, p].
+
+    The map is G(p) = normalize(sweep(K[p, p])) with residual f = G(p) - p.
+    Each iteration takes the type-II Anderson step (Walker and Ni, 2011)
+
+        p_next = p + alpha f - (dP + alpha dF) gamma,
+
+    where the columns of dP and dF are the differences of the last
+    _ANDERSON_DEPTH iterates and residuals, and gamma minimizes the
+    trapezoid-weighted L2 norm of f - dF gamma; with no history it is the
+    plain mixing step p + alpha f. The step is projected onto nonnegative
+    values and renormalized. The history is cleared whenever the L1
+    residual grows.
 
     init selects the starting guess: "ue" (u e^-u, default), "exp", "point",
-    or any normalized UDensity on the config grid. Raises ConvergenceError
-    if the L1 change between sweeps does not fall below tol_fixed_point
-    within max_iters iterations.
+    or any normalized UDensity on the config grid. Each iteration makes one
+    kernel call. At the first iterate p whose L1 residual w @ |G(p) - p|
+    falls below tol_fixed_point, returns G(p), which is within that
+    tolerance of p and, unlike the extrapolated p, is a sweep output, so it
+    keeps the sweep's p(0) = 0 and nonnegativity. Raises ConvergenceError
+    if no iterate does within max_iters iterations.
     """
     grid = cfg.grid
     _check_steady_grid(grid)
     w = grid.quad_weights()
-    p = _resolve_init(grid, init)
-    change = np.inf
+    root_w = np.sqrt(w)
+    p = resolve_init(grid, init)
+    d_p: list[np.ndarray] = []
+    d_f: list[np.ndarray] = []
+    prev = None  # (iterate, residual) of the previous iteration
+    res = np.inf
     for _ in range(cfg.max_iters):
         swept = _cubic_sweep(grid, collision_kernel(p, p, scheme="node").values)
-        mixed = (1.0 - cfg.alpha) * p.values + cfg.alpha * swept
-        total = float(w @ mixed)
+        total = float(w @ swept)
         if not np.isfinite(total) or total <= 0.0:
             raise ConvergenceError(f"fixed-point sweep lost its mass (total={total})")
-        mixed /= total
-        change = float(w @ np.abs(mixed - p.values))
-        p = UDensity(grid, mixed)
-        if change < cfg.tol_fixed_point:
-            return p
+        swept /= total
+        f = swept - p.values
+        res_prev, res = res, float(w @ np.abs(f))
+        if res < cfg.tol_fixed_point:
+            return UDensity(grid, swept)
+        if res > res_prev:
+            d_p.clear()
+            d_f.clear()
+        elif prev is not None:
+            d_p.append(p.values - prev[0])
+            d_f.append(f - prev[1])
+            if len(d_p) > _ANDERSON_DEPTH:
+                del d_p[0], d_f[0]
+        prev = (p.values, f)
+        step = cfg.alpha * f
+        if d_p:
+            dp, df = np.column_stack(d_p), np.column_stack(d_f)
+            gamma = np.linalg.lstsq(root_w[:, None] * df, root_w * f, rcond=None)[0]
+            step -= (dp + cfg.alpha * df) @ gamma
+        nxt = np.maximum(p.values + step, 0.0)
+        p = UDensity(grid, nxt / float(w @ nxt))
     raise ConvergenceError(
-        f"steady solve stalled at L1 change {change:.3e} after {cfg.max_iters} iterations"
+        f"steady solve stalled at L1 residual {res:.3e} after {cfg.max_iters} iterations"
     )
 
 

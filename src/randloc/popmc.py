@@ -275,15 +275,6 @@ def resume(pop: Population, tau_end: float, snapshot_taus=()) -> list[Population
     return _advance(pop, tau_end, snapshot_taus)
 
 
-def _snapshot(pop: Population, at_tau: float) -> PopulationSnapshot:
-    sel = pop.localized
-    u = pop.u_sync[sel] + (at_tau - pop.t_sync[sel])
-    over = int(np.count_nonzero(u > pop.u_ceiling))
-    if over:
-        pop.overflow_count += over
-    return PopulationSnapshot(tau=at_tau, g_empirical=pop.g_empirical, u_values=u)
-
-
 def _advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationSnapshot]:
     """Event loop core. Mutates pop in place and returns the snapshots."""
     if tau_end < pop.tau - 1e-12:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from randloc import cli
 from randloc.cli import main
 from randloc.csvio import read_density, read_table, read_trajectory
 
@@ -171,3 +172,13 @@ def test_blocked_output_root_is_exit_code_three(tmp_path, capsys):
     blocker.write_text("not a directory\n")
     rc = main(["gamma", "--out", str(blocker / "sub")])
     assert rc == 3
+
+
+@pytest.mark.parametrize(
+    "jobs, n_seeds, cpus, workers",
+    [(1, 5, 8, 1), (4, 2, 8, 2), (8, 10, 2, 2), (4, 10, None, 1), (0, 3, 4, 1), (3, 1, 4, 1)],
+)
+def test_mc_worker_count_is_capped(monkeypatch, jobs, n_seeds, cpus, workers):
+    # at most --jobs, one worker per seed and one per CPU; no pool is started
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert cli._worker_count(jobs, n_seeds) == workers

@@ -50,6 +50,21 @@ def test_write_rejects_ragged_columns(tmp_path):
         write_table(tmp_path / "t.csv", {"a": np.arange(3.0), "b": np.arange(4.0)})
 
 
+def test_failed_write_keeps_old_file(tmp_path):
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("cannot format")
+
+    path = tmp_path / "t.csv"
+    write_table(path, {"x": np.arange(3.0)})
+    old = path.read_bytes()
+    bad = np.array([0.5] * 100 + [Unprintable()] + [0.5] * 100, dtype=object)
+    with pytest.raises(RuntimeError, match="cannot format"):
+        write_table(path, {"x": np.arange(201.0), "bad": bad})
+    assert path.read_bytes() == old
+    assert [q.name for q in tmp_path.iterdir()] == ["t.csv"]
+
+
 def test_read_requires_header(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("# only = meta\n")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from randloc import meanfield
 from randloc.errors import ConvergenceError
 from randloc.meanfield import SolverConfig, residual_steady, solve_steady, steady_defect
 from randloc.udist import (
@@ -106,6 +107,36 @@ def test_init_validation():
         solve_steady(COARSE, point_mass(UGrid.from_spacing(10.0, 0.05), 1.0))
     with pytest.raises(ValueError, match="unknown initial guess"):
         solve_steady(COARSE, "gaussian")
+
+
+@pytest.mark.parametrize("init", ["ue", "exp", "point"])
+def test_anderson_kernel_calls(monkeypatch, init):
+    # one kernel call per iteration; plain alpha = 0.5 mixing needed 57
+    calls = []
+    kernel = meanfield.collision_kernel
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("scheme"))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(meanfield, "collision_kernel", counting)
+    solve_steady(COARSE, init)
+    assert 0 < len(calls) <= 30
+    assert set(calls) == {"node"}
+
+
+def test_residual_stop_is_close_to_tight_solve(steady):
+    # the stop bounds w @ |G(p) - p|, so the answer sits near the fixed point
+    tight = solve_steady(SolverConfig(u_max=15.0, h=0.05, tol_fixed_point=1e-13))
+    w = COARSE.grid.quad_weights()
+    assert float(w @ np.abs(steady.values - tight.values)) < 1e-8
+
+
+def test_damped_solve_reaches_same_fixed_point(steady):
+    # alpha < 1 only damps the steps; the map and the stop are unchanged
+    damped = solve_steady(SolverConfig(u_max=15.0, h=0.05, alpha=0.5))
+    w = COARSE.grid.quad_weights()
+    assert float(w @ np.abs(damped.values - steady.values)) < 1e-8
 
 
 def test_non_convergence_raises():
