@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .csvio import format_value, write_density, write_table, write_trajectory
+from .csvio import atomic_writer, format_value, write_density, write_table, write_trajectory
 from .errors import ConfigError, ConvergenceError, MassLossError, StepInstabilityError
 from .gamma import closed_trajectory, gamma_ode
 from .gaussoracle import GaussPair, convergence_study, posterior_moments
@@ -51,9 +51,8 @@ def _meta(cfg: dict, **extra) -> dict:
 def _run_dir(out_root: str, subcommand: str, cfg: dict) -> Path:
     d = Path(out_root) / subcommand / cfgmod.run_name(cfg)
     d.mkdir(parents=True, exist_ok=True)
-    (d / "config.echo").write_text(
-        "\n".join(cfgmod.echo_lines(cfg)) + "\n", encoding="utf-8", newline="\n"
-    )
+    with atomic_writer(d / "config.echo") as fh:
+        fh.write("\n".join(cfgmod.echo_lines(cfg)) + "\n")
     return d
 
 

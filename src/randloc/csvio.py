@@ -12,6 +12,7 @@ interrupted write never leaves a truncated file behind.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from .udist import UDensity, UGrid
 
 __all__ = [
+    "atomic_writer",
     "format_value",
     "write_table",
     "read_table",
@@ -27,6 +29,10 @@ __all__ = [
     "write_trajectory",
     "read_trajectory",
 ]
+
+
+# Rows formatted per block: bounds the Python objects a long table holds at once.
+_ROWS_PER_BLOCK = 1 << 16
 
 
 def format_value(v) -> str:
@@ -42,8 +48,8 @@ def format_value(v) -> str:
 def write_table(path, columns: dict[str, np.ndarray], meta: dict | None = None) -> None:
     """Write named columns with sorted `# key = value` meta lines on top.
 
-    The rows go to a temporary file beside path, which then replaces path in
-    one step: a write that fails part way leaves any earlier file intact.
+    The file is written through ``atomic_writer``, so a write that fails part
+    way leaves any earlier file intact.
     """
     cols = {k: np.asarray(v) for k, v in columns.items()}
     lengths = {c.size for c in cols.values()}
@@ -55,12 +61,34 @@ def write_table(path, columns: dict[str, np.ndarray], meta: dict | None = None) 
     lines.append(",".join(cols))
     n = lengths.pop() if lengths else 0
     series = list(cols.values())
+    floats = [np.issubdtype(c.dtype, np.floating) for c in series]
+    row_format = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
+    with atomic_writer(path) as fh:
+        fh.write("\n".join(lines) + "\n")
+        for lo in range(0, n, _ROWS_PER_BLOCK):
+            # A float column formats as format_value does, one row format string
+            # for all columns; other columns go through format_value itself.
+            block = [
+                c[lo : lo + _ROWS_PER_BLOCK].tolist() if f
+                else [format_value(v) for v in c[lo : lo + _ROWS_PER_BLOCK]]
+                for c, f in zip(series, floats)
+            ]
+            fh.writelines(row_format % row for row in zip(*block))
+
+
+@contextmanager
+def atomic_writer(path):
+    """Open a text file that replaces path only once the with-block completes.
+
+    The text goes to a temporary file beside path, which then replaces path
+    in one step: a write that fails part way leaves any earlier file intact
+    and removes the temporary file.
+    """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-            fh.writelines(",".join(format_value(c[i]) for c in series) + "\n" for i in range(n))
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -524,7 +524,8 @@ def residual_resummed(sol: TransientSolution, g, m_max: int | None = None) -> Re
     dens = sol.densities
     kern = np.empty_like(dens)
     for j in range(nsnap):
-        kern[j] = collision_kernel(UDensity(grid, dens[j]), UDensity(grid, dens[j])).values
+        snap = UDensity(grid, dens[j])
+        kern[j] = collision_kernel(snap, snap).values
 
     def shift(vals: np.ndarray, delta: float) -> np.ndarray:
         out, _ = drift_shift(UDensity(grid, vals), delta, lost_warn=np.inf)

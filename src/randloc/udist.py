@@ -14,7 +14,9 @@ Core physics operations:
   of combined values, in one of two discretizations. The default bilinear
   deposition of all node pairs onto the bin of their combined value is
   mass-exact at rounding level but only second-order accurate at the nodes;
-  the transient solver and the resummed residual use it. The "node" scheme
+  the transient solver, the resummed residual and ``pair_average`` use it.
+  Its cached tables hold each unordered pair once, sorted by target bin
+  (24 bytes a pair, 12 N^2 bytes for N nodes). The "node" scheme
   evaluates K[p, p] at the nodes by a fourth-order quadrature of its
   integral form. It is not mass-exact; the steady solver and the steady
   residual use it.
@@ -118,33 +120,61 @@ def _grid_tables(u_max: float, n_bins: int):
     return nodes, w
 
 
+# Pair tables above this many bytes are refused before they are built;
+# building them peaks at about 2.5 times the cached size.
+_TABLE_BUDGET_BYTES = 1 << 30
+
+
+def _check_table_bytes(kind: str, grid: UGrid, nbytes: int) -> None:
+    if nbytes > _TABLE_BUDGET_BYTES:
+        raise ValueError(
+            f"the {kind} kernel tables of the grid u_max={grid.u_max:g}, h={grid.h:g} "
+            f"({grid.n_nodes} nodes) would take {nbytes} bytes, above the budget of "
+            f"{_TABLE_BUDGET_BYTES} bytes; use a coarser grid"
+        )
+
+
 @lru_cache(maxsize=8)
 def _deposit_tables(u_max: float, n_bins: int):
-    """Pair-binning tables: for every node pair, the flat target bin of the
-    combined value and the linear split fraction toward the upper node.
+    """Pair-deposition tables of the deposit scheme.
 
-    The (0, 0) pair is pinned to u = 0, the limit of combine along any path.
-    Cached per grid; the largest supported grids cost a few hundred MB.
+    combine is symmetric, so only the node pairs i <= j are stored, sorted
+    (stably, from row-major order) by the target bin k = floor(combine / h):
+    the nodes i and j of every pair (intp) and its linear split fraction
+    toward node k + 1 (float64), 24 bytes a pair, 12 N^2 bytes for N nodes.
+    ``bins`` lists the bins that receive pairs and ``starts`` the first pair
+    of each, so a bin's deposits are one contiguous segment. ``diag`` gives
+    the positions of the pairs (0, 0), (1, 1), ... in node order: the bin of
+    (i, i) grows with i, and the sort is stable. The (0, 0) pair is pinned
+    to u = 0, the limit of combine along any path. combine never exceeds
+    u_max / 2 on the grid, so k + 1 stays on it.
     """
+    n = n_bins + 1
     nodes = _grid_tables(u_max, n_bins)[0]
-    s = nodes[:, None] + nodes[None, :]
-    c = np.multiply.outer(nodes, nodes)
+    i, j = np.triu_indices(n)
+    c = nodes[i] * nodes[j]
+    s = nodes[i] + nodes[j]
     np.divide(c, s, out=c, where=s > 0.0)
-    c[0, 0] = 0.0
-    f = c.ravel()
-    f *= n_bins / u_max
-    idx = np.floor(f).astype(np.int64)
-    frac = f - idx
-    # combine <= min(u1, u2) <= u_max, so idx <= n_bins; fold the exact-edge
-    # case onto the last node.
-    over = idx >= n_bins
-    if np.any(over):
-        idx[over] = n_bins - 1
-        frac[over] = 1.0
-    om_frac = 1.0 - frac
-    for arr in (idx, frac, om_frac):
+    del s
+    c[0] = 0.0
+    c *= n_bins / u_max
+    k = np.floor(c).astype(np.intp)
+    c -= k
+    counts = np.bincount(k, minlength=n)
+    order = np.argsort(k, kind="stable")
+    del k
+    bins = np.flatnonzero(counts)
+    starts = (np.cumsum(counts) - counts)[bins]
+    frac = c[order]
+    del c
+    i = i[order]
+    j = j[order]
+    del order
+    diag = np.flatnonzero(i == j)
+    tables = (i, j, frac, bins, starts, diag)
+    for arr in tables:
         arr.setflags(write=False)
-    return idx, frac, om_frac
+    return tables
 
 
 def combine(u1, u2):
@@ -176,8 +206,14 @@ def collision_kernel(p: UDensity, q: UDensity, *, scheme: str = "deposit") -> UD
     * ``"deposit"`` (default): every node pair deposits its trapezoid-weighted
       product mass into the bin containing the combined value, split linearly
       between the two adjacent nodes. Deposition is mass-exact: the output
-      trapezoid mass equals mass(p) * mass(q) up to rounding. Summation order
-      is fixed, so results are bit-reproducible.
+      trapezoid mass equals mass(p) * mass(q) up to rounding. combine is
+      symmetric, so the cached tables of ``_deposit_tables`` hold only the
+      pairs i <= j, sorted by target bin: two intp node indices and one
+      float64 split fraction, 24 bytes a pair, 12 N^2 bytes for N nodes.
+      Each bin's shares are sums over one contiguous segment of pairs, in a
+      fixed order, so results are bit-reproducible and K[p, q] equals
+      K[q, p] bit for bit. Grids whose tables would exceed a fixed budget
+      (1 GiB) raise ValueError before any table is built.
     * ``"node"``: K[p, p] evaluated at the nodes from its integral form, see
       ``_node_kernel``. Fourth order in h for smooth p, but the output mass
       equals mass(p)^2 only to that order. Needs q equal to p.
@@ -191,14 +227,39 @@ def collision_kernel(p: UDensity, q: UDensity, *, scheme: str = "deposit") -> UD
     if scheme != "deposit":
         raise ValueError(f"unknown kernel scheme {scheme!r}; use 'deposit' or 'node'")
     g = p.grid
-    idx, frac, om_frac = _deposit_tables(g.u_max, g.n_bins)
+    return UDensity(g, _deposit(p, q) / g.quad_weights())
+
+
+def _deposit(p: UDensity, q: UDensity) -> np.ndarray:
+    """Trapezoid mass of K[p, q] at each node, from the tables of
+    ``_deposit_tables``.
+
+    With a = w p and b = w q, the pair i < j carries a_i b_j + a_j b_i and
+    the pair i == j carries a_i b_i, so K[p, q] and K[q, p] are the same
+    floats. Each bin's lower and upper shares are sums of nonnegative terms
+    over its contiguous segment of pairs.
+    """
+    g = p.grid
+    _check_table_bytes("deposit", g, 24 * (g.n_nodes * (g.n_nodes + 1) // 2))
+    i, j, frac, bins, starts, diag = _deposit_tables(g.u_max, g.n_bins)
     w = g.quad_weights()
-    wflat = np.multiply.outer(w * p.values, w * q.values).ravel()
-    n = g.n_nodes
-    dep = np.bincount(idx, weights=wflat * om_frac, minlength=n)
-    hi = np.bincount(idx, weights=wflat * frac, minlength=n)
-    dep[1:] += hi[: n - 1]
-    return UDensity(g, dep / w)
+    a = w * p.values
+    if q is p:
+        # a_i a_j + a_j a_i is exactly 2 a_i a_j: the general branch's floats
+        wt = a[i] * a[j]
+        wt *= 2.0
+        wt[diag] = a * a
+    else:
+        b = w * q.values
+        wt = a[i] * b[j]
+        wt += a[j] * b[i]
+        wt[diag] = a * b
+    hi = wt * frac
+    wt -= hi  # wt (1 - frac), never below 0 since hi <= wt
+    dep = np.zeros(g.n_nodes)
+    dep[bins] = np.add.reduceat(wt, starts)
+    dep[bins + 1] += np.add.reduceat(hi, starts)
+    return dep
 
 
 # Gregory's end correction of the trapezoid rule, fourth order at a smooth end.
@@ -309,6 +370,9 @@ def _node_kernel(p: UDensity) -> UDensity:
     g = p.grid
     if g.n_bins < 3:
         raise ValueError(f"the node scheme needs at least 3 bins, got {g.n_bins}")
+    # 40 bytes for each pair of the rows' node parts, at most n_bins^2 / 4 pairs
+    half = g.n_bins // 2
+    _check_table_bytes("node", g, 40 * half * (g.n_bins - half))
     rows, starts, j, b, w, ni, bx, wx, by, wy = _node_tables(g.u_max, g.n_bins)
     v = p.values
     out = np.zeros(g.n_nodes)
@@ -326,16 +390,12 @@ def _node_kernel(p: UDensity) -> UDensity:
 def pair_average(p: UDensity, q: UDensity) -> float:
     """Expectation of combine(X, Y) under X ~ p, Y ~ q (same grid).
 
-    Uses exactly the combined values seen by collision_kernel, so the two
-    agree at rounding level.
+    It is the first moment of the deposited K[p, q]: the linear split keeps
+    each pair's combined value as the mean of its two shares.
     """
     if p.grid != q.grid:
         raise ValueError("pair_average requires both densities on the same grid")
-    g = p.grid
-    idx, frac, _ = _deposit_tables(g.u_max, g.n_bins)
-    w = g.quad_weights()
-    wflat = np.multiply.outer(w * p.values, w * q.values).ravel()
-    return float(g.h * (wflat @ (idx + frac)))
+    return float(p.grid.nodes() @ _deposit(p, q))
 
 
 def drift_shift(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from randloc import cli
+from randloc import cli, csvio, udist
 from randloc.cli import main
 from randloc.csvio import read_density, read_table, read_trajectory
 
@@ -172,6 +172,35 @@ def test_blocked_output_root_is_exit_code_three(tmp_path, capsys):
     blocker.write_text("not a directory\n")
     rc = main(["gamma", "--out", str(blocker / "sub")])
     assert rc == 3
+
+
+@pytest.mark.parametrize("subcommand", ["steady", "transient"])
+def test_oversized_grid_is_exit_code_one(tmp_path, capsys, monkeypatch, subcommand):
+    # h = 0.001 needs about 10 GB of pair tables: refused before any is built
+    def build(*args):
+        pytest.fail("pair tables were built")
+
+    monkeypatch.setattr(udist, "_deposit_tables", build)
+    monkeypatch.setattr(udist, "_node_tables", build)
+    rc = main([subcommand, "--out", str(tmp_path), "--set", "h=0.001"])
+    assert rc == 1
+    assert "30001 nodes) would take" in capsys.readouterr().err
+
+
+def test_failed_echo_write_keeps_old_file(tmp_path, capsys, monkeypatch):
+    echo = tmp_path / "gamma" / "run" / "config.echo"
+    echo.parent.mkdir(parents=True)
+    echo.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(csvio.os, "replace", refuse)
+    rc = main(["gamma", "--out", str(tmp_path), "--set", "name=run"])
+    assert rc == 3
+    assert "disk full" in capsys.readouterr().err
+    assert echo.read_text() == "old\n"
+    assert [q.name for q in echo.parent.iterdir()] == ["config.echo"]
 
 
 @pytest.mark.parametrize(

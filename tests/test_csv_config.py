@@ -37,6 +37,25 @@ def test_table_round_trip_is_bit_exact(tmp_path):
     assert meta == {"seed": "3", "note": "probe"}
 
 
+def test_table_bytes_match_per_value_formatting(tmp_path):
+    # more rows than one formatting block, with the floats %.17g treats specially
+    n = 70001
+    rng = np.random.Generator(np.random.Philox(key=5))
+    x = rng.standard_normal(n) * np.exp(rng.uniform(-300.0, 300.0, n))
+    x[:6] = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324]
+    x[65534:65540] = [2.2250738585072014e-308, -1e-310, 0.1, -0.0, np.nan, 1.0]
+    with np.errstate(over="ignore"):
+        f32 = x.astype(np.float32)
+    cols = {"x": x, "f32": f32, "k": rng.integers(-10**12, 10**12, n), "flag": rng.random(n) < 0.5}
+    path = tmp_path / "t.csv"
+    write_table(path, cols, meta={"seed": 5, "on": True})
+    series = list(cols.values())
+    want = "# on = true\n# seed = 5\nx,f32,k,flag\n" + "".join(
+        ",".join(format_value(c[i]) for c in series) + "\n" for i in range(n)
+    )
+    assert path.read_bytes() == want.encode("utf-8")
+
+
 def test_meta_lines_are_sorted(tmp_path):
     path = tmp_path / "t.csv"
     write_table(path, {"x": np.arange(3.0)}, meta={"zeta": 1, "alpha": 2, "mid": 3})

@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from kernel_reference import dense_deposit
 
+from randloc import udist
 from randloc.udist import (
     UDensity,
     UGrid,
@@ -178,6 +183,75 @@ def test_kernel_scheme_is_checked():
     same = UDensity(g, p.values)
     assert np.array_equal(collision_kernel(p, same, scheme="node").values,
                           collision_kernel(p, p, scheme="node").values)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.02, 0.01])
+def test_deposit_kernel_matches_dense_reference(h):
+    g = UGrid.from_spacing(30.0, h)
+    p = normalize(default_init_density(g))
+    q = normalize(exponential_density(g))
+    for a, b in ((p, p), (p, q), (q, p)):
+        ref = dense_deposit(a, b)
+        got = collision_kernel(a, b).values
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
+
+
+def test_deposit_tables_hold_each_pair_once():
+    g = UGrid.from_spacing(30.0, 0.05)
+    tables = udist._deposit_tables(g.u_max, g.n_bins)
+    i, j = tables[0], tables[1]
+    assert i.size == g.n_nodes * (g.n_nodes + 1) // 2
+    assert np.all(i <= j)
+    assert sum(t.nbytes for t in tables) <= 16 * g.n_nodes**2
+
+
+def test_kernel_of_equal_copy_matches_same_object():
+    g = UGrid.from_spacing(20.0, 0.05)
+    p = normalize(default_init_density(g))
+    copy = UDensity(g, p.values)
+    assert np.array_equal(collision_kernel(p, p).values, collision_kernel(p, copy).values)
+
+
+@st.composite
+def density_pairs(draw):
+    n_bins = draw(st.integers(2, 60))
+    u_max = draw(st.floats(0.5, 50.0))
+    g = UGrid(u_max, n_bins)
+    values = arrays(np.float64, g.n_nodes, elements=st.floats(0.0, 1e3, allow_subnormal=False))
+    return UDensity(g, draw(values)), UDensity(g, draw(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(density_pairs())
+def test_kernel_agrees_with_dense_reference(pq):
+    p, q = pq
+    ref = dense_deposit(p, q)
+    np.testing.assert_allclose(collision_kernel(p, q).values, ref, rtol=0,
+                               atol=1e-13 * np.max(ref) + 1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(density_pairs())
+def test_kernel_mass_is_product_of_masses(pq):
+    p, q = pq
+    want = mass(p) * mass(q)
+    assert mass(collision_kernel(p, q)) == pytest.approx(want, rel=1e-12, abs=1e-300)
+    assert mass(collision_kernel(p, p)) == pytest.approx(mass(p) ** 2, rel=1e-12, abs=1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(density_pairs())
+def test_kernel_is_symmetric_bit_for_bit(pq):
+    p, q = pq
+    assert np.array_equal(collision_kernel(p, q).values, collision_kernel(q, p).values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(density_pairs())
+def test_pair_average_is_first_moment_of_kernel(pq):
+    p, q = pq
+    assert pair_average(p, q) == pytest.approx(moment(collision_kernel(p, q), 1),
+                                               rel=1e-12, abs=1e-300)
 
 
 def test_pair_average_matches_double_sum():
