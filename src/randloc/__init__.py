@@ -43,7 +43,6 @@ from .meanfield import (
     SolverConfig,
     TransientSolution,
     evolve_transient,
-    pm_recursion,
     residual_resummed,
     residual_steady,
     solve_steady,
@@ -98,7 +97,6 @@ __all__ = [
     "SolverConfig",
     "TransientSolution",
     "evolve_transient",
-    "pm_recursion",
     "residual_resummed",
     "residual_steady",
     "solve_steady",

@@ -27,6 +27,7 @@ from .errors import ConfigError, ConvergenceError, MassLossError, StepInstabilit
 from .gamma import closed_trajectory, gamma_ode
 from .gaussoracle import GaussPair, convergence_study, posterior_moments
 from .meanfield import (
+    _HIERARCHY_LIMIT,
     SolverConfig,
     evolve_transient,
     residual_resummed,
@@ -56,14 +57,12 @@ def _run_dir(out_root: str, subcommand: str, cfg: dict) -> Path:
     return d
 
 
-def _solver_config(cfg: dict, **kw) -> SolverConfig:
+def _solver_config(cfg: dict) -> SolverConfig:
     return SolverConfig(
         u_max=cfg["u_max"],
         h=cfg["h"],
-        alpha=cfg["alpha"],
         tol_fixed_point=cfg["tol_fixed_point"],
         max_iters=cfg["max_iters"],
-        **kw,
     )
 
 
@@ -88,18 +87,26 @@ def cmd_steady(cfg: dict, run_dir: Path) -> None:
 
 def cmd_transient(cfg: dict, run_dir: Path) -> None:
     dtau = cfg["dtau"] if cfg["dtau"] > 0.0 else None
-    sc = _solver_config(cfg, dtau=dtau)
+    sc = SolverConfig(u_max=cfg["u_max"], h=cfg["h"], dtau=dtau)
     grid = sc.grid
     p0 = resolve_init(grid, cfg["init"])
     if cfg["g_mode"] == "closed":
         g = closed_trajectory(cfg["g0"], cfg["tau_end"], sc.dtau_resolved)
     else:
         g = float(cfg["g0"])
-    if cfg["residual_m_max"] > 0 and cfg["snapshot_stride"] > 10:
-        raise ConfigError(
-            "residual_m_max needs snapshot_stride <= 10 so the time quadrature "
-            "has dense enough snapshots"
-        )
+    m_max = cfg["residual_m_max"]
+    if m_max > 0:
+        if cfg["snapshot_stride"] > 10:
+            raise ConfigError(
+                "residual_m_max needs snapshot_stride <= 10 so the time quadrature "
+                "has dense enough snapshots"
+            )
+        if m_max > _HIERARCHY_LIMIT:
+            raise ConfigError(
+                f"residual_m_max must lie in 0..{_HIERARCHY_LIMIT}, got {m_max}"
+            )
+        if not 0.0 <= cfg["g0"] < 1.0:
+            raise ConfigError(f"residual_m_max needs 0 <= g0 < 1, got g0={cfg['g0']}")
     sol = evolve_transient(p0, g, cfg["tau_end"], sc, snapshot_stride=cfg["snapshot_stride"])
     n_nodes = grid.n_nodes
     taus = np.repeat(sol.taus, n_nodes)
@@ -109,13 +116,12 @@ def cmd_transient(cfg: dict, run_dir: Path) -> None:
         {"tau": taus, "u": us, "p": sol.densities.ravel()},
         _meta(cfg, max_renorm_drift=sol.max_renorm_drift, lost_mass=sol.lost_mass),
     )
-    if cfg["residual_m_max"] > 0:
-        res = residual_resummed(sol, g, cfg["residual_m_max"])
-        write_table(
-            run_dir / "residual.csv",
-            {"tau": res.taus, "residual_l1": res.footnote},
-            _meta(cfg),
-        )
+    if m_max > 0:
+        res = residual_resummed(sol, g, m_max)
+        cols = {"tau": res.taus, "residual_l1": res.footnote}
+        for m, row in enumerate(res.truncated, 1):
+            cols[f"truncated_m{m}"] = row
+        write_table(run_dir / "residual.csv", cols, _meta(cfg))
 
 
 def _hist_grid(cfg: dict) -> UGrid:

@@ -47,17 +47,11 @@ def _parse_scalar(key: str, raw: str, field: Field):
     return value
 
 
-_GRID = {
-    "u_max": Field("float", 30.0),
-    "h": Field("float", 0.01),
-}
-_SOLVER = {
-    **_GRID,
-    "alpha": Field("float", 1.0),
+_STEADY_SOLVE = {
     "tol_fixed_point": Field("float", 1e-8),
     "max_iters": Field("int", 500),
-    "init": Field("str", "ue", ("ue", "exp", "point")),
 }
+_INIT = {"init": Field("str", "ue", ("ue", "exp", "point"))}
 
 SCHEMAS: dict[str, dict[str, Field]] = {
     "gamma": {
@@ -68,13 +62,16 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "name": Field("str", ""),
     },
     "steady": {
-        **_SOLVER,
+        "u_max": Field("float", 30.0),
+        "h": Field("float", 0.01),
+        **_STEADY_SOLVE,
+        **_INIT,
         "name": Field("str", ""),
     },
     "transient": {
-        **_SOLVER,
         "u_max": Field("float", 30.0),
         "h": Field("float", 0.02),
+        **_INIT,
         "dtau": Field("float", 0.0),  # 0 means: use h
         "tau_end": Field("float", 5.0),
         "g0": Field("float", 0.1),
@@ -123,9 +120,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "dtau": Field("float", 0.01),
         "u_max": Field("float", 30.0),
         "h": Field("float", 0.05),
-        "alpha": Field("float", 1.0),
-        "tol_fixed_point": Field("float", 1e-8),
-        "max_iters": Field("int", 500),
+        **_STEADY_SOLVE,
         "name": Field("str", ""),
     },
 }

@@ -14,8 +14,8 @@ each cell, giving the fixed-point map
 
 renormalized each sweep. ``solve_steady`` accelerates this map with
 Anderson mixing (D. G. Anderson, J. ACM 12, 1965): each step fits the last
-few sweeps' residuals by least squares and extrapolates, damped by the
-config's alpha, then projects onto nonnegative values and renormalizes. It
+few sweeps' residuals by least squares and extrapolates, undamped, then
+projects onto nonnegative values and renormalizes. It
 stops on the fixed-point residual itself, the L1 norm of one sweep's change,
 not on the change between mixed iterates. The residual ``residual_steady``
 (the norms of ``steady_defect``) pairs the same kernel with a fourth-order
@@ -42,9 +42,21 @@ Memory-integral residual. With the seed entering as an impulse at tau = 0
 
 where S_d is the drift shift by d. At tau = 0 the bracket reduces to the
 seed term and both sides equal g0 p0 identically. Truncating the underlying
-event-chain hierarchy at depth m replaces the closed collision term by m
-nested quadratures; the truncated mismatch must grow with tau and shrink
-as more depths are included.
+event-chain hierarchy at depth m replaces the collision term by the chain
+sum r_{m-1} of the depth below: the depth-m bracket r_m has the source
+g p at depth 1 and g (p + K[p, r_{m-1}]) beyond it. The truncated mismatch
+must grow with tau and shrink as more depths are included.
+
+Every bracket is the seeded Duhamel sum A_k = gt0 S_{tau_k} p0 + sum_j
+wq_k[j] S_{tau_k - tau_j} src_j over the snapshots, wq_k the trapezoid
+weights on tau_0..tau_k. It is built by one recurrence over the snapshot
+spacings D_k = tau_k - tau_{k-1},
+
+    A_0 = gt0 p0,    A_k = S_{D_k} (A_{k-1} + D_k/2 src_{k-1}) + D_k/2 src_k,
+
+one drift shift per snapshot and quantity, and no kernel call beyond those
+in the source. Composing shifts is exact only for whole-cell shifts, so the
+snapshot spacings must be whole multiples of h.
 """
 
 from __future__ import annotations
@@ -79,7 +91,6 @@ __all__ = [
     "residual_steady",
     "steady_defect",
     "evolve_transient",
-    "pm_recursion",
     "residual_resummed",
 ]
 
@@ -92,11 +103,8 @@ _HIERARCHY_LIMIT = 3
 class SolverConfig:
     """Grid and iteration controls shared by the mean-field solvers.
 
-    alpha is the damping of the Anderson-accelerated steady solve: the step
-    without history is p + alpha (G(p) - p), and every Anderson step mixes
-    its extrapolated residual in with the same weight. The default 1 takes
-    the undamped sweep. tol_fixed_point bounds the trapezoid L1 residual
-    w @ |G(p) - p| at which the steady solve stops.
+    tol_fixed_point bounds the trapezoid L1 residual w @ |G(p) - p| at
+    which the Anderson-accelerated steady solve stops.
     dtau defaults to the grid spacing h so that the transient drift is an
     exact one-cell shift; any integer multiple of h is accepted.
     tol_mass bounds the tolerated per-step mass defect before the transient
@@ -106,25 +114,19 @@ class SolverConfig:
 
     u_max: float = 30.0
     h: float = 0.01
-    alpha: float = 1.0
     tol_fixed_point: float = 1e-8
     tol_mass: float = 1e-8
     max_iters: int = 500
     dtau: float | None = None
-    m_max: int = 3
     lost_mass_cap: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.u_max > _U_MAX_LIMIT:
             raise ValueError(f"u_max above {_U_MAX_LIMIT} overflows the e^u sweep")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"mixing alpha must lie in (0, 1], got {self.alpha}")
         if self.tol_fixed_point <= 0.0 or self.tol_mass <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 1 <= self.m_max <= _HIERARCHY_LIMIT:
-            raise ValueError(f"m_max must lie in 1..{_HIERARCHY_LIMIT}, got {self.m_max}")
         if self.lost_mass_cap <= 0.0:
             raise ValueError("lost_mass_cap must be positive")
         self.grid  # validates u_max, h
@@ -223,12 +225,12 @@ def solve_steady(cfg: SolverConfig, init="ue") -> UDensity:
     The map is G(p) = normalize(sweep(K[p, p])) with residual f = G(p) - p.
     Each iteration takes the type-II Anderson step (Walker and Ni, 2011)
 
-        p_next = p + alpha f - (dP + alpha dF) gamma,
+        p_next = p + f - (dP + dF) gamma,
 
     where the columns of dP and dF are the differences of the last
     _ANDERSON_DEPTH iterates and residuals, and gamma minimizes the
     trapezoid-weighted L2 norm of f - dF gamma; with no history it is the
-    plain mixing step p + alpha f. The step is projected onto nonnegative
+    plain step p + f. The step is projected onto nonnegative
     values and renormalized. The history is cleared whenever the L1
     residual grows.
 
@@ -268,11 +270,11 @@ def solve_steady(cfg: SolverConfig, init="ue") -> UDensity:
             if len(d_p) > _ANDERSON_DEPTH:
                 del d_p[0], d_f[0]
         prev = (p.values, f)
-        step = cfg.alpha * f
+        step = f
         if d_p:
             dp, df = np.column_stack(d_p), np.column_stack(d_f)
             gamma = np.linalg.lstsq(root_w[:, None] * df, root_w * f, rcond=None)[0]
-            step -= (dp + cfg.alpha * df) @ gamma
+            step = f - (dp + df) @ gamma
         nxt = np.maximum(p.values + step, 0.0)
         p = UDensity(grid, nxt / float(w @ nxt))
     raise ConvergenceError(
@@ -332,7 +334,6 @@ class TransientSolution:
     dtau: float
     max_renorm_drift: float = 0.0
     lost_mass: float = 0.0
-    m_max: int = _HIERARCHY_LIMIT
 
     def __post_init__(self) -> None:
         taus = np.asarray(self.taus, dtype=float)
@@ -437,38 +438,7 @@ def evolve_transient(
         dtau=dtau,
         max_renorm_drift=max_drift,
         lost_mass=cum_lost,
-        m_max=cfg.m_max,
     )
-
-
-def pm_recursion(sol: TransientSolution, m: int, times) -> UDensity:
-    """Depth-m event-chain density at observation time times[0].
-
-    times = (tau, tau_1, ..., tau_m) must be nonincreasing; ties are allowed.
-    Depth 1 is the stored snapshot at tau_1 drifted forward by tau - tau_1;
-    each further depth pairs the snapshot at tau_i with the previous chain
-    through the collision deposition and drifts the result. For normalized
-    snapshots the chain mass is the product of the input masses, i.e. 1 up
-    to drift leakage.
-    """
-    times = [float(t) for t in times]
-    if m < 1 or m > sol.m_max:
-        raise ValueError(f"chain depth must lie in 1..{sol.m_max}, got {m}")
-    if len(times) != m + 1:
-        raise ValueError(f"need m+1={m + 1} times for depth {m}, got {len(times)}")
-    if any(a < b - 1e-12 for a, b in zip(times, times[1:])):
-        raise ValueError(f"times must be nonincreasing, got {times}")
-
-    def chain(ts: list[float]) -> UDensity:
-        inner = (
-            sol.density_at(ts[1])
-            if len(ts) == 2
-            else collision_kernel(sol.density_at(ts[1]), chain(ts[1:]))
-        )
-        shifted, _ = drift_shift(inner, ts[0] - ts[1], lost_warn=np.inf)
-        return shifted
-
-    return chain(times)
 
 
 @dataclass(frozen=True, eq=False)
@@ -486,16 +456,32 @@ class ResummedResidual:
     truncated: np.ndarray
 
 
-def residual_resummed(sol: TransientSolution, g, m_max: int | None = None) -> ResummedResidual:
+def _memory_integral(sol: TransientSolution, gt0: float, src: np.ndarray) -> np.ndarray:
+    """Seeded Duhamel sums A_k = gt0 S_{tau_k} p_0 + sum_j wq_k[j]
+    S_{tau_k - tau_j} src_j at every snapshot k, by the trapezoid recurrence
+    of the module docstring; the spacings must be whole cells."""
+    grid = sol.grid
+    out = np.empty_like(src)
+    out[0] = gt0 * sol.densities[0]
+    for k in range(1, src.shape[0]):
+        delta = sol.taus[k] - sol.taus[k - 1]
+        carried = UDensity(grid, out[k - 1] + 0.5 * delta * src[k - 1])
+        out[k] = drift_shift(carried, delta, lost_warn=np.inf)[0].values + 0.5 * delta * src[k]
+    return out
+
+
+def residual_resummed(sol: TransientSolution, g, m_max: int = _HIERARCHY_LIMIT) -> ResummedResidual:
     """Measure how well the transient snapshots satisfy the resummed identity.
 
     g must be the fraction input used for the evolution (constant or
-    trajectory) with g(0) < 1. Snapshots must be dense enough for the time
-    quadrature: spacing at most 10 * dtau.
+    trajectory) with 0 <= g(0) < 1. Snapshots must be dense enough for the
+    time quadrature, spacing at most 10 * dtau, and spaced by whole grid
+    cells, as every ``evolve_transient`` output is. The footnote and each
+    depth are one ``_memory_integral`` of their own source, which takes
+    nsnap * m_max kernel calls in all.
     """
-    m_max = sol.m_max if m_max is None else int(m_max)
-    if not 1 <= m_max <= sol.m_max:
-        raise ValueError(f"m_max must lie in 1..{sol.m_max}, got {m_max}")
+    if not 1 <= m_max <= _HIERARCHY_LIMIT:
+        raise ValueError(f"m_max must lie in 1..{_HIERARCHY_LIMIT}, got {m_max}")
     taus = sol.taus
     if taus.size < 2:
         raise ValueError("need at least two snapshots")
@@ -505,13 +491,19 @@ def residual_resummed(sol: TransientSolution, g, m_max: int | None = None) -> Re
             f"snapshot spacing {np.max(spacing):.4g} too coarse for the time "
             f"quadrature (limit {10.0 * sol.dtau:.4g})"
         )
-    g0 = _g_of(g, 0.0)
-    if g0 >= 1.0:
-        raise ValueError("resummed residual requires g(0) < 1")
-
     grid = sol.grid
+    cells = spacing / grid.h
+    partial = np.abs(cells - np.round(cells)) > 1e-9 * np.maximum(1.0, cells)
+    if np.any(partial):
+        raise ValueError(
+            f"snapshot spacings must be whole multiples of h={grid.h}, "
+            f"got {spacing[partial][0]:.6g}"
+        )
+    g0 = _g_of(g, 0.0)
+    if not 0.0 <= g0 < 1.0:
+        raise ValueError(f"resummed residual requires 0 <= g(0) < 1, got {g0}")
+
     w = grid.quad_weights()
-    nsnap = taus.size
     gvals = np.array([_g_of(g, t) for t in taus])
     if isinstance(g, GammaTrajectory):
         cum = np.interp(taus, g.taus, g.cumulative())
@@ -520,55 +512,24 @@ def residual_resummed(sol: TransientSolution, g, m_max: int | None = None) -> Re
     exp_b = np.exp(cum) / (1.0 - g0)  # e^{B}, B = int g - ln(1-g0)
     exp_mb = np.exp(-cum) * (1.0 - g0)
     gt0 = g0 / (1.0 - g0)
-
     dens = sol.densities
-    kern = np.empty_like(dens)
-    for j in range(nsnap):
-        snap = UDensity(grid, dens[j])
-        kern[j] = collision_kernel(snap, snap).values
+    snaps = [UDensity(grid, row) for row in dens]
+    lhs = gvals[:, None] * dens  # also the depth-1 source g p
 
-    def shift(vals: np.ndarray, delta: float) -> np.ndarray:
-        out, _ = drift_shift(UDensity(grid, vals), delta, lost_warn=np.inf)
-        return out.values
+    def mismatch(acc: np.ndarray) -> np.ndarray:
+        return np.abs(lhs - exp_mb[:, None] * acc) @ w
 
-    def quad_weights_upto(k: int) -> np.ndarray:
-        wq = np.zeros(k + 1)
-        for j in range(k):
-            half = 0.5 * (taus[j + 1] - taus[j])
-            wq[j] += half
-            wq[j + 1] += half
-        return wq
-
-    lhs = gvals[:, None] * dens
-
-    footnote = np.zeros(nsnap)
-    for k in range(nsnap):
-        acc = gt0 * shift(dens[0], taus[k])
-        wq = quad_weights_upto(k)
-        for j in range(k + 1):
-            d = taus[k] - taus[j]
-            acc = acc + wq[j] * (
-                gvals[j] * shift(dens[j], d)
-                + gvals[j] ** 2 * exp_b[j] * shift(kern[j], d)
-            )
-        footnote[k] = float(w @ np.abs(lhs[k] - exp_mb[k] * acc))
-
-    truncated = np.zeros((m_max, nsnap))
-    r_prev = np.zeros_like(dens)
-    for m in range(1, m_max + 1):
-        # Pair each snapshot with the previous depth's chain sum once per time.
-        kr = np.empty_like(dens)
-        for j in range(nsnap):
-            kr[j] = collision_kernel(
-                UDensity(grid, dens[j]), UDensity(grid, r_prev[j])
-            ).values
-        r_m = np.empty_like(dens)
-        for k in range(nsnap):
-            acc = gt0 * shift(dens[0], taus[k])
-            wq = quad_weights_upto(k)
-            for j in range(k + 1):
-                acc = acc + wq[j] * gvals[j] * shift(dens[j] + kr[j], taus[k] - taus[j])
-            r_m[k] = acc
-            truncated[m - 1, k] = float(w @ np.abs(lhs[k] - exp_mb[k] * acc))
-        r_prev = r_m
+    kern = np.array([collision_kernel(s, s).values for s in snaps])
+    footnote = mismatch(
+        _memory_integral(sol, gt0, lhs + (gvals**2 * exp_b)[:, None] * kern)
+    )
+    truncated = np.empty((m_max, taus.size))
+    chain = _memory_integral(sol, gt0, lhs)
+    truncated[0] = mismatch(chain)
+    for m in range(1, m_max):
+        kr = np.array(
+            [collision_kernel(s, UDensity(grid, r)).values for s, r in zip(snaps, chain)]
+        )
+        chain = _memory_integral(sol, gt0, gvals[:, None] * (dens + kr))
+        truncated[m] = mismatch(chain)
     return ResummedResidual(taus=taus.copy(), footnote=footnote, truncated=truncated)

@@ -70,6 +70,9 @@ def test_transient_with_residual_file(tmp_path, capsys):
     assert taus[0] == 0.0
     assert resid[0] < 1e-14
     assert np.all(resid < 5e-3)
+    cols, _ = read_table(f"{d}/residual.csv")
+    assert list(cols) == ["tau", "residual_l1", "truncated_m1", "truncated_m2"]
+    assert cols["truncated_m1"][-1] > cols["truncated_m2"][-1]
 
 
 def test_transient_residual_needs_dense_snapshots(tmp_path, capsys):
@@ -78,6 +81,23 @@ def test_transient_residual_needs_dense_snapshots(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "snapshot_stride" in err
+
+
+@pytest.mark.parametrize(
+    "sets, message",
+    [(["g_mode=const", "g0=1", "residual_m_max=1"], "g0 < 1"),
+     (["residual_m_max=4"], "residual_m_max must lie in 0..3")],
+)
+def test_impossible_residual_fails_before_evolve(tmp_path, capsys, monkeypatch, sets, message):
+    def evolve(*args, **kwargs):
+        pytest.fail("the transient was evolved")
+
+    monkeypatch.setattr(cli, "evolve_transient", evolve)
+    argv = ["transient", "--out", str(tmp_path), "--set", "snapshot_stride=1"]
+    rc = main(argv + [a for kv in sets for a in ("--set", kv)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("transient/*/transient.csv"))
 
 
 def test_mc_steady_seed_sweep(tmp_path, capsys):

@@ -41,14 +41,14 @@ def test_config_dtau_multiple_of_h():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(alpha=0.0),
-        dict(alpha=1.5),
         dict(u_max=600.0),
         dict(max_iters=0),
-        dict(m_max=0),
-        dict(m_max=4),
         dict(tol_fixed_point=0.0),
         dict(lost_mass_cap=-1.0),
+        dict(tol_mass=0.0),
+        dict(h=0.0),
+        dict(h=0.07),
+        dict(dtau=0.0),
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -111,7 +111,7 @@ def test_init_validation():
 
 @pytest.mark.parametrize("init", ["ue", "exp", "point"])
 def test_anderson_kernel_calls(monkeypatch, init):
-    # one kernel call per iteration; plain alpha = 0.5 mixing needed 57
+    # one kernel call per iteration; plain mixing with damping 0.5 needed 57
     calls = []
     kernel = meanfield.collision_kernel
 
@@ -130,13 +130,6 @@ def test_residual_stop_is_close_to_tight_solve(steady):
     tight = solve_steady(SolverConfig(u_max=15.0, h=0.05, tol_fixed_point=1e-13))
     w = COARSE.grid.quad_weights()
     assert float(w @ np.abs(steady.values - tight.values)) < 1e-8
-
-
-def test_damped_solve_reaches_same_fixed_point(steady):
-    # alpha < 1 only damps the steps; the map and the stop are unchanged
-    damped = solve_steady(SolverConfig(u_max=15.0, h=0.05, alpha=0.5))
-    w = COARSE.grid.quad_weights()
-    assert float(w @ np.abs(damped.values - steady.values)) < 1e-8
 
 
 def test_non_convergence_raises():

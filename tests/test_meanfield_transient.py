@@ -1,15 +1,16 @@
-"""Transient kinetics, event-chain recursion, and the resummed identity."""
+"""Transient kinetics and the resummed memory-integral identity."""
 
 import numpy as np
 import pytest
+from resummed_reference import dense_resummed
 
+from randloc import meanfield
 from randloc.errors import MassLossError, StepInstabilityError
 from randloc.gamma import GammaTrajectory, closed_trajectory
 from randloc.meanfield import (
     SolverConfig,
     TransientSolution,
     evolve_transient,
-    pm_recursion,
     residual_resummed,
     solve_steady,
 )
@@ -18,8 +19,6 @@ from randloc.udist import (
     UGrid,
     default_init_density,
     drift_shift,
-    mass,
-    moment,
     normalize,
     point_mass,
 )
@@ -128,41 +127,6 @@ def test_domain_too_small_is_mass_loss_error():
         evolve_transient(ue_init(cfg), 1.0, 1.0, cfg)
 
 
-def test_pm_depth_one_is_pure_drift(seeded_run):
-    sol, _ = seeded_run
-    got = pm_recursion(sol, 1, (0.3, 0.1))
-    expected, _ = drift_shift(sol.density_at(0.1), 0.2, lost_warn=np.inf)
-    assert np.allclose(got.values, expected.values, atol=0.0)
-
-
-def test_pm_depth_two_point_masses():
-    # coincident times, both inputs at u = 2: chain lands at combine(2,2) = 1
-    grid = UGrid.from_spacing(10.0, 0.05)
-    rows = np.vstack([point_mass(grid, 2.0).values] * 2)
-    sol = TransientSolution(grid=grid, taus=np.array([0.0, 0.5]), densities=rows, dtau=0.5)
-    out = pm_recursion(sol, 2, (0.5, 0.5, 0.5))
-    assert mass(out) == pytest.approx(1.0, abs=1e-12)
-    assert moment(out, 1) / mass(out) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_pm_mass_multiplicativity(seeded_run):
-    sol, _ = seeded_run
-    assert mass(pm_recursion(sol, 2, (0.3, 0.2, 0.1))) == pytest.approx(1.0, abs=1e-6)
-    assert mass(pm_recursion(sol, 3, (0.3, 0.2, 0.1, 0.05))) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_pm_rejects_bad_arguments(seeded_run):
-    sol, _ = seeded_run
-    with pytest.raises(ValueError, match="nonincreasing"):
-        pm_recursion(sol, 2, (0.1, 0.2, 0.3))
-    with pytest.raises(ValueError, match="depth"):
-        pm_recursion(sol, 0, (0.3,))
-    with pytest.raises(ValueError, match="depth"):
-        pm_recursion(sol, 4, (0.3, 0.2, 0.1, 0.05, 0.0))
-    with pytest.raises(ValueError, match="times"):
-        pm_recursion(sol, 2, (0.3, 0.2))
-
-
 def test_resummed_vanishes_at_tau_zero(seeded_run):
     sol, traj = seeded_run
     res = residual_resummed(sol, traj)
@@ -185,11 +149,62 @@ def test_resummed_truncation_strictly_improves(seeded_run):
 
 def test_resummed_guards(seeded_run):
     sol, traj = seeded_run
-    with pytest.raises(ValueError, match="m_max"):
-        residual_resummed(sol, traj, m_max=4)
+    for m_max in (0, 4):
+        with pytest.raises(ValueError, match="m_max"):
+            residual_resummed(sol, traj, m_max=m_max)
     coarse = evolve_transient(ue_init(), 1.0, 2.0, CFG, snapshot_stride=25)
     with pytest.raises(ValueError, match="spacing"):
         residual_resummed(coarse, 1.0)
     dense = evolve_transient(ue_init(), 1.0, 0.2, CFG, snapshot_stride=1)
-    with pytest.raises(ValueError, match="g\\(0\\) < 1"):
-        residual_resummed(dense, 1.0)
+    for g in (1.0, -0.1):
+        with pytest.raises(ValueError, match="0 <= g\\(0\\) < 1"):
+            residual_resummed(dense, g)
+
+
+@pytest.fixture(scope="module")
+def criterion_07_run():
+    """The criterion-7 evolution: N = 1501, 16 per-step snapshots."""
+    cfg = SolverConfig(u_max=30.0, h=0.02)
+    traj = closed_trajectory(0.1, 0.3, 0.02)
+    return evolve_transient(ue_init(cfg), traj, 0.3, cfg, snapshot_stride=1), traj
+
+
+@pytest.mark.parametrize("run", ["seeded_run", "criterion_07_run"])
+@pytest.mark.parametrize("const_g", [False, True])
+def test_resummed_matches_dense_reference(request, run, const_g):
+    sol, traj = request.getfixturevalue(run)
+    g = 0.1 if const_g else traj
+    got = residual_resummed(sol, g, m_max=3)
+    ref = dense_resummed(sol, g, 3)
+    assert np.array_equal(got.taus, ref.taus)
+    assert np.max(np.abs(got.footnote - ref.footnote)) <= 1e-15
+    assert np.max(np.abs(got.truncated - ref.truncated)) <= 1e-15
+
+
+@pytest.mark.parametrize("m_max", [1, 2, 3])
+def test_resummed_kernel_calls(monkeypatch, seeded_run, m_max):
+    # K[p, p] per snapshot for the footnote, K[p, r] per snapshot for each
+    # depth above 1; depth 1 needs none
+    sol, traj = seeded_run
+    calls = []
+    kernel = meanfield.collision_kernel
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(meanfield, "collision_kernel", counting)
+    residual_resummed(sol, traj, m_max=m_max)
+    assert len(calls) == sol.taus.size * m_max
+
+
+def test_resummed_rejects_partial_cell_spacing(seeded_run):
+    sol, _ = seeded_run
+    taus = np.array([0.0, 0.05, 0.125])  # the second spacing is 1.5 cells
+    odd = TransientSolution(grid=sol.grid, taus=taus, densities=sol.densities[:3], dtau=0.05)
+    with pytest.raises(ValueError, match="whole multiples of h"):
+        residual_resummed(odd, 0.1)
+    whole = TransientSolution(
+        grid=sol.grid, taus=np.array([0.0, 0.05, 0.15]), densities=sol.densities[:3], dtau=0.05
+    )
+    assert residual_resummed(whole, 0.1).footnote[0] < 1e-15
