@@ -133,7 +133,10 @@ def _write_mc_outputs(run_dir: Path, cfg: dict, seed: int, snaps, final_pop) -> 
     gs = [s.g_empirical for s in snaps] + [final_pop.g_empirical]
     write_trajectory(
         run_dir / f"g_seed{seed}.csv", np.asarray(taus), np.asarray(gs),
-        _meta(cfg, seed=seed, overflow_count=final_pop.overflow_count),
+        _meta(cfg, seed=seed, overflow_count=final_pop.overflow_count,
+              events_loc_loc=final_pop.events_loc_loc,
+              events_loc_deloc=final_pop.events_loc_deloc,
+              events_deloc_deloc=final_pop.events_deloc_deloc),
         names=("tau", "g_empirical"),
     )
     grid = _hist_grid(cfg)

@@ -14,19 +14,38 @@ distinct pair is drawn uniformly and
     (delocalized, delocalized) nothing happens.
 
 Expected-fraction bookkeeping then gives dg/dtau = g(1-g) * M/(M-1), the
-logistic law up to the finite-M pair-counting factor.
+logistic law up to the finite-M pair-counting factor. Population counts
+each kind of event: loc-deloc events are exactly the localizations, and a
+fully localized population sees only loc-loc ones.
 
 Drift is lazy: each localized particle stores (value, sync time) and is
 materialized only when touched by an event, a snapshot, or a checkpoint.
 
 Determinism. All randomness comes from one counter-based Philox stream
-keyed by the run seed. Initial values are drawn first, then the event
-loop consumes exactly three uniforms per event (interarrival, first index,
-second index) drawn in fixed-size blocks. Identical (seed, config) runs
+keyed by the run seed. Initial values are drawn first; then the event
+loop draws uniforms in blocks of 3 * _BLOCK_EVENTS. The first gap of a
+fresh population is one uniform (scaled by / rate); after it each event
+consumes a triple (first index, second index, next gap), the gap scaled
+by * (1 / rate). A refill before the indices drops a tail of fewer than
+two uniforms; a gap is drawn from a refill only once the block is used
+up, so nothing is dropped there. Identical (seed, config) runs
 therefore reproduce bit-identical trajectories on a given numpy release.
 Checkpoints capture the stream state, the unconsumed tail of the current
-block, and the pending interarrival gap, so a resumed run continues
-bit-for-bit as if never interrupted.
+block, the pending interarrival gap and the event counters, so a resumed
+run continues bit-for-bit as if never interrupted.
+
+Wavefront schedule. The loop takes a block's triples as arrays and
+gets the event times from one cumulative sum seeded with the current time,
+which performs the same left-to-right additions as stepping event by
+event. It cuts the run at the first event past tau_end and at each pending
+snapshot. Within a run every event gets a wavefront level, one more than
+the highest level of the earlier events that touched either of its
+particles. Events of one level touch disjoint particles and depend only on
+lower levels, so each level is applied with numpy gathers and scatters
+and yields the floats and counts of the one-event-at-a-time rule (kept as
+the dense reference in the tests). Gaps go through math.log1p mapped over
+Python floats rather than np.log1p: the two differ by one ulp on a few
+percent of draws on some builds, which would move every later event time.
 """
 
 from __future__ import annotations
@@ -55,7 +74,9 @@ __all__ = [
 _MIN_STEADY = 1000
 _MIN_SEEDED = 10
 _BLOCK_EVENTS = 1 << 15
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
+_ENTRANT_RULES = ("adopt", "capped")
+_COUNTERS = ("overflow_count", "events_loc_loc", "events_loc_deloc", "events_deloc_deloc")
 
 
 @dataclass(eq=False)
@@ -75,9 +96,10 @@ class Population:
     its current value is u_sync[i] + (tau - t_sync[i]). localized marks
     live entries; delocalized slots keep stale numbers that must never be
     read. overflow_count records materialized values above u_ceiling
-    (counted, never dropped). The private fields carry the RNG block
-    buffer and the already-drawn gap to the next event so that resumed
-    runs are bit-identical to uninterrupted ones.
+    (counted, never dropped); events_loc_loc, events_loc_deloc and
+    events_deloc_deloc count the events of each kind. The private fields
+    carry the RNG block buffer and the already-drawn gap to the next event
+    so that resumed runs are bit-identical to uninterrupted ones.
     """
 
     seed: int
@@ -90,6 +112,9 @@ class Population:
     pair_rate: float | None = None
     u_ceiling: float = 1e9
     overflow_count: int = 0
+    events_loc_loc: int = 0
+    events_loc_deloc: int = 0
+    events_deloc_deloc: int = 0
     rng: np.random.Generator | None = None
     _buffer: np.ndarray = field(default_factory=lambda: np.empty(0))
     _pending_gap: float = -1.0  # time from self.tau to the next event; < 0 if not drawn
@@ -237,7 +262,7 @@ def run_transient(
     """
     if not 0.0 <= g0 <= 1.0:
         raise ValueError(f"g0 must lie in [0, 1], got {g0}")
-    if entrant_rule not in ("adopt", "capped"):
+    if entrant_rule not in _ENTRANT_RULES:
         raise ValueError(f"unknown entrant rule {entrant_rule!r}")
     if entrant_rule == "capped" and entrant_cap <= 0.0:
         raise ValueError("entrant_cap must be positive")
@@ -286,118 +311,157 @@ def _advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationS
     snaps: list[PopulationSnapshot] = []
     m = pop.size
     rate = (m / 2.0) if pop.pair_rate is None else float(pop.pair_rate)
-    if rate < 0.0:
-        raise ValueError("pair_rate must be nonnegative")
+    if not 0.0 <= rate < np.inf:
+        raise ValueError(f"pair_rate must be nonnegative and finite, got {rate}")
 
-    # Hot loop runs on plain Python floats/lists; numpy arrays are rebuilt at exit.
-    u_s = pop.u_sync.tolist()
-    t_s = pop.t_sync.tolist()
-    loc = pop.localized.astype(np.uint8).tolist()
-    n_loc = pop.n_localized
-    rng = pop.rng
-    adopt = pop.entrant_rule == "adopt"
-    cap = pop.entrant_cap
-    ceiling = pop.u_ceiling
-    overflow = 0
+    # Events scatter into private copies; the caller's arrays are replaced, not mutated.
+    pop.u_sync = np.array(pop.u_sync, dtype=float)
+    pop.t_sync = np.array(pop.t_sync, dtype=float)
+    pop.localized = np.array(pop.localized, dtype=bool)
     snap_i = 0
-    tau = pop.tau
-
     n_pending = len(pending)
 
     def emit_until(limit: float) -> None:
         # Emit every pending snapshot at time <= limit without touching the stream.
-        nonlocal snap_i, overflow
+        nonlocal snap_i
         while snap_i < n_pending and pending[snap_i] <= limit + 1e-12:
             ts = pending[snap_i]
-            sel = np.asarray(loc, dtype=bool)
-            u = np.asarray(u_s)[sel] + (ts - np.asarray(t_s)[sel])
-            overflow += int(np.count_nonzero(u > ceiling))
-            snaps.append(PopulationSnapshot(tau=ts, g_empirical=n_loc / m, u_values=u))
+            sel = pop.localized
+            u = pop.u_sync[sel] + (ts - pop.t_sync[sel])
+            pop.overflow_count += int(np.count_nonzero(u > pop.u_ceiling))
+            snaps.append(PopulationSnapshot(tau=ts, g_empirical=pop.n_localized / m, u_values=u))
             snap_i += 1
 
-    if rate == 0.0:
-        emit_until(tau_end)
-        tau = tau_end
-    else:
-        buf = pop._buffer.tolist()
+    if rate > 0.0:
+        rng = pop.rng
+        block = 3 * _BLOCK_EVENTS
+        buf = pop._buffer
         pos = 0
         gap = pop._pending_gap
-        if gap < 0.0:
-            if pos + 1 > len(buf):
-                buf = rng.random(3 * _BLOCK_EVENTS).tolist()
-                pos = 0
-            gap = -_log1p(-buf[pos]) / rate
-            pos += 1
+        if gap < 0.0:  # a fresh population's first gap
+            if buf.size == 0:
+                buf = rng.random(block)
+            gap = -_log1p(-float(buf[0])) / rate
+            pos = 1
         inv_rate = 1.0 / rate
-        m1 = m - 1
-        n_buf = len(buf)
+        tau = pop.tau
         while True:
             t_next = tau + gap
             if t_next > tau_end:
-                gap = t_next - tau_end
-                emit_until(tau_end)
-                tau = tau_end
                 break
-            if snap_i < n_pending and pending[snap_i] <= t_next + 1e-12:
-                emit_until(t_next)
-            tau = t_next
-            if pos + 2 > n_buf:
-                buf = rng.random(3 * _BLOCK_EVENTS).tolist()
+            if buf.size - pos < 3:
+                # A refill drops a tail too short for the indices; a tail of two
+                # holds the indices of the event whose gap opens the new block.
+                tail = buf[pos:] if buf.size - pos == 2 else buf[:0]
+                buf = np.concatenate((tail, rng.random(block)))
                 pos = 0
-                n_buf = len(buf)
-            i = int(buf[pos] * m)
-            j = int(buf[pos + 1] * m1)
-            pos += 2
-            if j >= i:
-                j += 1
-            li = loc[i]
-            lj = loc[j]
-            if li:
-                if lj:
-                    ui = u_s[i] + (tau - t_s[i])
-                    uj = u_s[j] + (tau - t_s[j])
-                    if ui > ceiling:
-                        overflow += 1
-                    if uj > ceiling:
-                        overflow += 1
-                    s = ui + uj
-                    c = ui * uj / s if s > 0.0 else 0.0
-                    u_s[i] = c
-                    u_s[j] = c
-                    t_s[i] = tau
-                    t_s[j] = tau
-                else:
-                    ui = u_s[i] + (tau - t_s[i])
-                    if ui > ceiling:
-                        overflow += 1
-                    u_s[j] = ui if adopt else ui * cap / (ui + cap)
-                    t_s[j] = tau
-                    loc[j] = 1
-                    n_loc += 1
-            elif lj:
-                uj = u_s[j] + (tau - t_s[j])
-                if uj > ceiling:
-                    overflow += 1
-                u_s[i] = uj if adopt else uj * cap / (uj + cap)
-                t_s[i] = tau
-                loc[i] = 1
-                n_loc += 1
-            # draw the next interarrival with the same block discipline
-            if pos + 1 > n_buf:
-                buf = rng.random(3 * _BLOCK_EVENTS).tolist()
-                pos = 0
-                n_buf = len(buf)
-            gap = -_log1p(-buf[pos]) * inv_rate
-            pos += 1
-        pop._buffer = np.asarray(buf[pos:])
-        pop._pending_gap = float(gap)
-
-    pop.tau = tau
-    pop.u_sync = np.asarray(u_s)
-    pop.t_sync = np.asarray(t_s)
-    pop.localized = np.asarray(loc, dtype=bool)
-    pop.overflow_count += overflow
+            k = min((buf.size - pos) // 3, _BLOCK_EVENTS)
+            draws = buf[pos : pos + 3 * k].reshape(k, 3)
+            i = (draws[:, 0] * m).astype(np.int64)
+            j = (draws[:, 1] * (m - 1)).astype(np.int64)
+            j += j >= i
+            gaps = -np.fromiter(map(_log1p, (-draws[:, 2]).tolist()), float, k) * inv_rate
+            # The same left-to-right additions as stepping tau += gap event by event.
+            times = np.cumsum(np.concatenate(([tau, gap], gaps[:-1])))[1:]
+            n = int(np.searchsorted(times, tau_end, side="right"))
+            a = 0
+            while True:  # a snapshot within 1e-12 of an event sees the state before it
+                c = n
+                if snap_i < n_pending:
+                    c = a + int(np.searchsorted(times[a:n] + 1e-12, pending[snap_i]))
+                _apply_events(pop, i[a:c], j[a:c], times[a:c])
+                if c == n:
+                    break
+                emit_until(times[c])
+                a = c
+            tau = float(times[n - 1])
+            gap = float(gaps[n - 1])
+            pos += 3 * n
+        pop._buffer = buf[pos:].copy()
+        pop._pending_gap = float(t_next - tau_end)
+    emit_until(tau_end)
+    pop.tau = tau_end
     return snaps
+
+
+def _wavefront_levels(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Level of each event in a run: 1 + the highest level among the earlier
+    events of the run that touched particle i[k] or j[k].
+
+    Events of one level touch disjoint particles, and every event an event
+    depends on lies in a lower level.
+    """
+    n = i.size
+    bits = (2 * n - 1).bit_length()
+    touched = np.empty(2 * n, dtype=np.int64)
+    touched[0::2] = i
+    touched[1::2] = j
+    # Sorting (particle, slot) keys lists each particle's slots in stream order.
+    keys = np.sort((touched << bits) | np.arange(2 * n))
+    slot = keys & ((1 << bits) - 1)
+    same = (keys[1:] >> bits) == (keys[:-1] >> bits)
+    prev = np.full(2 * n, n)  # event n is a level-0 sentinel
+    prev[slot[1:][same]] = slot[:-1][same] >> 1
+    lev = np.ones(n + 1, dtype=np.int64)
+    lev[n] = 0
+    # Only events with an earlier event on one of their particles can rise.
+    dep = np.flatnonzero(np.minimum(prev[0::2], prev[1::2]) < n)
+    prev_i, prev_j = prev[0::2][dep], prev[1::2][dep]
+    while True:
+        nxt = np.maximum(lev[prev_i], lev[prev_j]) + 1
+        if np.array_equal(nxt, lev[dep]):
+            return lev[:n]
+        lev[dep] = nxt
+
+
+def _apply_events(pop: Population, i: np.ndarray, j: np.ndarray, t: np.ndarray) -> None:
+    """Apply the events (i[k], j[k]) at times t[k], in stream order, to pop.
+
+    Levels run in order and each is applied with gathers and scatters; the
+    arithmetic is the scalar rule's, so the floats are the same.
+    """
+    if i.size == 0:
+        return
+    lev = _wavefront_levels(i, j)
+    order = np.argsort(lev)  # the order within a level does not matter
+    i, j, t = i[order], j[order], t[order]
+    bounds = np.cumsum(np.bincount(lev)).tolist()
+    u_s, t_s, loc = pop.u_sync, pop.t_sync, pop.localized
+    ceiling, cap = pop.u_ceiling, pop.entrant_cap
+    adopt = pop.entrant_rule == "adopt"
+    overflow = n_ll = n_ld = 0
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        x, y, tl = i[a:b], j[a:b], t[a:b]
+        lx, ly = loc[x], loc[y]
+        both = lx & ly
+        if both.any():
+            bx, by, bt = x[both], y[both], tl[both]
+            ux = u_s[bx] + (bt - t_s[bx])
+            uy = u_s[by] + (bt - t_s[by])
+            overflow += int(np.count_nonzero(ux > ceiling)) + int(np.count_nonzero(uy > ceiling))
+            s = ux + uy
+            c = np.divide(ux * uy, s, out=np.zeros_like(s), where=s > 0.0)
+            u_s[bx] = c
+            u_s[by] = c
+            t_s[bx] = bt
+            t_s[by] = bt
+            n_ll += bx.size
+        one = lx != ly
+        if one.any():
+            from_x = lx[one]
+            src = np.where(from_x, x[one], y[one])
+            dst = np.where(from_x, y[one], x[one])
+            ot = tl[one]
+            us = u_s[src] + (ot - t_s[src])
+            overflow += int(np.count_nonzero(us > ceiling))
+            u_s[dst] = us if adopt else us * cap / (us + cap)
+            t_s[dst] = ot
+            loc[dst] = True
+            n_ld += src.size
+    pop.overflow_count += overflow
+    pop.events_loc_loc += n_ll
+    pop.events_loc_deloc += n_ld
+    pop.events_deloc_deloc += i.size - n_ll - n_ld
 
 
 def save_checkpoint(pop: Population, path) -> None:
@@ -417,7 +481,7 @@ def save_checkpoint(pop: Population, path) -> None:
         entrant_cap=np.float64(pop.entrant_cap),
         pair_rate=np.float64(-1.0 if pop.pair_rate is None else pop.pair_rate),
         u_ceiling=np.float64(pop.u_ceiling),
-        overflow_count=np.int64(pop.overflow_count),
+        **{name: np.int64(getattr(pop, name)) for name in _COUNTERS},
         rng_state=np.str_(state),
         buffer=pop._buffer,
         pending_gap=np.float64(pop._pending_gap),
@@ -433,27 +497,65 @@ def _json_np(obj):
 
 
 def load_checkpoint(path) -> Population:
-    """Rebuild a resumable Population from a checkpoint file."""
+    """Rebuild a resumable Population from a checkpoint file.
+
+    Every field is checked before the population is built; a missing,
+    mistyped, non-finite or inconsistent one raises ValueError naming it.
+    """
     with np.load(path, allow_pickle=False) as z:
         version = int(z["version"])
         if version != _CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        state = json.loads(str(z["rng_state"]))
-        rng = np.random.Generator(np.random.Philox())
-        rng.bit_generator.state = state
-        pr = float(z["pair_rate"])
-        return Population(
-            seed=int(z["seed"]),
-            tau=float(z["tau"]),
-            localized=z["localized"].astype(bool),
-            u_sync=z["u_sync"].astype(float),
-            t_sync=z["t_sync"].astype(float),
-            entrant_rule=str(z["entrant_rule"]),
-            entrant_cap=float(z["entrant_cap"]),
-            pair_rate=None if pr < 0.0 else pr,
-            u_ceiling=float(z["u_ceiling"]),
-            overflow_count=int(z["overflow_count"]),
-            rng=rng,
-            _buffer=z["buffer"].astype(float),
-            _pending_gap=float(z["pending_gap"]),
-        )
+        f = {name: z[name] for name in z.files}
+    _check_checkpoint(f)
+    rng = np.random.Generator(np.random.Philox())
+    rng.bit_generator.state = json.loads(str(f["rng_state"]))
+    pr = float(f["pair_rate"])
+    return Population(
+        seed=int(f["seed"]),
+        tau=float(f["tau"]),
+        localized=f["localized"],
+        u_sync=f["u_sync"],
+        t_sync=f["t_sync"],
+        entrant_rule=str(f["entrant_rule"]),
+        entrant_cap=float(f["entrant_cap"]),
+        pair_rate=None if pr < 0.0 else pr,
+        u_ceiling=float(f["u_ceiling"]),
+        **{name: int(f[name]) for name in _COUNTERS},
+        rng=rng,
+        _buffer=f["buffer"],
+        _pending_gap=float(f["pending_gap"]),
+    )
+
+
+def _check_checkpoint(f: dict) -> None:
+    missing = sorted(
+        {"seed", "tau", "localized", "u_sync", "t_sync", "entrant_rule", "entrant_cap",
+         "pair_rate", "u_ceiling", "rng_state", "buffer", "pending_gap", *_COUNTERS} - f.keys()
+    )
+    if missing:
+        raise ValueError(f"checkpoint lacks {', '.join(missing)}")
+    for name, dtype in (("localized", np.bool_), ("u_sync", np.float64),
+                        ("t_sync", np.float64), ("buffer", np.float64)):
+        if f[name].dtype != dtype or f[name].ndim != 1:
+            raise ValueError(
+                f"checkpoint {name} must be a 1-d {np.dtype(dtype)} array, "
+                f"got {f[name].ndim}-d {f[name].dtype}"
+            )
+    m = f["localized"].size
+    for name in ("u_sync", "t_sync"):
+        if f[name].size != m:
+            raise ValueError(f"checkpoint {name} has {f[name].size} entries, localized has {m}")
+    for name in ("tau", "pending_gap", "entrant_cap", "pair_rate"):
+        if not np.isfinite(f[name]):
+            raise ValueError(f"checkpoint {name} is not finite")
+    for name in ("u_sync", "t_sync"):
+        if not np.all(np.isfinite(f[name][f["localized"]])):
+            raise ValueError(f"checkpoint {name} holds a non-finite localized value")
+    if str(f["entrant_rule"]) not in _ENTRANT_RULES:
+        raise ValueError(f"checkpoint entrant_rule {str(f['entrant_rule'])!r} is unknown")
+    if not np.all((f["buffer"] >= 0.0) & (f["buffer"] < 1.0)):
+        raise ValueError("checkpoint buffer holds a value outside [0, 1)")
+    for name in _COUNTERS:
+        if int(f[name]) < 0:
+            raise ValueError(f"checkpoint {name} is negative")

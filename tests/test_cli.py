@@ -134,6 +134,17 @@ def test_mc_transient_tracks_growth(tmp_path, capsys):
     assert "overflow_count" in meta
 
 
+def test_mc_header_counts_events_by_type(tmp_path, capsys):
+    d = run_ok(capsys, ["mc-transient", "--out", str(tmp_path),
+                        "--set", "m_particles=2000", "--set", "g0=0.1",
+                        "--set", "tau_end=2.0", "--seed", "4"])
+    _, g, meta = read_trajectory(f"{d}/g_seed4.csv", names=("tau", "g_empirical"))
+    localized = round(g[-1] * 2000)
+    assert int(meta["events_loc_deloc"]) == localized - 200
+    assert int(meta["events_loc_loc"]) > 0
+    assert int(meta["events_deloc_deloc"]) > 0
+
+
 def test_oracle_reports_fitted_order(tmp_path, capsys):
     d = run_ok(capsys, ["oracle", "--out", str(tmp_path),
                         "--set", "boxes=0.2,0.1,0.05"])

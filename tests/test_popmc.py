@@ -1,8 +1,14 @@
 """Pairwise event-driven Monte Carlo population dynamics."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from popmc_reference import reference_advance
 
+from randloc import popmc
 from randloc.gamma import gamma_closed
 from randloc.meanfield import SolverConfig, solve_steady
 from randloc.popmc import (
@@ -193,6 +199,12 @@ def test_snapshot_and_rate_guards():
         resume(pop, 0.5)
 
 
+@pytest.mark.parametrize("rate", [np.nan, np.inf])
+def test_non_finite_rate_is_rejected(rate):
+    with pytest.raises(ValueError, match="finite"):
+        run_steady(1000, 1.0, seed=0, pair_rate=rate)
+
+
 def test_empty_sample_guards():
     grid = UGrid.from_spacing(5.0, 0.1)
     with pytest.raises(ValueError, match="no localized"):
@@ -204,3 +216,234 @@ def test_empty_sample_guards():
         sample_from_density(exponential_density(grid), -1, rng)
     with pytest.raises(ValueError, match="zero mass"):
         sample_from_density(UDensity(grid, np.zeros(grid.n_nodes)), 5, rng)
+
+
+# Batched event loop against the scalar reference ------------------------------
+
+
+@contextmanager
+def dense_reference():
+    """Run the public API on the scalar reference loop."""
+    batched = popmc._advance
+    popmc._advance = reference_advance
+    try:
+        yield
+    finally:
+        popmc._advance = batched
+
+
+def both_loops(call):
+    """(batched, reference) results of call(), a run returning (pop, snaps)."""
+    batched = call()
+    with dense_reference():
+        dense = call()
+    return batched, dense
+
+
+def assert_bit_identical(batched, dense):
+    (a, sa), (b, sb) = batched, dense
+    assert a.tau == b.tau
+    assert np.array_equal(a.localized, b.localized)
+    assert np.array_equal(a.u_sync, b.u_sync)
+    assert np.array_equal(a.t_sync, b.t_sync)
+    assert np.array_equal(a._buffer, b._buffer)
+    assert a._pending_gap == b._pending_gap
+    for name in popmc._COUNTERS:
+        assert getattr(a, name) == getattr(b, name), name
+    assert len(sa) == len(sb)
+    for x, y in zip(sa, sb):
+        assert x.tau == y.tau
+        assert x.g_empirical == y.g_empirical
+        assert np.array_equal(x.u_values, y.u_values)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("M", [1000, 4001])
+def test_batched_steady_matches_reference(seed, M):
+    assert_bit_identical(*both_loops(lambda: run_steady(M, 3.0, seed, (0.5, 1.7, 3.0))))
+
+
+@pytest.mark.parametrize("g0", [0.1, 1.0])
+@pytest.mark.parametrize("rule", ["adopt", "capped"])
+def test_batched_transient_matches_reference(g0, rule):
+    assert_bit_identical(*both_loops(lambda: run_transient(
+        6000, g0, 4.0, 17, rule, (0.0, 1.0, 2.5), entrant_cap=0.5)))
+
+
+@pytest.mark.parametrize("rule", ["adopt", "capped"])
+def test_batched_overflow_matches_reference(rule):
+    batched, dense = both_loops(lambda: run_transient(
+        3000, 0.3, 3.0, 8, rule, (1.0, 2.0), entrant_cap=2.0, u_ceiling=0.7))
+    assert batched[0].overflow_count > 0
+    assert_bit_identical(batched, dense)
+
+
+@pytest.mark.parametrize("block_events", [None, 1, 2, 5])
+@pytest.mark.parametrize("pair_rate", [None, 1.0])
+def test_batched_refills_match_reference(monkeypatch, block_events, pair_rate):
+    # Blocks of a few events make most events straddle a refill.
+    if block_events is not None:
+        monkeypatch.setattr(popmc, "_BLOCK_EVENTS", block_events)
+    tau_end = 1.5 if pair_rate is None else 400.0
+    batched, dense = both_loops(lambda: run_transient(
+        1000, 0.2, tau_end, 4, snapshot_taus=(0.3 * tau_end,), pair_rate=pair_rate))
+    assert sum(getattr(batched[0], n) for n in popmc._COUNTERS[1:]) > 200
+    assert_bit_identical(batched, dense)
+
+
+def test_snapshots_at_event_times_match_reference():
+    with dense_reference():
+        pop, _ = run_transient(3000, 0.5, 2.0, 6)
+    times = np.unique(pop.t_sync[pop.localized & (pop.t_sync > 0.0)])
+    snaps = [float(t) for t in times[:: times.size // 7]] + [2.0]
+    batched, dense = both_loops(lambda: run_transient(3000, 0.5, 2.0, 6, snapshot_taus=snaps))
+    assert len(batched[1]) == len(snaps)
+    assert_bit_identical(batched, dense)
+
+
+@pytest.mark.parametrize("drop", [0, 1, 2])
+@pytest.mark.parametrize("tau_stop", [0.4, 1.3])
+def test_resumed_buffer_tails_match_reference(tmp_path, drop, tau_stop):
+    # A run stops with a tail of 2 mod 3 uniforms; dropping 0, 1 or 2 of
+    # them gives a checkpoint with each residue.
+    pop, _ = run_transient(2000, 0.25, tau_stop, 12, "capped", entrant_cap=1.5)
+    pop._buffer = pop._buffer[drop:]
+    path = tmp_path / "pop.npz"
+    save_checkpoint(pop, path)
+
+    def resumed():
+        loaded = load_checkpoint(path)
+        return loaded, resume(loaded, 3.0, (1.5, 2.0))
+
+    batched, dense = both_loops(resumed)
+    assert batched[0].events_loc_loc > 0
+    assert_bit_identical(batched, dense)
+
+
+@pytest.mark.parametrize("tail", [0, 1, 2, 3, 4])
+def test_short_buffer_tails_match_reference(tail):
+    def resumed():
+        pop, _ = run_steady(1000, 0.5, 2)
+        pop._buffer = pop._buffer[pop._buffer.size - tail:]
+        return pop, resume(pop, 1.0, (0.75,))
+
+    assert_bit_identical(*both_loops(resumed))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    M=st.integers(1000, 3000),
+    g0=st.sampled_from([0.01, 0.1, 0.5, 1.0]),
+    rule=st.sampled_from(["adopt", "capped"]),
+    tau_end=st.floats(0.0, 2.0),
+    snaps=st.lists(st.floats(0.0, 1.0), max_size=3),
+)
+def test_batched_loop_matches_reference_property(seed, M, g0, rule, tau_end, snaps):
+    taus = tuple(tau_end * f for f in snaps)
+    assert_bit_identical(*both_loops(lambda: run_transient(
+        M, g0, tau_end, seed, rule, taus, entrant_cap=1.0)))
+
+
+# Event counts by type ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("g0", [0.01, 0.1, 0.6])
+def test_loc_deloc_events_are_the_localizations(g0):
+    M = 3000
+    pop, _ = run_transient(M, g0, 2.0, 5)
+    assert pop.events_loc_deloc == pop.n_localized - int(np.ceil(g0 * M))
+    assert pop.events_loc_loc > 0
+    assert pop.events_deloc_deloc > 0
+
+
+def test_steady_runs_count_no_deloc_event():
+    pop, _ = run_steady(2000, 2.0, 7)
+    assert pop.events_loc_loc > 0
+    assert pop.events_loc_deloc == 0
+    assert pop.events_deloc_deloc == 0
+
+
+def test_checkpoint_keeps_event_counts(tmp_path):
+    one_shot, _ = run_transient(3000, 0.2, 2.0, 14, u_ceiling=3.0)
+    pop, _ = run_transient(3000, 0.2, 1.0, 14, u_ceiling=3.0)
+    path = tmp_path / "pop.npz"
+    save_checkpoint(pop, path)
+    loaded = load_checkpoint(path)
+    resume(loaded, 2.0)
+    assert [getattr(loaded, n) for n in popmc._COUNTERS] == [
+        getattr(one_shot, n) for n in popmc._COUNTERS]
+    assert pop.events_loc_loc > 0 and one_shot.overflow_count > pop.overflow_count
+
+
+def test_unseeded_runs_count_only_deloc_events():
+    pop, _ = run_transient(2000, 0.0, 2.0, 3)
+    assert pop.events_loc_loc == pop.events_loc_deloc == 0
+    assert pop.events_deloc_deloc > 0
+
+
+# Checkpoint validation --------------------------------------------------------
+
+
+def _corrupt(path, **changes):
+    with np.load(path) as z:
+        payload = {k: z[k] for k in z.files}
+    for key, change in changes.items():
+        if change is None:
+            del payload[key]
+        else:
+            payload[key] = change(payload[key])
+    np.savez(path, **payload)
+
+
+def _with(index, value):
+    def change(a):
+        a = a.copy()
+        a[index] = value
+        return a
+    return change
+
+
+@pytest.mark.parametrize(
+    "changes,msg",
+    [
+        (dict(localized=lambda a: a[:-1]), "localized has 1999"),
+        (dict(u_sync=lambda a: a[:-1]), "u_sync has 1999"),
+        (dict(t_sync=lambda a: np.append(a, 0.0)), "t_sync has 2001"),
+        (dict(localized=lambda a: a.astype(np.int8)), "localized must be"),
+        (dict(u_sync=lambda a: a.astype(np.float32)), "u_sync must be"),
+        (dict(t_sync=lambda a: a.reshape(2, -1)), "t_sync must be"),
+        (dict(buffer=lambda a: a.astype(np.float32)), "buffer must be"),
+        (dict(tau=lambda a: np.float64(np.nan)), "tau is not finite"),
+        (dict(pending_gap=lambda a: np.float64(np.inf)), "pending_gap is not finite"),
+        (dict(entrant_cap=lambda a: np.float64(-np.inf)), "entrant_cap is not finite"),
+        (dict(pair_rate=lambda a: np.float64(np.nan)), "pair_rate is not finite"),
+        (dict(u_sync=_with(0, np.nan)), "u_sync holds a non-finite"),
+        (dict(t_sync=_with(1, np.inf)), "t_sync holds a non-finite"),
+        (dict(entrant_rule=lambda a: np.str_("copy")), "entrant_rule 'copy'"),
+        (dict(buffer=_with(0, 1.0)), "buffer holds a value outside"),
+        (dict(buffer=_with(-1, -0.25)), "buffer holds a value outside"),
+        (dict(events_loc_loc=lambda a: np.int64(-1)), "events_loc_loc is negative"),
+        (dict(pending_gap=None), "lacks pending_gap"),
+    ],
+)
+def test_checkpoint_rejects_corrupted_field(tmp_path, changes, msg):
+    pop, _ = run_transient(2000, 0.5, 0.5, seed=1)
+    path = tmp_path / "pop.npz"
+    save_checkpoint(pop, path)
+    _corrupt(path, **changes)
+    with pytest.raises(ValueError, match=msg):
+        load_checkpoint(path)
+
+
+def test_checkpoint_ignores_stale_delocalized_values(tmp_path):
+    pop, _ = run_transient(2000, 0.1, 0.5, seed=1)
+    stale = int(np.flatnonzero(~pop.localized)[0])
+    path = tmp_path / "pop.npz"
+    save_checkpoint(pop, path)
+    _corrupt(path, u_sync=_with(stale, np.nan), t_sync=_with(stale, np.inf))
+    loaded = load_checkpoint(path)
+    resume(loaded, 1.0)
+    resume(pop, 1.0)
+    assert np.array_equal(loaded.current_u(), pop.current_u())
+    assert loaded.events_loc_deloc == pop.events_loc_deloc
