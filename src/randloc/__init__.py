@@ -70,7 +70,6 @@ from .udist import (
     mass,
     moment,
     normalize,
-    pair_average,
     point_mass,
 )
 from .units import UnitsMap, units_convert, validate_regime
@@ -120,7 +119,6 @@ __all__ = [
     "mass",
     "moment",
     "normalize",
-    "pair_average",
     "point_mass",
     "UnitsMap",
     "units_convert",

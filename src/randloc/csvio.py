@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ __all__ = [
 
 # Rows formatted per block: bounds the Python objects a long table holds at once.
 _ROWS_PER_BLOCK = 1 << 16
+_FLOAT_FORMAT = "%.17g"
 
 
 def format_value(v) -> str:
@@ -41,7 +43,7 @@ def format_value(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return "%.17g" % float(v)
+        return _FLOAT_FORMAT % float(v)
     return str(v)
 
 
@@ -61,19 +63,32 @@ def write_table(path, columns: dict[str, np.ndarray], meta: dict | None = None) 
     lines.append(",".join(cols))
     n = lengths.pop() if lengths else 0
     series = list(cols.values())
-    floats = [np.issubdtype(c.dtype, np.floating) for c in series]
-    row_format = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
     with atomic_writer(path) as fh:
         fh.write("\n".join(lines) + "\n")
         for lo in range(0, n, _ROWS_PER_BLOCK):
-            # A float column formats as format_value does, one row format string
-            # for all columns; other columns go through format_value itself.
-            block = [
-                c[lo : lo + _ROWS_PER_BLOCK].tolist() if f
-                else [format_value(v) for v in c[lo : lo + _ROWS_PER_BLOCK]]
-                for c, f in zip(series, floats)
-            ]
-            fh.writelines(row_format % row for row in zip(*block))
+            specs, cells = zip(*(_column_cells(c[lo : lo + _ROWS_PER_BLOCK]) for c in series))
+            rows = len(cells[0])
+            # one format call writes the whole block
+            row_format = ",".join(specs) + "\n"
+            fh.write((row_format * rows) % tuple(chain.from_iterable(zip(*cells))))
+
+
+def _column_cells(block: np.ndarray) -> tuple[str, list]:
+    """One column block as a format spec and the values it formats, so that
+    each value reads as format_value writes it.
+
+    A float block with fewer than a quarter distinct values formats each
+    distinct bit pattern once, so -0.0 and 0.0 keep their own text; other
+    float blocks go to the row format as floats.
+    """
+    if not np.issubdtype(block.dtype, np.floating):
+        return "%s", [format_value(v) for v in block]
+    if block.dtype.itemsize <= 8:
+        bits, which = np.unique(block.view(f"u{block.itemsize}"), return_inverse=True)
+        if 4 * bits.size < block.size:
+            text = [_FLOAT_FORMAT % v for v in bits.view(block.dtype).tolist()]
+            return "%s", np.array(text, dtype=object)[which].tolist()
+    return _FLOAT_FORMAT, block.tolist()
 
 
 @contextmanager

@@ -402,7 +402,7 @@ def evolve_transient(
     max_drift = 0.0
     for step in range(n_steps):
         tau_here = step * dtau
-        shifted, lost = drift_shift(UDensity(grid, vals), dtau, lost_warn=np.inf)
+        shifted, lost = drift_shift(UDensity(grid, vals), dtau)
         cum_lost += abs(lost)
         if cum_lost > cfg.lost_mass_cap:
             raise MassLossError(
@@ -466,7 +466,7 @@ def _memory_integral(sol: TransientSolution, gt0: float, src: np.ndarray) -> np.
     for k in range(1, src.shape[0]):
         delta = sol.taus[k] - sol.taus[k - 1]
         carried = UDensity(grid, out[k - 1] + 0.5 * delta * src[k - 1])
-        out[k] = drift_shift(carried, delta, lost_warn=np.inf)[0].values + 0.5 * delta * src[k]
+        out[k] = drift_shift(carried, delta)[0].values + 0.5 * delta * src[k]
     return out
 
 

@@ -34,7 +34,7 @@ def dense_resummed(sol: TransientSolution, g, m_max: int) -> ResummedResidual:
     dens = sol.densities
 
     def shift(vals, delta):
-        return drift_shift(UDensity(grid, vals), delta, lost_warn=np.inf)[0].values
+        return drift_shift(UDensity(grid, vals), delta)[0].values
 
     def quad_weights_upto(k):
         wq = np.zeros(k + 1)

@@ -56,6 +56,23 @@ def test_table_bytes_match_per_value_formatting(tmp_path):
     assert path.read_bytes() == want.encode("utf-8")
 
 
+def test_repeated_float_column_keeps_every_bit_pattern(tmp_path):
+    # few distinct values, formatted once each; -0.0 and 0.0 stay apart
+    n = 70001
+    values = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 0.1, 5e-324])
+    x = values[np.arange(n) * 5 % values.size]
+    x[65533:65539] = [-0.0, 0.0, np.nan, -0.0, np.inf, 0.0]
+    cols = {"x": x, "f32": x.astype(np.float32), "k": np.arange(n) % 3}
+    path = tmp_path / "t.csv"
+    write_table(path, cols)
+    series = list(cols.values())
+    want = "x,f32,k\n" + "".join(
+        ",".join(format_value(c[i]) for c in series) + "\n" for i in range(n)
+    )
+    assert path.read_bytes() == want.encode("utf-8")
+    assert "\n-0,-0," in want and "\n0,0," in want
+
+
 def test_meta_lines_are_sorted(tmp_path):
     path = tmp_path / "t.csv"
     write_table(path, {"x": np.arange(3.0)}, meta={"zeta": 1, "alpha": 2, "mid": 3})

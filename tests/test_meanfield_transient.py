@@ -42,7 +42,7 @@ def test_pure_drift_matches_shift():
     # g = 0 switches the collision term off entirely
     p0 = ue_init()
     sol = evolve_transient(p0, 0.0, 2.0, CFG, snapshot_stride=10)
-    expected, _ = drift_shift(p0, 2.0, lost_warn=np.inf)
+    expected, _ = drift_shift(p0, 2.0)
     expected = normalize(expected)
     assert np.allclose(sol.densities[-1], expected.values, atol=1e-13)
 

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from kernel_reference import dense_deposit
 
+import randloc
 from randloc import udist
 from randloc.udist import (
     UDensity,
@@ -18,7 +25,6 @@ from randloc.udist import (
     mass,
     moment,
     normalize,
-    pair_average,
     point_mass,
 )
 
@@ -246,18 +252,11 @@ def test_kernel_is_symmetric_bit_for_bit(pq):
     assert np.array_equal(collision_kernel(p, q).values, collision_kernel(q, p).values)
 
 
-@settings(max_examples=60, deadline=None)
-@given(density_pairs())
-def test_pair_average_is_first_moment_of_kernel(pq):
-    p, q = pq
-    assert pair_average(p, q) == pytest.approx(moment(collision_kernel(p, q), 1),
-                                               rel=1e-12, abs=1e-300)
-
-
-def test_pair_average_matches_double_sum():
+def test_kernel_first_moment_matches_double_sum():
+    # the linear split keeps each pair's combined value as the mean of its shares
     g = UGrid.from_spacing(8.0, 0.04)
     p = normalize(default_init_density(g))
-    got = pair_average(p, p)
+    got = moment(collision_kernel(p, p), 1)
     w = g.quad_weights() * p.values
     u = g.nodes()
     u1, u2 = np.meshgrid(u, u, indexing="ij")
@@ -266,6 +265,107 @@ def test_pair_average_matches_double_sum():
     c[ok] = combine(u1[ok], u2[ok])
     brute = float(w @ c @ w)
     assert got == pytest.approx(brute, rel=1e-9)
+
+
+def _kernels(p, q):
+    return [collision_kernel(a, b).values for a, b in ((p, p), (p, q), (q, p))]
+
+
+@pytest.mark.parametrize("h", [0.05, 0.02, 0.0125])
+def test_deposit_kernel_is_the_same_on_one_and_two_threads(monkeypatch, h):
+    g = UGrid.from_spacing(30.0, h)
+    assert len(udist._deposit_blocks(g.u_max, g.n_bins, udist._BLOCK_PAIRS)[0]) > 1
+    p = normalize(default_init_density(g))
+    q = normalize(exponential_density(g))
+    monkeypatch.setattr(udist, "_MIN_THREADED_BLOCKS", 2)
+    got = {}
+    for threads in (1, 2):
+        monkeypatch.setattr(udist, "_kernel_threads", lambda: threads)
+        got[threads] = _kernels(p, q)
+    for one, two in zip(got[1], got[2]):
+        assert np.array_equal(one, two)
+
+
+@settings(max_examples=30, deadline=None)
+@given(density_pairs(), st.integers(1, 40))
+def test_small_blocks_give_the_one_block_kernel(pq, block_pairs):
+    p, q = pq
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(udist, "_BLOCK_PAIRS", 1 << 40)
+        whole = _kernels(p, q)
+        mp.setattr(udist, "_BLOCK_PAIRS", block_pairs)
+        mp.setattr(udist, "_MIN_THREADED_BLOCKS", 2)
+        for threads in (1, 2):
+            mp.setattr(udist, "_kernel_threads", lambda: threads)
+            for one, blocked in zip(whole, _kernels(p, q)):
+                assert np.array_equal(one, blocked)
+    ref = dense_deposit(p, q)
+    np.testing.assert_allclose(whole[1], ref, rtol=0, atol=1e-13 * np.max(ref) + 1e-300)
+
+
+def test_concurrent_kernel_calls_match_serial_calls():
+    # more callers than cores, with frequent switches between them; a block
+    # skipped or written into another call's output would change the floats
+    grids = [UGrid.from_spacing(30.0, h) for h in (0.05, 0.02, 0.05, 0.02)]
+    pairs = [(normalize(default_init_density(g)), normalize(exponential_density(g)))
+             for g in grids]
+    serial = [_kernels(p, q) for p, q in pairs]
+    start = threading.Barrier(len(pairs))
+    got = [None] * len(pairs)
+
+    def call(k):
+        start.wait()
+        got[k] = [_kernels(*pairs[k]) for _ in range(3)]
+
+    callers = [threading.Thread(target=call, args=(k,)) for k in range(len(pairs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    for want, runs in zip(serial, got):
+        for run in runs:
+            assert all(np.array_equal(a, b) for a, b in zip(want, run))
+
+
+@pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (64, 2)])
+def test_kernel_thread_count_is_capped(monkeypatch, cpus, threads):
+    # at most two threads and one per usable CPU; no pool is started
+    monkeypatch.setattr(udist.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    assert udist._kernel_threads() == threads
+    monkeypatch.delattr(udist.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(udist.os, "cpu_count", lambda: cpus)
+    assert udist._kernel_threads() == threads
+    monkeypatch.setattr(udist.os, "cpu_count", lambda: None)
+    assert udist._kernel_threads() == 1
+
+
+def test_node_scheme_one_block_kernel_and_mc_start_no_thread(tmp_path):
+    script = """
+import sys, threading
+import randloc.cli
+from randloc.udist import UGrid, collision_kernel, default_init_density
+assert threading.active_count() == 1, "import"
+p = default_init_density(UGrid.from_spacing(30.0, 0.05))
+collision_kernel(p, p, scheme="node")
+q = default_init_density(UGrid.from_spacing(30.0, 0.25))
+collision_kernel(q, q)
+assert threading.active_count() == 1, "kernel"
+for sub in ("mc-steady", "mc-transient"):
+    rc = randloc.cli.main([sub, "--jobs", "1", "--seed", "1", "--out", sys.argv[1],
+                           "--set", "m_particles=2000", "--set", "tau_end=2"])
+    assert rc == 0 and threading.active_count() == 1, sub
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(randloc.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_drift_shift_point_mass():
@@ -288,8 +388,7 @@ def test_drift_shift_zero_delta_is_identity():
 def test_drift_shift_mass_accounting():
     g = UGrid.from_spacing(5.0, 0.05)
     p = normalize(default_init_density(g))
-    with pytest.warns(RuntimeWarning, match="lost mass"):
-        out, lost = drift_shift(p, 3.0)
+    out, lost = drift_shift(p, 3.0)
     assert mass(out) + lost == pytest.approx(mass(p), abs=1e-12)
     assert lost > 0.0  # tail pushed past u_max
 
@@ -299,6 +398,13 @@ def test_drift_shift_rejects_negative_delta():
     p = point_mass(g, 1.0)
     with pytest.raises(ValueError):
         drift_shift(p, -0.1)
+
+
+def test_drift_shift_rejects_partial_cells():
+    g = UGrid.from_spacing(5.0, 0.1)
+    p = point_mass(g, 1.0)
+    with pytest.raises(ValueError, match="whole multiple"):
+        drift_shift(p, 0.25)
 
 
 def test_laplace_of_exponential():
