@@ -66,7 +66,6 @@ from .udist import (
     default_init_density,
     drift_shift,
     exponential_density,
-    laplace,
     mass,
     moment,
     normalize,
@@ -115,7 +114,6 @@ __all__ = [
     "default_init_density",
     "drift_shift",
     "exponential_density",
-    "laplace",
     "mass",
     "moment",
     "normalize",

@@ -16,13 +16,18 @@ Core physics operations:
   mass-exact at rounding level but only second-order accurate at the nodes;
   the transient solver and the resummed residual use it. Its cached tables
   hold each unordered pair once, sorted by target bin (24 bytes a pair,
-  12 N^2 bytes for N nodes). The kernel walks them in fixed blocks of about
-  64k pairs, cut at bin-segment starts, on at most two threads once a grid
-  has 16 blocks; no bin's sum crosses a block, so the result is the same
-  floats for any thread count.
+  12 N^2 bytes for N nodes).
   The "node" scheme evaluates K[p, p] at the nodes by a fourth-order
   quadrature of its integral form. It is not mass-exact; the steady solver
-  and the steady residual use it.
+  and the steady residual use it. Its cached tables hold one row of pairs
+  per node u_i <= u_max / 2 (40 bytes a pair, under N^2 / 4 pairs); they
+  are built row block by row block, without pair-sized temporaries.
+  Both schemes walk their pairs in fixed blocks of about 64k, cut at
+  segment starts (a target bin, a row), on at most two threads once a grid
+  has 16 blocks; no segment's sum crosses a block, so the result is the
+  same floats for any block size and thread count. The tables of all grids
+  share one cache of at most 1 GiB, which evicts the least recently used
+  grid.
 * ``drift_shift``: free spreading between measurements, a rigid translation
   of the density toward larger u by whole cells.
 """
@@ -31,9 +36,10 @@ from __future__ import annotations
 
 import os
 import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -43,7 +49,6 @@ __all__ = [
     "combine",
     "collision_kernel",
     "drift_shift",
-    "laplace",
     "mass",
     "moment",
     "normalize",
@@ -124,8 +129,10 @@ def _grid_tables(u_max: float, n_bins: int):
     return nodes, w
 
 
-# Pair tables above this many bytes are refused before they are built;
-# building them peaks at about 2.5 times the cached size.
+# Pair tables above this many bytes are refused before they are built, and
+# the cached tables of all grids together hold at most this many bytes.
+# Building the deposit tables peaks at about 1.7 times their size in traced
+# allocations; the node tables are filled in place, at about 1.1 times.
 _TABLE_BUDGET_BYTES = 1 << 30
 
 
@@ -138,7 +145,87 @@ def _check_table_bytes(kind: str, grid: UGrid, nbytes: int) -> None:
         )
 
 
-@lru_cache(maxsize=8)
+def _nbytes(obj) -> int:
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, tuple):
+        return sum(_nbytes(x) for x in obj)
+    return 0
+
+
+def _entries_bytes(entries: dict) -> int:
+    return sum(size for _, size in entries.values())
+
+
+class _TableCache:
+    """Kernel tables of recent grids, at most _TABLE_BUDGET_BYTES of arrays.
+
+    Entries are grouped by grid (u_max, n_bins). Any hit or store makes its
+    grid the most recently used, and storing evicts whole grids, least
+    recently used first, until the new entry fits; an entry larger than the
+    budget on its own is returned without being kept.
+    """
+
+    def __init__(self) -> None:
+        self._grids: OrderedDict = OrderedDict()  # grid -> {(name, rest): (value, bytes)}
+        self._lock = threading.Lock()
+
+    def grids(self) -> list:
+        """Cached grids, least recently used first."""
+        with self._lock:
+            return list(self._grids)
+
+    def nbytes(self) -> int:
+        with self._lock:
+            return sum(map(_entries_bytes, self._grids.values()))
+
+    def __call__(self, fn):
+        name = fn.__name__
+
+        @wraps(fn)
+        def cached(u_max, n_bins, *rest):
+            grid, key = (u_max, n_bins), (name, rest)
+            with self._lock:
+                hit = self._grids.get(grid, {}).get(key)
+                if hit is not None:
+                    self._grids.move_to_end(grid)
+                    return hit[0]
+            # built outside the lock: concurrent misses may build the same
+            # tables twice, as with lru_cache, and keep one
+            value = fn(u_max, n_bins, *rest)
+            self._store(grid, key, value)
+            return value
+
+        def cache_clear() -> None:
+            with self._lock:
+                for grid in list(self._grids):
+                    entries = self._grids[grid]
+                    for key in [k for k in entries if k[0] == name]:
+                        del entries[key]
+                    if not entries:
+                        del self._grids[grid]
+
+        cached.cache_clear = cache_clear
+        return cached
+
+    def _store(self, grid, key, value) -> None:
+        size = _nbytes(value)
+        with self._lock:
+            entries = self._grids.pop(grid, {})
+            entries.pop(key, None)
+            total = sum(map(_entries_bytes, self._grids.values())) + _entries_bytes(entries)
+            while total + size > _TABLE_BUDGET_BYTES and self._grids:
+                total -= _entries_bytes(self._grids.popitem(last=False)[1])
+            if total + size <= _TABLE_BUDGET_BYTES:
+                entries[key] = (value, size)
+            if entries:
+                self._grids[grid] = entries
+
+
+_table_cache = _TableCache()
+
+
+@_table_cache
 def _deposit_tables(u_max: float, n_bins: int):
     """Pair-deposition tables of the deposit scheme.
 
@@ -181,11 +268,11 @@ def _deposit_tables(u_max: float, n_bins: int):
     return tables
 
 
-# Pairs per block of the deposit kernel; a block ends at the first bin
-# segment start at or past each multiple of this.
+# Pairs per block of both kernel schemes; a block ends at the first segment
+# start (a deposit bin, a node-scheme row) at or past each multiple of this.
 _BLOCK_PAIRS = 1 << 16
-# Threads of the deposit kernel, the calling one included, at most: the
-# kernel is bound by memory traffic, which further threads would only share.
+# Threads of the kernels, the calling one included, at most: they are bound
+# by memory traffic, which further threads would only share.
 _MAX_KERNEL_THREADS = 2
 # Grids with fewer blocks run in the calling thread alone: on two cores a
 # helper made 3- and 8-block calls about 7 % slower and 18- and 45-block
@@ -193,30 +280,76 @@ _MAX_KERNEL_THREADS = 2
 _MIN_THREADED_BLOCKS = 16
 
 
-@lru_cache(maxsize=8)
-def _deposit_blocks(u_max: float, n_bins: int, block_pairs: int):
-    """Fixed blocks of the bin-sorted pairs of ``_deposit_tables``.
+def _segment_blocks(starts: np.ndarray, total: int, block_pairs: int):
+    """Blocks of about block_pairs of ``total`` pairs, cut only at segment
+    starts, so that every segment's sum lies in one block.
 
-    Every block starts at a bin segment start, so each bin's sums lie in one
-    block. A block is (first pair, end pair, first bin, end bin, segment
-    starts relative to the first pair, first diagonal node, end diagonal
-    node, diagonal positions relative to the first pair); the blocks come
-    with the widest block's pair count.
+    ``starts`` holds the first pair of each segment, starting at 0. A block
+    is (first pair, end pair, first segment, end segment, segment starts
+    relative to the first pair); the blocks come with the widest block's
+    pair count.
     """
-    _, _, _, _, starts, diag = _deposit_tables(u_max, n_bins)
-    n_pairs = (n_bins + 1) * (n_bins + 2) // 2
-    cuts = np.unique(np.searchsorted(starts, np.arange(0, n_pairs, block_pairs)))
+    cuts = np.unique(np.searchsorted(starts, np.arange(0, total, block_pairs)))
     cuts = cuts[cuts < starts.size]
-    bin_cuts = np.append(cuts, starts.size)
-    pair_cuts = np.append(starts[cuts], n_pairs)
-    diag_cuts = np.searchsorted(diag, pair_cuts)
+    seg_cuts = np.append(cuts, starts.size)
+    pair_cuts = np.append(starts[cuts], total)
     blocks = []
     for k in range(cuts.size):
         s0, s1 = int(pair_cuts[k]), int(pair_cuts[k + 1])
-        b0, b1 = int(bin_cuts[k]), int(bin_cuts[k + 1])
-        d0, d1 = int(diag_cuts[k]), int(diag_cuts[k + 1])
-        blocks.append((s0, s1, b0, b1, starts[b0:b1] - s0, d0, d1, diag[d0:d1] - s0))
-    return tuple(blocks), int(np.max(np.diff(pair_cuts)))
+        g0, g1 = int(seg_cuts[k]), int(seg_cuts[k + 1])
+        blocks.append((s0, s1, g0, g1, starts[g0:g1] - s0))
+    return blocks, int(np.max(np.diff(pair_cuts)))
+
+
+def _run_blocks(blocks, work) -> None:
+    """Calls work(block) for every block, on the calling thread and, from
+    _MIN_THREADED_BLOCKS blocks on, the kernel's helper threads.
+
+    Every thread takes blocks off one iterator (next on a list iterator is
+    atomic under the interpreter lock), so work must write only the block's
+    own slices of shared outputs.
+    """
+    todo = iter(blocks)
+
+    def drain():
+        for block in todo:
+            work(block)
+
+    threads = _kernel_threads() if len(blocks) >= _MIN_THREADED_BLOCKS else 1
+    helpers = [_kernel_pool(threads - 1).submit(drain) for _ in range(threads - 1)]
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            helper.result()
+
+
+def _scratch_rows(width: int):
+    """This thread's scratch for a block of up to ``width`` pairs: three
+    float64 rows and one intp row, grown to the widest block seen."""
+    if getattr(_scratch, "width", 0) < width:
+        _scratch.rows = np.empty((3, width))
+        _scratch.idx = np.empty(width, dtype=np.intp)
+        _scratch.width = width
+    return _scratch.rows, _scratch.idx
+
+
+@_table_cache
+def _deposit_blocks(u_max: float, n_bins: int, block_pairs: int):
+    """Fixed blocks of the bin-sorted pairs of ``_deposit_tables``.
+
+    The blocks of ``_segment_blocks`` over the bin segments, each extended
+    by (first diagonal node, end diagonal node, diagonal positions relative
+    to the first pair); they come with the widest block's pair count.
+    """
+    _, _, _, _, starts, diag = _deposit_tables(u_max, n_bins)
+    n_pairs = (n_bins + 1) * (n_bins + 2) // 2
+    blocks, width = _segment_blocks(starts, n_pairs, block_pairs)
+    out = []
+    for s0, s1, b0, b1, seg in blocks:
+        d0, d1 = (int(d) for d in np.searchsorted(diag, (s0, s1)))
+        out.append((s0, s1, b0, b1, seg, d0, d1, diag[d0:d1] - s0))
+    return tuple(out), width
 
 
 def _kernel_threads() -> int:
@@ -231,7 +364,7 @@ def _kernel_threads() -> int:
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
-# Per-thread scratch of the deposit blocks, grown to the widest block seen.
+# Per-thread scratch of the kernel blocks, see _scratch_rows.
 _scratch = threading.local()
 
 
@@ -289,16 +422,24 @@ def collision_kernel(p: UDensity, q: UDensity, *, scheme: str = "deposit") -> UD
       float64 split fraction, 24 bytes a pair, 12 N^2 bytes for N nodes.
       Each bin's shares are sums over one contiguous segment of pairs, in a
       fixed order, so results are bit-reproducible and K[p, q] equals
-      K[q, p] bit for bit. The pairs are walked in fixed blocks of about
-      64k, cut at bin-segment starts from the tables alone, on at most
-      min(2, usable CPUs) threads; a grid of fewer than 16 blocks (about a
-      million pairs, N below about 1450) runs in the calling thread. No
-      segment crosses a block, so the floats do not depend on the thread
-      count. Grids whose tables would exceed a fixed budget (1 GiB) raise
-      ValueError before any table is built.
+      K[q, p] bit for bit.
     * ``"node"``: K[p, p] evaluated at the nodes from its integral form, see
       ``_node_kernel``. Fourth order in h for smooth p, but the output mass
-      equals mass(p)^2 only to that order. Needs q equal to p.
+      equals mass(p)^2 only to that order. Needs q equal to p. The cached
+      tables of ``_node_tables`` hold one row of pairs per node with
+      u <= u_max / 2: an int32 node, an int32 stencil start and four
+      float64 weights, 40 bytes a pair, under N^2 / 4 pairs. Each row's
+      value is a sum over its contiguous segment of pairs.
+
+    Both schemes walk their pairs in fixed blocks of about 64k, cut at
+    segment starts (a bin, a row) from the tables alone, on at most
+    min(2, usable CPUs) threads; a grid of fewer than 16 blocks (about a
+    million pairs: deposit N below about 1450, node N below about 2000)
+    runs in the calling thread. No segment crosses a block, so the floats
+    do not depend on the block size or the thread count, and no call
+    allocates a pair-sized array. Grids whose tables would exceed a fixed
+    budget (1 GiB) raise ValueError before any table is built; the tables
+    of all grids together stay within the same budget.
     """
     if p.grid != q.grid:
         raise ValueError("collision_kernel requires both densities on the same grid")
@@ -332,21 +473,7 @@ def _deposit(p: UDensity, q: UDensity) -> np.ndarray:
     bins = tables[3]
     lo = np.empty(bins.size)
     hi = np.empty(bins.size)
-
-    # The calling thread and its helpers take blocks off one iterator (next
-    # on a tuple iterator is atomic under the interpreter lock), and each
-    # block writes only its own slices of lo and hi.
-    todo = iter(blocks)
-
-    def drain():
-        for block in todo:
-            _deposit_block(block, width, tables, a, b, lo, hi)
-
-    threads = _kernel_threads() if len(blocks) >= _MIN_THREADED_BLOCKS else 1
-    helpers = [_kernel_pool(threads - 1).submit(drain) for _ in range(threads - 1)]
-    drain()
-    for helper in helpers:
-        helper.result()
+    _run_blocks(blocks, lambda block: _deposit_block(block, width, tables, a, b, lo, hi))
     dep = np.zeros(g.n_nodes)
     dep[bins] = lo
     dep[bins + 1] += hi
@@ -360,9 +487,7 @@ def _deposit_block(block, width, tables, a, b, lo, hi) -> None:
     """
     i, j, frac = tables[:3]
     s0, s1, b0, b1, seg, d0, d1, dpos = block
-    buf = getattr(_scratch, "buf", None)
-    if buf is None or buf.shape[1] < width:
-        buf = _scratch.buf = np.empty((3, width))
+    buf = _scratch_rows(width)[0]
     n = s1 - s0
     wt, x, y = buf[0, :n], buf[1, :n], buf[2, :n]
     np.take(a, i[s0:s1], out=wt, mode="clip")
@@ -391,12 +516,13 @@ _NEAR_SPAN = 1.0
 _NEAR_PANEL = 0.25
 
 
-def _lagrange4(s: np.ndarray, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+def _lagrange4(s: np.ndarray, n_bins: int, out: np.ndarray | None = None):
     """First node b and weights of the 4-point Lagrange stencil b..b+3 that
-    interpolates node values at positions s, in units of h."""
+    interpolates node values at positions s, in units of h; the weights go
+    into ``out`` (4 rows) when it is given."""
     b = np.clip(np.floor(s).astype(np.int64) - 1, 0, n_bins - 3)
     t = s - b
-    w = np.empty((4, t.size))
+    w = np.empty((4, t.size)) if out is None else out
     w[0] = -(t - 1.0) * (t - 2.0) * (t - 3.0) / 6.0
     w[1] = t * (t - 2.0) * (t - 3.0) / 2.0
     w[2] = -t * (t - 1.0) * (t - 3.0) / 2.0
@@ -411,7 +537,7 @@ def _interp4(v: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
+@_table_cache
 def _node_tables(u_max: float, n_bins: int):
     """Quadrature tables of ``_node_kernel``, in units of h.
 
@@ -425,11 +551,14 @@ def _node_tables(u_max: float, n_bins: int):
     from j = 2i. Gregory's end weights sit at each row's first node.
 
     Returns the node part (row numbers, each row's start in the flat pair
-    arrays, the node j of every pair, the stencil b for p(y_j), and its four
-    weights with quadrature weight and Jacobian folded in; about 40 bytes
-    per pair, under n_bins^2 / 4 pairs) and the Gauss part (row of every
-    point, then stencil and weights for p(x) and for p(y), the quadrature
-    weight folded into the latter).
+    arrays, the node j of every pair (int32), the stencil b for p(y_j)
+    (int32), and its four weights with quadrature weight and Jacobian folded
+    in; 40 bytes per pair, under n_bins^2 / 4 pairs) and the Gauss part (row
+    of every point, then stencil and weights for p(x) and for p(y), the
+    quadrature weight folded into the latter). The flat arrays are allocated
+    once and filled row block by row block of ``_segment_blocks``, so the
+    build allocates no pair-sized temporary; each pair's floats come from
+    the same operations whatever the blocks.
     """
     n = n_bins
     m = max(0, min(int(np.ceil(_NEAR_SPAN * n / u_max - 1e-9)), (n - 7) // 2))
@@ -437,20 +566,31 @@ def _node_tables(u_max: float, n_bins: int):
     first = np.where(rows < m, rows + m, 2 * rows)
     lens = n - first + 1
     starts = np.cumsum(lens) - lens
-    i = np.repeat(rows, lens)
-    j = np.arange(i.size) - np.repeat(starts - first, lens)
-    r = j / (j - i)  # x / (x - u), so y_j / h = i r, in (i, 2i]
-    b, w = _lagrange4(i * r, n)
-    # Rows too short for Gregory's weights lie near u_max / 2, where
-    # p(x) p(y) is negligible, and keep the plain trapezoid; a one-node row
-    # spans no interval.
-    q = np.ones(i.size)
-    q[starts + lens - 1] = 0.5
-    long_row = lens >= 8
-    for k, g in enumerate(_GREGORY):
-        q[starts[long_row] + k] = g
-    q[starts[~long_row]] = np.where(lens[~long_row] == 1, 0.0, 0.5)
-    w *= q * (2.0 * u_max / n) * r * r
+    j = np.empty(int(lens.sum()), dtype=np.int32)
+    b = np.empty(j.size, dtype=np.int32)
+    w = np.empty((4, j.size))
+    scale = 2.0 * u_max / n
+
+    def fill(block):
+        s0, s1, r0, r1, seg = block
+        rl = lens[r0:r1]
+        i = np.repeat(rows[r0:r1], rl)
+        jb = np.arange(s1 - s0) - np.repeat(seg - first[r0:r1], rl)
+        r = jb / (jb - i)  # x / (x - u), so y_j / h = i r, in (i, 2i]
+        j[s0:s1] = jb
+        b[s0:s1] = _lagrange4(i * r, n, out=w[:, s0:s1])[0]
+        # Rows too short for Gregory's weights lie near u_max / 2, where
+        # p(x) p(y) is negligible, and keep the plain trapezoid; a one-node
+        # row spans no interval.
+        q = np.ones(s1 - s0)
+        q[seg + rl - 1] = 0.5
+        long_row = rl >= 8
+        for k, g in enumerate(_GREGORY):
+            q[seg[long_row] + k] = g
+        q[seg[~long_row]] = np.where(rl[~long_row] == 1, 0.0, 0.5)
+        w[:, s0:s1] *= q * scale * r * r
+
+    _run_blocks(_segment_blocks(starts, j.size, _BLOCK_PAIRS)[0], fill)
     # Gauss part: x - u = u e^s for s in [0, log(m / i)], in panels of at
     # most _NEAR_PANEL.
     xg, wg = np.polynomial.legendre.leggauss(8)
@@ -464,9 +604,8 @@ def _node_tables(u_max: float, n_bins: int):
     bx, wx = _lagrange4(ni + v, n)
     by, wy = _lagrange4(ni + ni * ni / v, n)
     # dx = (x - u) ds, and x^2 / (x - u)^2 = (1 + u / (x - u))^2
-    wy *= (2.0 * u_max / n) * (1.0 + ni / v) ** 2 * v * ws
-    tables = (rows, starts, j.astype(np.int32), b.astype(np.int32), w,
-              ni.astype(np.int64), bx, wx, by, wy)
+    wy *= scale * (1.0 + ni / v) ** 2 * v * ws
+    tables = (rows, starts, j, b, w, ni.astype(np.int64), bx, wx, by, wy)
     for arr in tables:
         arr.setflags(write=False)
     return tables
@@ -487,6 +626,12 @@ def _node_kernel(p: UDensity) -> UDensity:
     the output is projected onto nonnegative values to stay a density. The
     exact K is nonnegative, so the projection never moves a node value
     further from it.
+
+    The node part walks the row blocks of ``_segment_blocks`` (about
+    _BLOCK_PAIRS pairs each, cut at row starts) through ``_run_blocks``,
+    in per-thread scratch, so no call allocates a pair-sized array. Every
+    row's sum lies in one block, so the output does not depend on the block
+    size or the thread count.
     """
     g = p.grid
     if g.n_bins < 3:
@@ -497,7 +642,9 @@ def _node_kernel(p: UDensity) -> UDensity:
     rows, starts, j, b, w, ni, bx, wx, by, wy = _node_tables(g.u_max, g.n_bins)
     v = p.values
     out = np.zeros(g.n_nodes)
-    out[rows] = np.add.reduceat(_interp4(v, b, w) * v[j], starts)
+    row_out = out[rows[0]:rows[-1] + 1]
+    blocks, width = _segment_blocks(starts, j.size, _BLOCK_PAIRS)
+    _run_blocks(blocks, lambda block: _node_block(block, width, j, b, w, v, row_out))
     out += np.bincount(ni, weights=_interp4(v, bx, wx) * _interp4(v, by, wy),
                        minlength=g.n_nodes)
     wq = g.quad_weights().copy()
@@ -506,6 +653,27 @@ def _node_kernel(p: UDensity) -> UDensity:
         wq[-4:] = g.h * _GREGORY[::-1]
     out[0] = 2.0 * v[0] * (wq @ v)
     return UDensity(g, np.maximum(out, 0.0, out=out))
+
+
+def _node_block(block, width, j, b, w, v, row_out) -> None:
+    """One row block's sums of (((w0 v[b] + w1 v[b+1]) + w2 v[b+2]) +
+    w3 v[b+3]) v[j], into its slice of the row outputs, in this thread's
+    scratch."""
+    s0, s1, r0, r1, seg = block
+    buf, idx = _scratch_rows(width)
+    n = s1 - s0
+    acc, x, idx = buf[0, :n], buf[1, :n], idx[:n]
+    idx[:] = b[s0:s1]  # intp once, for the four gathers
+    np.take(v, idx, out=x, mode="clip")
+    np.multiply(w[0, s0:s1], x, out=acc)
+    for k in (1, 2, 3):
+        np.take(v[k:], idx, out=x, mode="clip")
+        x *= w[k, s0:s1]
+        acc += x
+    idx[:] = j[s0:s1]
+    np.take(v, idx, out=x, mode="clip")
+    acc *= x
+    np.add.reduceat(acc, seg, out=row_out[r0:r1])
 
 
 def drift_shift(p: UDensity, delta: float) -> tuple[UDensity, float]:
@@ -541,14 +709,6 @@ def moment(p: UDensity, k: int) -> float:
         raise ValueError(f"moment order must be 0, 1 or 2, got {k}")
     g = p.grid
     return float(p.grid.quad_weights() @ (p.values * g.nodes() ** k))
-
-
-def laplace(p: UDensity, kappa: float) -> float:
-    """Laplace transform integral of p(u) * exp(-kappa*u) du, kappa >= 0."""
-    if not np.isfinite(kappa) or kappa < 0.0:
-        raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    g = p.grid
-    return float(g.quad_weights() @ (p.values * np.exp(-kappa * g.nodes())))
 
 
 def normalize(p: UDensity) -> UDensity:

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from kernel_reference import dense_deposit
+from node_reference import node_kernel, node_tables
 
 import randloc
 from randloc import udist
@@ -21,7 +23,6 @@ from randloc.udist import (
     default_init_density,
     drift_shift,
     exponential_density,
-    laplace,
     mass,
     moment,
     normalize,
@@ -346,6 +347,98 @@ def test_kernel_thread_count_is_capped(monkeypatch, cpus, threads):
     assert udist._kernel_threads() == 1
 
 
+_TABLE_CACHES = (udist._deposit_tables, udist._deposit_blocks, udist._node_tables)
+
+
+def _clear_table_caches():
+    for fn in _TABLE_CACHES:
+        fn.cache_clear()
+
+
+@st.composite
+def node_densities(draw):
+    n_bins = draw(st.integers(7, 200))
+    u_max = draw(st.sampled_from([0.9, 4.0, 30.0, 250.0]))
+    g = UGrid(u_max, n_bins)
+    values = arrays(np.float64, g.n_nodes, elements=st.floats(0.0, 1e3, allow_subnormal=False))
+    return UDensity(g, draw(values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(node_densities(), st.integers(1, 64))
+def test_blocked_node_scheme_matches_one_shot_reference(p, block_pairs):
+    g = p.grid
+    want_tables = node_tables(g.u_max, g.n_bins)
+    want = node_kernel(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(udist, "_BLOCK_PAIRS", block_pairs)
+        mp.setattr(udist, "_MIN_THREADED_BLOCKS", 2)
+        for threads in (1, 2):
+            mp.setattr(udist, "_kernel_threads", lambda: threads)
+            udist._node_tables.cache_clear()  # build the tables in these blocks
+            got_tables = udist._node_tables(g.u_max, g.n_bins)
+            for a, b in zip(want_tables, got_tables):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert np.array_equal(collision_kernel(p, p, scheme="node").values, want)
+
+
+@pytest.mark.parametrize("h", [0.04, 0.02])
+def test_node_scheme_matches_one_shot_reference_on_steady_grids(h):
+    g = UGrid.from_spacing(30.0, h)
+    for p in (default_init_density(g), UDensity(g, np.exp(-g.nodes()))):
+        assert np.array_equal(collision_kernel(p, p, scheme="node").values, node_kernel(p))
+
+
+def test_node_tables_and_call_peak_near_the_kept_tables():
+    # the tables and one call walk row blocks: no pair-sized temporary
+    g = UGrid.from_spacing(30.0, 0.01)
+    p = default_init_density(g)
+    _clear_table_caches()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        collision_kernel(p, p, scheme="node")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    kept = udist._nbytes(udist._node_tables(g.u_max, g.n_bins))
+    assert kept > 80e6
+    assert peak < 1.25 * kept
+
+
+def test_table_cache_evicts_least_recently_used_grid(monkeypatch):
+    a, b, c = (10.0, 100), (20.0, 100), (30.0, 100)
+    _clear_table_caches()
+    size = {grid: udist._nbytes(udist._node_tables(*grid)) for grid in (a, b, c)}
+    _clear_table_caches()
+    budget = max(size[a] + size[b], size[a] + size[c])
+    monkeypatch.setattr(udist, "_TABLE_BUDGET_BYTES", budget)
+    try:
+        kept_a = udist._node_tables(*a)
+        udist._node_tables(*b)
+        assert udist._node_tables(*a) is kept_a  # a hit, and a is now the newest
+        udist._node_tables(*c)
+        assert udist._table_cache.grids() == [a, c]
+        assert udist._table_cache.nbytes() == size[a] + size[c] <= budget
+        # another table of c evicts a whole grid, a, and keeps c's node tables
+        deposit = udist._nbytes(udist._deposit_tables(*c))
+        assert size[a] + size[c] + deposit > budget >= size[c] + deposit
+        assert udist._table_cache.grids() == [c]
+        assert udist._table_cache.nbytes() == size[c] + deposit
+        # clearing one function keeps the others' entries
+        udist._deposit_tables.cache_clear()
+        assert udist._table_cache.grids() == [c]
+        assert udist._table_cache.nbytes() == size[c]
+        assert udist._node_tables(*c) is udist._node_tables(*c)
+        # tables larger than the budget alone are returned but not kept
+        monkeypatch.setattr(udist, "_TABLE_BUDGET_BYTES", size[a] // 2)
+        udist._node_tables.cache_clear()
+        assert udist._nbytes(udist._node_tables(*b)) == size[b]
+        assert udist._table_cache.grids() == [] and udist._table_cache.nbytes() == 0
+    finally:
+        _clear_table_caches()
+
+
 def test_node_scheme_one_block_kernel_and_mc_start_no_thread(tmp_path):
     script = """
 import sys, threading
@@ -405,13 +498,6 @@ def test_drift_shift_rejects_partial_cells():
     p = point_mass(g, 1.0)
     with pytest.raises(ValueError, match="whole multiple"):
         drift_shift(p, 0.25)
-
-
-def test_laplace_of_exponential():
-    # for p ~ e^{-u}: integral e^{-k u} p du / mass = 1/(1+k)
-    g = UGrid.from_spacing(40.0, 0.005)
-    p = normalize(exponential_density(g))
-    assert laplace(p, 1.0) == pytest.approx(0.5, abs=1e-5)
 
 
 def test_moment_and_mass_on_default_init():
