@@ -376,9 +376,13 @@ def evolve_transient(
     plus the final state.
 
     Raises StepInstabilityError when a step produces values below -1e-12
-    (rounding-level negatives are clipped) or a pre-renormalization mass
-    defect beyond cfg.tol_mass, and MassLossError when cumulative leakage
-    past u_max exceeds cfg.lost_mass_cap.
+    (rounding-level negatives are clipped), a non-finite value (seen as a
+    non-finite mass) or a pre-renormalization mass defect beyond
+    cfg.tol_mass, and MassLossError when cumulative leakage past u_max
+    exceeds cfg.lost_mass_cap.
+
+    Each step's density is checked by the step itself, so it is handed to
+    drift_shift and collision_kernel without being validated again.
     """
     grid = cfg.grid
     if p0.grid != grid:
@@ -402,7 +406,7 @@ def evolve_transient(
     max_drift = 0.0
     for step in range(n_steps):
         tau_here = step * dtau
-        shifted, lost = drift_shift(UDensity(grid, vals), dtau)
+        shifted, lost = drift_shift(UDensity._unchecked(grid, vals), dtau)
         cum_lost += abs(lost)
         if cum_lost > cfg.lost_mass_cap:
             raise MassLossError(
@@ -420,6 +424,12 @@ def evolve_transient(
         if vmin < 0.0:
             vals = np.maximum(vals, 0.0)
         total = float(w @ vals)
+        # the weights are positive and no value is below zero here, so the
+        # mass is finite exactly when every value is
+        if not np.isfinite(total):
+            raise StepInstabilityError(
+                f"non-finite density mass {total} at tau={tau_here + dtau:.6g}"
+            )
         drift = abs(total - 1.0)
         max_drift = max(max_drift, drift)
         if drift > cfg.tol_mass:

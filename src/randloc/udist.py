@@ -117,6 +117,17 @@ class UDensity:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def _unchecked(cls, grid: UGrid, values: np.ndarray) -> "UDensity":
+        """A density from float64 node values that are known to be finite
+        and nonnegative, with no checks and no copy: values become
+        read-only."""
+        values.setflags(write=False)
+        p = object.__new__(cls)
+        object.__setattr__(p, "grid", grid)
+        object.__setattr__(p, "values", values)
+        return p
+
 
 @lru_cache(maxsize=8)
 def _grid_tables(u_max: float, n_bins: int):
@@ -131,8 +142,8 @@ def _grid_tables(u_max: float, n_bins: int):
 
 # Pair tables above this many bytes are refused before they are built, and
 # the cached tables of all grids together hold at most this many bytes.
-# Building the deposit tables peaks at about 1.7 times their size in traced
-# allocations; the node tables are filled in place, at about 1.1 times.
+# Both kinds of tables are filled in place, block by block, and their builds
+# peak at about 1.1 times their size in traced allocations.
 _TABLE_BUDGET_BYTES = 1 << 30
 
 
@@ -239,35 +250,90 @@ def _deposit_tables(u_max: float, n_bins: int):
     (i, i) grows with i, and the sort is stable. The (0, 0) pair is pinned
     to u = 0, the limit of combine along any path. combine never exceeds
     u_max / 2 on the grid, so k + 1 stays on it.
+
+    The flat arrays are allocated once and filled row block by row block of
+    ``_segment_blocks``: one pass counts each block's pairs per bin, the next
+    sorts each block by bin and places every pair at its bin's start plus
+    the pairs of that bin in earlier blocks plus its rank in the block. The
+    first pass's bins and fractions are kept for the second up to
+    _BUILD_KEEP_BYTES and computed again beyond. So the build allocates no
+    pair-sized temporary beyond that bound, and every pair's floats and
+    place are those of one stable sort of all pairs.
     """
     n = n_bins + 1
     nodes = _grid_tables(u_max, n_bins)[0]
-    i, j = np.triu_indices(n)
-    c = nodes[i] * nodes[j]
-    s = nodes[i] + nodes[j]
-    np.divide(c, s, out=c, where=s > 0.0)
-    del s
-    c[0] = 0.0
-    c *= n_bins / u_max
-    k = np.floor(c).astype(np.intp)
-    c -= k
-    counts = np.bincount(k, minlength=n)
-    order = np.argsort(k, kind="stable")
-    del k
-    bins = np.flatnonzero(counts)
-    starts = (np.cumsum(counts) - counts)[bins]
-    frac = c[order]
-    del c
-    i = i[order]
-    j = j[order]
-    del order
-    diag = np.flatnonzero(i == j)
-    tables = (i, j, frac, bins, starts, diag)
+    lens = np.arange(n, 0, -1)  # row i holds the pairs (i, i) .. (i, n - 1)
+    row_starts = np.cumsum(lens) - lens
+    n_pairs = n * (n + 1) // 2
+    blocks = list(enumerate(_segment_blocks(row_starts, n_pairs, _BLOCK_PAIRS)[0]))
+    scale = n_bins / u_max
+
+    def bins_of(block):
+        """The target bins and split fractions of a block's pairs."""
+        r0, r1 = block[2:4]
+        x = np.repeat(nodes[r0:r1], lens[r0:r1])
+        y = np.concatenate([nodes[r:] for r in range(r0, r1)])
+        c = x * y
+        x += y
+        np.divide(c, x, out=c, where=x > 0.0)
+        if r0 == 0:
+            c[0] = 0.0
+        c *= scale
+        k = c.astype(np.intp)  # floor, as c >= 0
+        c -= k
+        return k, c
+
+    counts = np.empty((len(blocks), n), dtype=np.intp)
+    # the first blocks keep their bins and fractions for the second pass
+    kept = {}
+    n_kept = _BUILD_KEEP_BYTES // (16 * _BLOCK_PAIRS)
+
+    def count(item):
+        b, block = item
+        k, c = bins_of(block)
+        counts[b] = np.bincount(k, minlength=n)
+        if b < n_kept:
+            kept[b] = k, c
+
+    _run_blocks(blocks, count)
+    total = counts.sum(axis=0)
+    # per block and bin: the first place of the block's pairs, less the
+    # block's own pairs of lower bins
+    base = np.cumsum(counts, axis=0)
+    base += np.cumsum(total) - total - np.cumsum(counts, axis=1)
+    i_out = np.empty(n_pairs, dtype=np.intp)
+    j_out = np.empty(n_pairs, dtype=np.intp)
+    frac = np.empty(n_pairs)
+    diag = np.empty(n, dtype=np.intp)
+
+    def place(item):
+        b, (s0, s1, r0, r1, seg) = item
+        k, c = kept.pop(b) if b < n_kept else bins_of((s0, s1, r0, r1, seg))
+        # a pair goes to its bin's first place in this block plus its rank
+        # among the block's pairs of that bin
+        order = np.argsort(k, kind="stable")
+        to = np.empty_like(order)
+        to[order] = base[b][k[order]] + np.arange(order.size)
+        rows = np.arange(r0, r1)
+        i_out[to] = np.repeat(rows, lens[r0:r1])
+        j_out[to] = np.arange(s1 - s0) - np.repeat(seg - rows, lens[r0:r1])
+        frac[to] = c
+        diag[r0:r1] = to[seg]  # (r, r) opens row r
+
+    _run_blocks(blocks, place)
+    bins = np.flatnonzero(total)
+    starts = (np.cumsum(total) - total)[bins]
+    diag.sort()
+    tables = (i_out, j_out, frac, bins, starts, diag)
     for arr in tables:
         arr.setflags(write=False)
     return tables
 
 
+# Bytes of first-pass results (bin and fraction, 16 bytes a pair) that a
+# deposit-table build keeps for its second pass instead of computing them
+# again: all of a small grid's, and a bounded share of a large one's.
+_BUILD_KEEP_BYTES = 4 << 20
 # Pairs per block of both kernel schemes; a block ends at the first segment
 # start (a deposit bin, a node-scheme row) at or past each multiple of this.
 _BLOCK_PAIRS = 1 << 16
@@ -694,7 +760,7 @@ def drift_shift(p: UDensity, delta: float) -> tuple[UDensity, float]:
     out = np.zeros(g.n_nodes)
     if m <= g.n_bins:
         out[m:] = p.values[: g.n_nodes - m]
-    shifted = UDensity(g, out)
+    shifted = UDensity._unchecked(g, out)  # node values of p
     return shifted, mass(p) - mass(shifted)
 
 

@@ -1,7 +1,14 @@
-"""Closed forms shared by the kernel and steady-residual tests."""
+"""Closed forms shared by the kernel and steady-residual tests, and the
+Hypothesis profile of the suite."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Every run draws the same examples, so a tier-1 run is reproducible; each
+# test keeps its own max_examples.
+settings.register_profile("randloc", derandomize=True, deadline=None)
+settings.load_profile("randloc")
 
 
 def _bessel_k(nu, x):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from randloc import cli, csvio, udist
+from randloc import cli, csvio, meanfield, udist
 from randloc.cli import main
 from randloc.csvio import read_density, read_table, read_trajectory
 
@@ -196,6 +196,16 @@ def test_mass_loss_is_exit_code_two(tmp_path, capsys):
                "--set", "u_max=10", "--set", "h=0.05", "--set", "tau_end=1.0"])
     assert rc == 2
     assert "leakage" in capsys.readouterr().err
+
+
+def test_non_finite_transient_step_is_exit_code_two(tmp_path, capsys, monkeypatch):
+    def nan_kernel(p, q, **kwargs):
+        return udist.UDensity._unchecked(p.grid, np.full(p.grid.n_nodes, np.nan))
+
+    monkeypatch.setattr(meanfield, "collision_kernel", nan_kernel)
+    rc = main(["transient", "--out", str(tmp_path), "--set", "h=0.1", "--set", "tau_end=0.2"])
+    assert rc == 2
+    assert "non-finite density mass nan at tau=0.1" in capsys.readouterr().err
 
 
 def test_blocked_output_root_is_exit_code_three(tmp_path, capsys):

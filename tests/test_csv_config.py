@@ -1,8 +1,15 @@
 """CSV round-trips and the key = value config layer."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from randloc import csvio
 from randloc.config import echo_lines, parse_file, resolve, run_name
 from randloc.csvio import (
     format_value,
@@ -20,6 +27,8 @@ from randloc.udist import UGrid, exponential_density
 def test_format_value_types():
     assert format_value(True) == "true"
     assert format_value(False) == "false"
+    assert format_value(np.True_) == "true"
+    assert format_value(np.False_) == "false"
     assert format_value(np.int64(7)) == "7"
     assert format_value(0.1) == "0.10000000000000001"
     assert format_value("adopt") == "adopt"
@@ -71,6 +80,84 @@ def test_repeated_float_column_keeps_every_bit_pattern(tmp_path):
     )
     assert path.read_bytes() == want.encode("utf-8")
     assert "\n-0,-0," in want and "\n0,0," in want
+
+
+def _column_bytes(x) -> bytes:
+    """The data lines write_table writes for one column x."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_table(path, {"x": x})
+        return path.read_bytes().split(b"\n", 1)[1]
+
+
+def _percent_bytes(x) -> bytes:
+    return "".join("%.17g\n" % v for v in np.asarray(x, dtype=np.float64).tolist()).encode()
+
+
+# distinct values, at least csvio._FEW of them, so that they take the
+# vectorized path rather than '%.17g' itself
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=csvio._FEW, max_size=200, unique=True))
+def test_float64_bit_patterns_print_as_percent_17g(words):
+    x = np.array(words, dtype=np.uint64).view(np.float64)
+    assert _column_bytes(x) == _percent_bytes(x)
+
+
+@settings(max_examples=100)
+@given(arrays(np.float32, st.integers(csvio._FEW, 200), elements=st.floats(width=32), unique=True))
+def test_float32_columns_print_as_percent_17g_of_the_widened_value(x):
+    assert _column_bytes(x) == _percent_bytes(x.astype(np.float64))
+
+
+def test_random_bit_patterns_print_as_percent_17g():
+    rng = np.random.Generator(np.random.Philox(key=17))
+    x = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+    assert _column_bytes(x) == _percent_bytes(x)
+
+
+def test_edge_floats_print_as_percent_17g():
+    powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    rng = np.random.Generator(np.random.Philox(key=19))
+    # 18 significant digits ending in 5, exactly representable: exact ties
+    ties = np.floor(rng.uniform(1e15, 2.0**53, 500)) + rng.choice([0.25, 0.75], 500)
+    x = np.concatenate([
+        powers, -powers,
+        np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        [float(f"9.9999999999999999e{k}") for k in range(-320, 309)],
+        [float(f"-9.9999999999999999e{k}") for k in range(-300, 300, 7)],
+        2.0**53 + 2.0 * np.arange(1, 2000),  # 16-digit integers above 2^53
+        1e17 + 16.0 * np.arange(1, 2000),  # 18-digit integers
+        ties, ties / 1024.0,
+        [123456789012345.125, 1234567890123456.25, 0.5, 1.5, 2.5, 0.1, 1e16, 1e17 - 16.0],
+        [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324],
+        [2.2250738585072014e-308, 1.7976931348623157e308, 1e-282, 1e298],
+    ])
+    assert _column_bytes(x) == _percent_bytes(x)
+    assert b"\n-0\n" in _column_bytes(x)
+
+
+def test_mixed_columns_across_the_block_edge(tmp_path):
+    n = csvio._ROWS_PER_BLOCK + 37
+    rng = np.random.Generator(np.random.Philox(key=23))
+    words = np.array(["", "adopt", "a,b", "\u00e9t\u00e9", "x\x00", "-0", "nan"])
+    cols = {
+        "i": rng.integers(-(2**62), 2**62, n),
+        "b": rng.random(n) < 0.3,
+        "s": words[rng.integers(0, words.size, n)],
+        "f": rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n),
+        "r": np.repeat(rng.random(8), n // 8 + 1)[:n],  # repeated: formatted once each
+        "o": np.array([1, 2.5, "z", None] * (n // 4) + [True] * (n % 4), dtype=object),
+    }
+    cols["f"][[0, n // 2, csvio._ROWS_PER_BLOCK - 1, csvio._ROWS_PER_BLOCK]] = [
+        0.0, -0.0, np.nan, -np.inf]
+    path = tmp_path / "t.csv"
+    write_table(path, cols, meta={"flag": np.True_})
+    series = list(cols.values())
+    want = "# flag = true\ni,b,s,f,r,o\n" + "".join(
+        ",".join(format_value(c[i]) for c in series) + "\n" for i in range(n)
+    )
+    assert path.read_bytes() == want.encode("utf-8")
+    assert ",true," in want and ",false," in want
 
 
 def test_meta_lines_are_sorted(tmp_path):

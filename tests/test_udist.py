@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from deposit_reference import deposit_tables
 from kernel_reference import dense_deposit
 from node_reference import node_kernel, node_tables
 
@@ -212,6 +213,31 @@ def test_deposit_tables_hold_each_pair_once():
     assert sum(t.nbytes for t in tables) <= 16 * g.n_nodes**2
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 200), st.sampled_from([0.9, 4.0, 30.0, 250.0]), st.integers(1, 64))
+def test_blocked_deposit_tables_match_one_shot_reference(n_bins, u_max, block_pairs):
+    want = deposit_tables(u_max, n_bins)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(udist, "_BLOCK_PAIRS", block_pairs)
+        mp.setattr(udist, "_MIN_THREADED_BLOCKS", 2)
+        # no block, two blocks, or every block keeps its first-pass results
+        for threads, kept in ((1, 0), (2, 0), (1, 2), (2, 1 << 40)):
+            mp.setattr(udist, "_kernel_threads", lambda: threads)
+            mp.setattr(udist, "_BUILD_KEEP_BYTES", 16 * block_pairs * kept)
+            udist._deposit_tables.cache_clear()  # build the tables in these blocks
+            got = udist._deposit_tables(u_max, n_bins)
+            for a, b in zip(want, got):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.02])
+def test_deposit_tables_match_one_shot_reference_on_transient_grids(h):
+    g = UGrid.from_spacing(30.0, h)
+    udist._deposit_tables.cache_clear()
+    for a, b in zip(deposit_tables(g.u_max, g.n_bins), udist._deposit_tables(g.u_max, g.n_bins)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_kernel_of_equal_copy_matches_same_object():
     g = UGrid.from_spacing(20.0, 0.05)
     p = normalize(default_init_density(g))
@@ -403,6 +429,24 @@ def test_node_tables_and_call_peak_near_the_kept_tables():
         tracemalloc.stop()
     kept = udist._nbytes(udist._node_tables(g.u_max, g.n_bins))
     assert kept > 80e6
+    assert peak < 1.25 * kept
+
+
+def test_deposit_tables_and_call_peak_near_the_kept_tables():
+    # the tables are filled block by block: no pair-sized temporary
+    g = UGrid.from_spacing(30.0, 0.01)
+    p = default_init_density(g)
+    _clear_table_caches()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        collision_kernel(p, p)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    kept = udist._nbytes(udist._deposit_tables(g.u_max, g.n_bins))
+    kept += udist._nbytes(udist._deposit_blocks(g.u_max, g.n_bins, udist._BLOCK_PAIRS))
+    assert kept > 100e6
     assert peak < 1.25 * kept
 
 
