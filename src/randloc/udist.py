@@ -15,14 +15,15 @@ Core physics operations:
   deposition of all node pairs onto the bin of their combined value is
   mass-exact at rounding level but only second-order accurate at the nodes;
   the transient solver and the resummed residual use it. Its cached tables
-  hold each unordered pair once, sorted by target bin (24 bytes a pair,
-  12 N^2 bytes for N nodes).
+  hold each unordered pair once, sorted by target bin (12 bytes a pair,
+  6 N^2 bytes for N nodes).
   The "node" scheme evaluates K[p, p] at the nodes by a fourth-order
   quadrature of its integral form. It is not mass-exact; the steady solver
   and the steady residual use it. Its cached tables hold one row of pairs
-  per node u_i <= u_max / 2 (40 bytes a pair, under N^2 / 4 pairs); they
+  per node u_i <= u_max / 2 (36 bytes a pair, under N^2 / 4 pairs); they
   are built row block by row block, without pair-sized temporaries.
-  Both schemes walk their pairs in fixed blocks of about 64k, cut at
+  Both schemes store node indices as uint16, so a grid has at most 65536
+  nodes. Both walk their pairs in fixed blocks of about 64k, cut at
   segment starts (a target bin, a row), on at most two threads once a grid
   has 16 blocks; no segment's sum crosses a block, so the result is the
   same floats for any block size and thread count. The tables of all grids
@@ -145,15 +146,39 @@ def _grid_tables(u_max: float, n_bins: int):
 # Both kinds of tables are filled in place, block by block, and their builds
 # peak at about 1.1 times their size in traced allocations.
 _TABLE_BUDGET_BYTES = 1 << 30
+# Both kinds of tables store node indices as uint16.
+_MAX_NODES = 1 << 16
 
 
-def _check_table_bytes(kind: str, grid: UGrid, nbytes: int) -> None:
+def _table_bytes(kind: str, grid: UGrid) -> int:
+    """Bytes of the cached tables of one kind on a grid, at most."""
+    n = grid.n_nodes
+    if kind == "deposit":
+        # i, j (uint16) and frac (float64) of each pair i <= j; bins,
+        # starts, diag and the blocks' segment and diagonal starts (intp),
+        # each at most one a node
+        return 12 * (n * (n + 1) // 2) + 40 * n
+    # j, b (uint16) and four float64 weights of each of at most
+    # half * (n_bins - half) pairs; rows and starts (intp) of each row; and
+    # the Gauss part's points, 88 bytes each: 8 ceil(4 log(m / i)) for each
+    # row i < m, fewer than 40 m in all
+    half = grid.n_bins // 2
+    m = _near_cells(grid.u_max, grid.n_bins)
+    return 36 * half * (grid.n_bins - half) + 16 * half + 88 * 40 * m
+
+
+def _check_table_bytes(kind: str, grid: UGrid) -> None:
+    """Refuses, before any table is built, a grid whose node indices do not
+    fit the tables' uint16 or whose tables would exceed the budget."""
+    tables = (f"the {kind} kernel tables of the grid u_max={grid.u_max:g}, h={grid.h:g} "
+              f"({grid.n_nodes} nodes)")
+    if grid.n_nodes > _MAX_NODES:
+        raise ValueError(f"{tables} index nodes as uint16, so at most {_MAX_NODES} nodes; "
+                         f"use a coarser grid")
+    nbytes = _table_bytes(kind, grid)
     if nbytes > _TABLE_BUDGET_BYTES:
-        raise ValueError(
-            f"the {kind} kernel tables of the grid u_max={grid.u_max:g}, h={grid.h:g} "
-            f"({grid.n_nodes} nodes) would take {nbytes} bytes, above the budget of "
-            f"{_TABLE_BUDGET_BYTES} bytes; use a coarser grid"
-        )
+        raise ValueError(f"{tables} would take {nbytes} bytes, above the budget of "
+                         f"{_TABLE_BUDGET_BYTES} bytes; use a coarser grid")
 
 
 def _nbytes(obj) -> int:
@@ -242,8 +267,8 @@ def _deposit_tables(u_max: float, n_bins: int):
 
     combine is symmetric, so only the node pairs i <= j are stored, sorted
     (stably, from row-major order) by the target bin k = floor(combine / h):
-    the nodes i and j of every pair (intp) and its linear split fraction
-    toward node k + 1 (float64), 24 bytes a pair, 12 N^2 bytes for N nodes.
+    the nodes i and j of every pair (uint16) and its linear split fraction
+    toward node k + 1 (float64), 12 bytes a pair, 6 N^2 bytes for N nodes.
     ``bins`` lists the bins that receive pairs and ``starts`` the first pair
     of each, so a bin's deposits are one contiguous segment. ``diag`` gives
     the positions of the pairs (0, 0), (1, 1), ... in node order: the bin of
@@ -301,8 +326,8 @@ def _deposit_tables(u_max: float, n_bins: int):
     # block's own pairs of lower bins
     base = np.cumsum(counts, axis=0)
     base += np.cumsum(total) - total - np.cumsum(counts, axis=1)
-    i_out = np.empty(n_pairs, dtype=np.intp)
-    j_out = np.empty(n_pairs, dtype=np.intp)
+    i_out = np.empty(n_pairs, dtype=np.uint16)
+    j_out = np.empty(n_pairs, dtype=np.uint16)
     frac = np.empty(n_pairs)
     diag = np.empty(n, dtype=np.intp)
 
@@ -355,8 +380,10 @@ def _segment_blocks(starts: np.ndarray, total: int, block_pairs: int):
     relative to the first pair); the blocks come with the widest block's
     pair count.
     """
-    cuts = np.unique(np.searchsorted(starts, np.arange(0, total, block_pairs)))
-    cuts = cuts[cuts < starts.size]
+    cuts = np.searchsorted(starts, np.arange(0, total, block_pairs))
+    # the cuts are sorted, so this dedupes them; np.unique would too, but
+    # its first call without return_inverse imports numpy.ma
+    cuts = cuts[(np.diff(cuts, prepend=-1) > 0) & (cuts < starts.size)]
     seg_cuts = np.append(cuts, starts.size)
     pair_cuts = np.append(starts[cuts], total)
     blocks = []
@@ -392,7 +419,9 @@ def _run_blocks(blocks, work) -> None:
 
 def _scratch_rows(width: int):
     """This thread's scratch for a block of up to ``width`` pairs: three
-    float64 rows and one intp row, grown to the widest block seen."""
+    float64 rows and one intp row, the latter for the block's uint16 node
+    indices widened once before their gathers; grown to the widest block
+    seen."""
     if getattr(_scratch, "width", 0) < width:
         _scratch.rows = np.empty((3, width))
         _scratch.idx = np.empty(width, dtype=np.intp)
@@ -484,8 +513,8 @@ def collision_kernel(p: UDensity, q: UDensity, *, scheme: str = "deposit") -> UD
       between the two adjacent nodes. Deposition is mass-exact: the output
       trapezoid mass equals mass(p) * mass(q) up to rounding. combine is
       symmetric, so the cached tables of ``_deposit_tables`` hold only the
-      pairs i <= j, sorted by target bin: two intp node indices and one
-      float64 split fraction, 24 bytes a pair, 12 N^2 bytes for N nodes.
+      pairs i <= j, sorted by target bin: two uint16 node indices and one
+      float64 split fraction, 12 bytes a pair, 6 N^2 bytes for N nodes.
       Each bin's shares are sums over one contiguous segment of pairs, in a
       fixed order, so results are bit-reproducible and K[p, q] equals
       K[q, p] bit for bit.
@@ -493,19 +522,21 @@ def collision_kernel(p: UDensity, q: UDensity, *, scheme: str = "deposit") -> UD
       ``_node_kernel``. Fourth order in h for smooth p, but the output mass
       equals mass(p)^2 only to that order. Needs q equal to p. The cached
       tables of ``_node_tables`` hold one row of pairs per node with
-      u <= u_max / 2: an int32 node, an int32 stencil start and four
-      float64 weights, 40 bytes a pair, under N^2 / 4 pairs. Each row's
+      u <= u_max / 2: a uint16 node, a uint16 stencil start and four
+      float64 weights, 36 bytes a pair, under N^2 / 4 pairs. Each row's
       value is a sum over its contiguous segment of pairs.
 
     Both schemes walk their pairs in fixed blocks of about 64k, cut at
     segment starts (a bin, a row) from the tables alone, on at most
     min(2, usable CPUs) threads; a grid of fewer than 16 blocks (about a
     million pairs: deposit N below about 1450, node N below about 2000)
-    runs in the calling thread. No segment crosses a block, so the floats
-    do not depend on the block size or the thread count, and no call
-    allocates a pair-sized array. Grids whose tables would exceed a fixed
-    budget (1 GiB) raise ValueError before any table is built; the tables
-    of all grids together stay within the same budget.
+    runs in the calling thread. Each block widens its uint16 node indices
+    once into per-thread scratch before gathering. No segment crosses a
+    block, so the floats do not depend on the block size or the thread
+    count, and no call allocates a pair-sized array. Grids of more than
+    65536 nodes, and grids whose tables would exceed a fixed budget
+    (1 GiB), raise ValueError before any table is built; the tables of all
+    grids together stay within the same budget.
     """
     if p.grid != q.grid:
         raise ValueError("collision_kernel requires both densities on the same grid")
@@ -530,7 +561,7 @@ def _deposit(p: UDensity, q: UDensity) -> np.ndarray:
     sums do not depend on how the blocks are spread over threads.
     """
     g = p.grid
-    _check_table_bytes("deposit", g, 24 * (g.n_nodes * (g.n_nodes + 1) // 2))
+    _check_table_bytes("deposit", g)
     tables = _deposit_tables(g.u_max, g.n_bins)
     blocks, width = _deposit_blocks(g.u_max, g.n_bins, _BLOCK_PAIRS)
     w = g.quad_weights()
@@ -549,23 +580,28 @@ def _deposit(p: UDensity, q: UDensity) -> np.ndarray:
 def _deposit_block(block, width, tables, a, b, lo, hi) -> None:
     """One block's lower and upper bin shares, into its slices of lo and hi.
 
-    Gathers into this thread's scratch, so no pair-sized array is allocated.
+    Widens the block's uint16 i and j, each once, into this thread's intp
+    scratch and gathers into its float scratch, so no pair-sized array is
+    allocated.
     """
     i, j, frac = tables[:3]
     s0, s1, b0, b1, seg, d0, d1, dpos = block
-    buf = _scratch_rows(width)[0]
+    buf, idx = _scratch_rows(width)
     n = s1 - s0
-    wt, x, y = buf[0, :n], buf[1, :n], buf[2, :n]
-    np.take(a, i[s0:s1], out=wt, mode="clip")
-    np.take(b, j[s0:s1], out=x, mode="clip")
+    wt, x, y, idx = buf[0, :n], buf[1, :n], buf[2, :n], idx[:n]
+    idx[:] = i[s0:s1]
+    np.take(a, idx, out=wt, mode="clip")
+    if b is not a:
+        np.take(b, idx, out=y, mode="clip")
+    idx[:] = j[s0:s1]
+    np.take(b, idx, out=x, mode="clip")
     wt *= x
     if b is a:
         # a_i a_j + a_j a_i is exactly 2 a_i a_j: the general branch's floats
         wt *= 2.0
     else:
-        np.take(a, j[s0:s1], out=x, mode="clip")
-        np.take(b, i[s0:s1], out=y, mode="clip")
-        x *= y
+        np.take(a, idx, out=x, mode="clip")
+        x *= y  # a_j b_i
         wt += x
     wt[dpos] = a[d0:d1] * b[d0:d1]
     np.multiply(wt, frac[s0:s1], out=x)
@@ -603,6 +639,12 @@ def _interp4(v: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _near_cells(u_max: float, n_bins: int) -> int:
+    """Cells m making up _NEAR_SPAN, at most (n_bins - 7) // 2: the node
+    scheme's rows i < m take their near stretch by Gauss-Legendre."""
+    return max(0, min(int(np.ceil(_NEAR_SPAN * n_bins / u_max - 1e-9)), (n_bins - 7) // 2))
+
+
 @_table_cache
 def _node_tables(u_max: float, n_bins: int):
     """Quadrature tables of ``_node_kernel``, in units of h.
@@ -610,30 +652,30 @@ def _node_tables(u_max: float, n_bins: int):
     Row i (1 <= i <= n_bins // 2) integrates over x >= 2 u_i. The integrand
     carries x^2 / (x - u)^2 and p(y(x)), which vary on the scale u_i, so
     the node rule alone is fourth order only once u_i spans many cells.
-    Rows with i < m, m cells making up _NEAR_SPAN, therefore take the
+    Rows with i < m, m = _near_cells cells making up _NEAR_SPAN, take the
     stretch x - u_i < m h from composite Gauss-Legendre in log(x - u_i),
     with p at x and at y from 4-point Lagrange stencils, and the nodes
     x_j, j >= i + m, from the trapezoid rule; other rows take the nodes
     from j = 2i. Gregory's end weights sit at each row's first node.
 
     Returns the node part (row numbers, each row's start in the flat pair
-    arrays, the node j of every pair (int32), the stencil b for p(y_j)
-    (int32), and its four weights with quadrature weight and Jacobian folded
-    in; 40 bytes per pair, under n_bins^2 / 4 pairs) and the Gauss part (row
-    of every point, then stencil and weights for p(x) and for p(y), the
-    quadrature weight folded into the latter). The flat arrays are allocated
-    once and filled row block by row block of ``_segment_blocks``, so the
-    build allocates no pair-sized temporary; each pair's floats come from
-    the same operations whatever the blocks.
+    arrays, the node j of every pair (uint16), the stencil b for p(y_j)
+    (uint16), and its four weights with quadrature weight and Jacobian
+    folded in; 36 bytes per pair, under n_bins^2 / 4 pairs) and the Gauss
+    part (row of every point, then stencil and weights for p(x) and for
+    p(y), the quadrature weight folded into the latter). The flat arrays are
+    allocated once and filled row block by row block of ``_segment_blocks``,
+    so the build allocates no pair-sized temporary; each pair's floats come
+    from the same operations whatever the blocks.
     """
     n = n_bins
-    m = max(0, min(int(np.ceil(_NEAR_SPAN * n / u_max - 1e-9)), (n - 7) // 2))
+    m = _near_cells(u_max, n_bins)
     rows = np.arange(1, n // 2 + 1)
     first = np.where(rows < m, rows + m, 2 * rows)
     lens = n - first + 1
     starts = np.cumsum(lens) - lens
-    j = np.empty(int(lens.sum()), dtype=np.int32)
-    b = np.empty(j.size, dtype=np.int32)
+    j = np.empty(int(lens.sum()), dtype=np.uint16)
+    b = np.empty(j.size, dtype=np.uint16)
     w = np.empty((4, j.size))
     scale = 2.0 * u_max / n
 
@@ -702,9 +744,7 @@ def _node_kernel(p: UDensity) -> UDensity:
     g = p.grid
     if g.n_bins < 3:
         raise ValueError(f"the node scheme needs at least 3 bins, got {g.n_bins}")
-    # 40 bytes for each pair of the rows' node parts, at most n_bins^2 / 4 pairs
-    half = g.n_bins // 2
-    _check_table_bytes("node", g, 40 * half * (g.n_bins - half))
+    _check_table_bytes("node", g)
     rows, starts, j, b, w, ni, bx, wx, by, wy = _node_tables(g.u_max, g.n_bins)
     v = p.values
     out = np.zeros(g.n_nodes)
@@ -729,7 +769,7 @@ def _node_block(block, width, j, b, w, v, row_out) -> None:
     buf, idx = _scratch_rows(width)
     n = s1 - s0
     acc, x, idx = buf[0, :n], buf[1, :n], idx[:n]
-    idx[:] = b[s0:s1]  # intp once, for the four gathers
+    idx[:] = b[s0:s1]  # widened once, for the four gathers
     np.take(v, idx, out=x, mode="clip")
     np.multiply(w[0, s0:s1], x, out=acc)
     for k in (1, 2, 3):

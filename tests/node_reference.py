@@ -48,7 +48,7 @@ def node_tables(u_max: float, n_bins: int):
     bx, wx = _lagrange4(ni + v, n)
     by, wy = _lagrange4(ni + ni * ni / v, n)
     wy *= (2.0 * u_max / n) * (1.0 + ni / v) ** 2 * v * ws
-    return (rows, starts, j.astype(np.int32), b.astype(np.int32), w,
+    return (rows, starts, j.astype(np.uint16), b.astype(np.uint16), w,
             ni.astype(np.int64), bx, wx, by, wy)
 
 

@@ -228,6 +228,20 @@ def test_oversized_grid_is_exit_code_one(tmp_path, capsys, monkeypatch, subcomma
     assert "30001 nodes) would take" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["steady", "transient"])
+def test_grid_beyond_uint16_nodes_is_exit_code_one(tmp_path, capsys, monkeypatch, subcommand):
+    # h = 0.0004 gives 75001 nodes, more than uint16 indices reach, whatever the budget
+    def build(*args):
+        pytest.fail("pair tables were built")
+
+    monkeypatch.setattr(udist, "_TABLE_BUDGET_BYTES", 1 << 62)
+    monkeypatch.setattr(udist, "_deposit_tables", build)
+    monkeypatch.setattr(udist, "_node_tables", build)
+    rc = main([subcommand, "--out", str(tmp_path), "--set", "h=0.0004"])
+    assert rc == 1
+    assert "75001 nodes) index nodes as uint16" in capsys.readouterr().err
+
+
 def test_failed_echo_write_keeps_old_file(tmp_path, capsys, monkeypatch):
     echo = tmp_path / "gamma" / "run" / "config.echo"
     echo.parent.mkdir(parents=True)

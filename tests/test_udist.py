@@ -7,10 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from deposit_reference import deposit_tables
+from deposit_reference import deposit_kernel, deposit_tables
 from kernel_reference import dense_deposit
 from node_reference import node_kernel, node_tables
 
@@ -210,7 +210,7 @@ def test_deposit_tables_hold_each_pair_once():
     i, j = tables[0], tables[1]
     assert i.size == g.n_nodes * (g.n_nodes + 1) // 2
     assert np.all(i <= j)
-    assert sum(t.nbytes for t in tables) <= 16 * g.n_nodes**2
+    assert sum(t.nbytes for t in tables) <= 7 * g.n_nodes**2
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,6 +236,15 @@ def test_deposit_tables_match_one_shot_reference_on_transient_grids(h):
     udist._deposit_tables.cache_clear()
     for a, b in zip(deposit_tables(g.u_max, g.n_bins), udist._deposit_tables(g.u_max, g.n_bins)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.02])
+def test_deposit_kernel_matches_one_shot_reference_on_transient_grids(h):
+    g = UGrid.from_spacing(30.0, h)
+    p = default_init_density(g)
+    q = exponential_density(g)
+    for a, b in ((p, p), (p, q), (q, p)):
+        assert np.array_equal(collision_kernel(a, b).values, deposit_kernel(a, b))
 
 
 def test_kernel_of_equal_copy_matches_same_object():
@@ -360,6 +369,70 @@ def test_concurrent_kernel_calls_match_serial_calls():
             assert all(np.array_equal(a, b) for a, b in zip(want, run))
 
 
+def _unique_cut_blocks(starts, total, block_pairs):
+    """The blocks of ``udist._segment_blocks``, cut with np.unique."""
+    cuts = np.unique(np.searchsorted(starts, np.arange(0, total, block_pairs)))
+    cuts = cuts[cuts < starts.size]
+    seg_cuts = np.append(cuts, starts.size)
+    pair_cuts = np.append(starts[cuts], total)
+    blocks = [(int(pair_cuts[k]), int(pair_cuts[k + 1]), int(seg_cuts[k]), int(seg_cuts[k + 1]),
+               starts[seg_cuts[k]:seg_cuts[k + 1]] - pair_cuts[k]) for k in range(cuts.size)]
+    return blocks, int(np.max(np.diff(pair_cuts)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=80), st.integers(1, 100))
+def test_segment_blocks_match_the_unique_cut(lens, block_pairs):
+    lens = np.array(lens)
+    starts = np.cumsum(lens) - lens
+    blocks, width = udist._segment_blocks(starts, int(lens.sum()), block_pairs)
+    want, want_width = _unique_cut_blocks(starts, int(lens.sum()), block_pairs)
+    assert width == want_width and len(blocks) == len(want)
+    for got, ref in zip(blocks, want):
+        assert got[:4] == ref[:4] and np.array_equal(got[4], ref[4])
+
+
+def test_kernel_calls_do_not_import_numpy_ma():
+    script = """
+import sys
+from randloc.udist import UGrid, collision_kernel, default_init_density
+p = default_init_density(UGrid.from_spacing(30.0, 0.05))
+collision_kernel(p, p)
+collision_kernel(p, p, scheme="node")
+assert "numpy.ma" not in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(randloc.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 400), st.sampled_from([0.5, 0.9, 4.0, 30.0, 250.0]))
+@example(600, 30.0)
+@example(1500, 30.0)
+def test_predicted_table_bytes_bound_the_built_tables(n_bins, u_max):
+    g = UGrid(u_max, n_bins)
+    deposit = udist._nbytes(udist._deposit_tables(u_max, n_bins))
+    deposit += udist._nbytes(udist._deposit_blocks(u_max, n_bins, udist._BLOCK_PAIRS))
+    assert deposit <= udist._table_bytes("deposit", g)
+    assert udist._nbytes(udist._node_tables(u_max, n_bins)) <= udist._table_bytes("node", g)
+
+
+@pytest.mark.parametrize("scheme", ["deposit", "node"])
+def test_grid_beyond_uint16_nodes_is_refused_before_any_table(monkeypatch, scheme):
+    def build(*args):
+        pytest.fail("pair tables were built")
+
+    monkeypatch.setattr(udist, "_TABLE_BUDGET_BYTES", 1 << 62)
+    monkeypatch.setattr(udist, "_deposit_tables", build)
+    monkeypatch.setattr(udist, "_node_tables", build)
+    udist._check_table_bytes(scheme, UGrid(1.0, (1 << 16) - 1))  # 65536 nodes fit
+    g = UGrid(1.0, 1 << 16)
+    p = UDensity(g, np.ones(g.n_nodes))
+    with pytest.raises(ValueError, match="65537 nodes"):
+        collision_kernel(p, p, scheme=scheme)
+
+
 @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (64, 2)])
 def test_kernel_thread_count_is_capped(monkeypatch, cpus, threads):
     # at most two threads and one per usable CPU; no pool is started
@@ -408,7 +481,7 @@ def test_blocked_node_scheme_matches_one_shot_reference(p, block_pairs):
             assert np.array_equal(collision_kernel(p, p, scheme="node").values, want)
 
 
-@pytest.mark.parametrize("h", [0.04, 0.02])
+@pytest.mark.parametrize("h", [0.04, 0.02, 0.01])
 def test_node_scheme_matches_one_shot_reference_on_steady_grids(h):
     g = UGrid.from_spacing(30.0, h)
     for p in (default_init_density(g), UDensity(g, np.exp(-g.nodes()))):
@@ -446,7 +519,7 @@ def test_deposit_tables_and_call_peak_near_the_kept_tables():
         tracemalloc.stop()
     kept = udist._nbytes(udist._deposit_tables(g.u_max, g.n_bins))
     kept += udist._nbytes(udist._deposit_blocks(g.u_max, g.n_bins, udist._BLOCK_PAIRS))
-    assert kept > 100e6
+    assert kept > 50e6
     assert peak < 1.25 * kept
 
 
