@@ -128,7 +128,7 @@ def _hist_grid(cfg: dict) -> UGrid:
     return UGrid.from_spacing(cfg["hist_u_max"], cfg["hist_h"])
 
 
-def _write_mc_outputs(run_dir: Path, cfg: dict, seed: int, snaps, final_pop) -> None:
+def _write_mc_outputs(run_dir: Path, cfg: dict, seed: int, snaps, final_pop, grid: UGrid) -> None:
     taus = [s.tau for s in snaps] + [final_pop.tau]
     gs = [s.g_empirical for s in snaps] + [final_pop.g_empirical]
     write_trajectory(
@@ -139,7 +139,6 @@ def _write_mc_outputs(run_dir: Path, cfg: dict, seed: int, snaps, final_pop) -> 
               events_deloc_deloc=final_pop.events_deloc_deloc),
         names=("tau", "g_empirical"),
     )
-    grid = _hist_grid(cfg)
     blocks_t, blocks_u, blocks_p = [], [], []
     for s in snaps:
         if s.u_values.size == 0:
@@ -164,9 +163,10 @@ def _write_mc_outputs(run_dir: Path, cfg: dict, seed: int, snaps, final_pop) -> 
     )
 
 
-def _mc_one(subcommand: str, cfg: dict, run_dir_s: str, seed: int) -> None:
+def _mc_one(subcommand: str, cfg: dict, run_dir_s: str, seed: int, grid: UGrid) -> None:
     run_dir = Path(run_dir_s)
-    inner = [t for t in cfg["snapshot_taus"] if t < cfg["tau_end"] - 1e-12]
+    # Times at or past the end are the final state; a NaN time stays in, for popmc to refuse.
+    inner = [t for t in cfg["snapshot_taus"] if not t >= cfg["tau_end"] - 1e-12]
     if subcommand == "mc-steady":
         pop, snaps = run_steady(
             cfg["m_particles"], cfg["tau_end"], seed, inner, u_ceiling=cfg["u_ceiling"]
@@ -177,7 +177,7 @@ def _mc_one(subcommand: str, cfg: dict, run_dir_s: str, seed: int) -> None:
             cfg["entrant_rule"], inner,
             entrant_cap=cfg["entrant_cap"], u_ceiling=cfg["u_ceiling"],
         )
-    _write_mc_outputs(run_dir, cfg, seed, snaps, pop)
+    _write_mc_outputs(run_dir, cfg, seed, snaps, pop, grid)
 
 
 def _worker_count(jobs: int, n_seeds: int) -> int:
@@ -190,17 +190,18 @@ def cmd_mc(subcommand: str, cfg: dict, run_dir: Path, jobs: int) -> None:
     seeds = cfg["seeds"]
     if not seeds:
         raise ConfigError("seeds must list at least one integer")
+    grid = _hist_grid(cfg)  # a bad histogram grid fails before any event is drawn
     workers = _worker_count(jobs, len(seeds))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             futures = [
-                ex.submit(_mc_one, subcommand, cfg, str(run_dir), s) for s in seeds
+                ex.submit(_mc_one, subcommand, cfg, str(run_dir), s, grid) for s in seeds
             ]
             for f in futures:
                 f.result()
     else:
         for s in seeds:
-            _mc_one(subcommand, cfg, str(run_dir), s)
+            _mc_one(subcommand, cfg, str(run_dir), s, grid)
 
 
 def cmd_oracle(cfg: dict, run_dir: Path) -> None:

@@ -29,30 +29,37 @@ consumes a triple (first index, second index, next gap), the gap scaled
 by * (1 / rate). A refill before the indices drops a tail of fewer than
 two uniforms; a gap is drawn from a refill only once the block is used
 up, so nothing is dropped there. Identical (seed, config) runs
-therefore reproduce bit-identical trajectories on a given numpy release.
-Checkpoints capture the stream state, the unconsumed tail of the current
-block, the pending interarrival gap and the event counters, so a resumed
-run continues bit-for-bit as if never interrupted.
+therefore reproduce bit-identical trajectories on every platform that
+rounds doubles to IEEE 754 (see Gaps below). Checkpoints capture the
+stream state, the unconsumed tail of the current block, the pending
+interarrival gap and the event counters, so a resumed run continues
+bit-for-bit as if never interrupted.
 
-Wavefront schedule. The loop takes a block's triples as arrays and
-gets the event times from one cumulative sum seeded with the current time,
-which performs the same left-to-right additions as stepping event by
-event. It cuts the run at the first event past tau_end and at each pending
-snapshot. Within a run every event gets a wavefront level, one more than
-the highest level of the earlier events that touched either of its
-particles. Events of one level touch disjoint particles and depend only on
-lower levels, so each level is applied with numpy gathers and scatters
-and yields the floats and counts of the one-event-at-a-time rule (kept as
-the dense reference in the tests). Gaps go through math.log1p mapped over
-Python floats rather than np.log1p: the two differ by one ulp on a few
-percent of draws on some builds, which would move every later event time.
+Wavefront schedule. The loop takes a block's triples as arrays, at most
+_RUN_EVENTS at a time (a run), and gets the event times from one
+cumulative sum seeded with the current time, which performs the same
+left-to-right additions as stepping event by event. It cuts the run at the
+first event past tau_end and at each pending snapshot. Within a run every
+event gets a wavefront level, one more than the highest level of the
+earlier events that touched either of its particles. Events of one level
+touch disjoint particles and depend only on lower levels, so each level is
+applied with numpy gathers and scatters and yields the floats and counts
+of the one-event-at-a-time rule (kept as the dense reference in the
+tests).
+
+Gaps. A gap is -log1p(-u) / rate, and a last-bit change in one gap moves
+every later event time. Neither math.log1p nor np.log1p fixes those bits:
+glibc picks an FMA or an SSE2 log1p by CPU feature (they differ on about
+4e-4 of uniforms), and numpy picks a SIMD one. _neg_log1p is fdlibm's
+log1p, as glibc's non-FMA variant evaluates it, written with numpy's
+IEEE + - * /, frexp and compares only, so the gaps have the same bits on
+every platform, and a whole run's gaps cost a few dozen array passes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import log1p as _log1p
 
 import numpy as np
 
@@ -74,7 +81,8 @@ __all__ = [
 _MIN_STEADY = 1000
 _MIN_SEEDED = 10
 _BLOCK_EVENTS = 1 << 15
-_CHECKPOINT_VERSION = 2
+_RUN_EVENTS = 1 << 13  # events per wavefront run; keeps a run's temporaries in cache
+_CHECKPOINT_VERSION = 3
 _ENTRANT_RULES = ("adopt", "capped")
 _COUNTERS = ("overflow_count", "events_loc_loc", "events_loc_deloc", "events_deloc_deloc")
 
@@ -302,11 +310,13 @@ def resume(pop: Population, tau_end: float, snapshot_taus=()) -> list[Population
 
 def _advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationSnapshot]:
     """Event loop core. Mutates pop in place and returns the snapshots."""
+    if not np.isfinite(tau_end):  # a NaN or infinite end would never stop the loop
+        raise ValueError(f"tau_end must be finite, got {tau_end}")
     if tau_end < pop.tau - 1e-12:
         raise ValueError(f"tau_end={tau_end} is before the population time {pop.tau}")
     pending = sorted(float(t) for t in snapshot_taus)
     for t in pending:
-        if t < pop.tau - 1e-12 or t > tau_end + 1e-12:
+        if not pop.tau - 1e-12 <= t <= tau_end + 1e-12:  # also refuses NaN
             raise ValueError(f"snapshot time {t} outside [{pop.tau}, {tau_end}]")
     snaps: list[PopulationSnapshot] = []
     m = pop.size
@@ -341,7 +351,7 @@ def _advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationS
         if gap < 0.0:  # a fresh population's first gap
             if buf.size == 0:
                 buf = rng.random(block)
-            gap = -_log1p(-float(buf[0])) / rate
+            gap = float(_neg_log1p(buf[:1])[0]) / rate
             pos = 1
         inv_rate = 1.0 / rate
         tau = pop.tau
@@ -355,12 +365,13 @@ def _advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationS
                 tail = buf[pos:] if buf.size - pos == 2 else buf[:0]
                 buf = np.concatenate((tail, rng.random(block)))
                 pos = 0
-            k = min((buf.size - pos) // 3, _BLOCK_EVENTS)
+            k = min((buf.size - pos) // 3, _RUN_EVENTS)
             draws = buf[pos : pos + 3 * k].reshape(k, 3)
             i = (draws[:, 0] * m).astype(np.int64)
             j = (draws[:, 1] * (m - 1)).astype(np.int64)
             j += j >= i
-            gaps = -np.fromiter(map(_log1p, (-draws[:, 2]).tolist()), float, k) * inv_rate
+            gaps = _neg_log1p(draws[:, 2])
+            gaps *= inv_rate
             # The same left-to-right additions as stepping tau += gap event by event.
             times = np.cumsum(np.concatenate(([tau, gap], gaps[:-1])))[1:]
             n = int(np.searchsorted(times, tau_end, side="right"))
@@ -382,6 +393,98 @@ def _advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationS
     emit_until(tau_end)
     pop.tau = tau_end
     return snaps
+
+
+# fdlibm's log1p constants (Sun Microsystems, 1993), as in glibc 2.36
+# sysdeps/ieee754/dbl-64/s_log1p.c.
+_LN2_HI = 6.93147180369123816490e-01  # 0x3FE62E42 FEE00000
+_LN2_LO = 1.90821492927058770002e-10  # 0x3DEA39EF 35793C76
+_LP1 = 6.666666666666735130e-01  # 0x3FE55555 55555593
+_LP2 = 3.999999999940941908e-01  # 0x3FD99999 9997FA04
+_LP3 = 2.857142874366239149e-01  # 0x3FD24924 94229359
+_LP4 = 2.222219843214978396e-01  # 0x3FCC71C5 1D8E78AF
+_LP5 = 1.818357216161805012e-01  # 0x3FC74664 96CB03DE
+_LP6 = 1.531383769920937332e-01  # 0x3FC39A09 D078C69F
+_LP7 = 1.479819860511658591e-01  # 0x3FC2F112 DF3E5244
+_K0_END = float.fromhex("0x1.2bec4p-2")  # high word 0x3FD2BEC4: below it, f = x and k = 0
+_SQRT2_CUT = float.fromhex("0x1.6a09ep-1")  # high word 0x3FE6A09E: 1 + x at or above it is halved
+
+
+def _neg_log1p(u: np.ndarray) -> np.ndarray:
+    """-log1p(-u) for floats u in [0, 1), with the bits of fdlibm's log1p.
+
+    A port of glibc 2.36's s_log1p.c evaluated without fused multiply-add
+    (its __log1p_sse2). It is written in the negated quantities f' = -f,
+    k' = -k and c' = -c, which round exactly as fdlibm's do. It uses only
+    + - * /, frexp and compares, so every IEEE double platform gets the
+    same bits. Branches take exact 0.0/1.0 weights; the two rare ones
+    (|x| < 2^-29, and the hu == 0 shortcut for |f| < 2^-20) are patched
+    per index.
+    """
+    # fdlibm's 1 + x = 2^k (1 + f) with 1 + f in [sqrt(2)/2, sqrt(2)); the arrays
+    # k, f and c below hold k' = -k, f' = -f and c' = -c.
+    u1 = 1.0 - u
+    m, e = np.frexp(u1)  # u1 = m 2^e with m in [1/2, 1)
+    low = m < _SQRT2_CUT  # then 1 + f = 2m and k = e - 1, else 1 + f = m and k = e
+    k = np.subtract(low, e, dtype=float)
+    f = np.add(low, 1.0)
+    f *= m
+    np.subtract(1.0, f, out=f)
+    c = u1 - 1.0  # the rounding error of 1 + x, relative to it
+    c += u
+    c /= u1
+    # Below _K0_END fdlibm takes f = x and k = 0; glibc also drops c wherever k = 0.
+    w = np.greater_equal(u, _K0_END).astype(float)
+    f *= w
+    t = 1.0 - w
+    t *= u
+    f += t
+    k *= w
+    np.minimum(k, 1.0, out=t)
+    c *= t
+    hfsq = 0.5 * f
+    hfsq *= f
+    s = 2.0 - f
+    np.divide(f, s, out=s)
+    z = s * s
+    z2 = z * z
+    z4 = z2 * z2
+    # R = z Lp1 + z2 (Lp2 + z Lp3) + z4 (Lp4 + z Lp5) + z6 (Lp6 + z Lp7), in glibc's order.
+    r = z * _LP1
+    for zp, lo, hi in ((z2, _LP2, _LP3), (z4, _LP4, _LP5), (z4 * z2, _LP6, _LP7)):
+        np.multiply(z, hi, out=t)
+        t += lo
+        t *= zp
+        r += t
+    # -log1p = k' ln2_hi + ((hfsq + (s' (hfsq + R) + (k' ln2_lo + c'))) + f')
+    r += hfsq
+    r *= s
+    np.multiply(k, _LN2_LO, out=t)
+    t += c
+    r += t
+    r += hfsq
+    r += f
+    np.multiply(k, _LN2_HI, out=t)
+    r += t
+    for n in np.flatnonzero(np.abs(f) < 2.0**-19).tolist():  # holds every rare point
+        y = _neg_log1p_rare(float(u[n]), float(f[n]), float(k[n]), float(c[n]))
+        if y is not None:
+            r[n] = y
+    return r
+
+
+def _neg_log1p_rare(u: float, f: float, k: float, c: float) -> float | None:
+    """fdlibm's two rare branches at one point, in the negated quantities of
+    _neg_log1p; None where its main path holds."""
+    if u < 2.0**-29:
+        return u if u < 2.0**-54 else u + u * u * 0.5
+    if u < _K0_END or not -(2.0**-20) < f <= 1.5 * 2.0**-20:  # hu != 0
+        return None
+    if f == 0.0:
+        return k * _LN2_HI + (c + k * _LN2_LO)
+    hfsq = 0.5 * f * f
+    r = hfsq * (1.0 + 0.66666666666666666 * f)
+    return k * _LN2_HI + ((r + (k * _LN2_LO + c)) + f)
 
 
 def _wavefront_levels(i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -423,15 +526,13 @@ def _apply_events(pop: Population, i: np.ndarray, j: np.ndarray, t: np.ndarray) 
     if i.size == 0:
         return
     lev = _wavefront_levels(i, j)
-    order = np.argsort(lev)  # the order within a level does not matter
-    i, j, t = i[order], j[order], t[order]
-    bounds = np.cumsum(np.bincount(lev)).tolist()
     u_s, t_s, loc = pop.u_sync, pop.t_sync, pop.localized
     ceiling, cap = pop.u_ceiling, pop.entrant_cap
     adopt = pop.entrant_rule == "adopt"
     overflow = n_ll = n_ld = 0
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        x, y, tl = i[a:b], j[a:b], t[a:b]
+    for level in range(1, int(lev.max()) + 1):
+        sel = np.flatnonzero(lev == level)  # the order within a level does not matter
+        x, y, tl = i[sel], j[sel], t[sel]
         lx, ly = loc[x], loc[y]
         both = lx & ly
         if both.any():

@@ -74,8 +74,10 @@ class UGrid:
 
     @classmethod
     def from_spacing(cls, u_max: float, h: float) -> "UGrid":
-        if h <= 0:
-            raise ValueError(f"spacing must be positive, got {h}")
+        if not 0 < h < np.inf:
+            raise ValueError(f"spacing must be positive and finite, got {h}")
+        if not 0 < u_max < np.inf:
+            raise ValueError(f"u_max must be positive and finite, got {u_max}")
         n = int(round(u_max / h))
         if n < 2 or abs(n * h - u_max) > 1e-9 * u_max:
             raise ValueError(f"u_max={u_max} is not an integer multiple of h={h}")

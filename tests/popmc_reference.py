@@ -4,11 +4,11 @@ It applies one event per Python iteration on lists of floats, drawing the
 indices and the next gap from the block buffer exactly as the stream layout
 prescribes. The batched loop applies the same events in wavefront levels
 with numpy gathers and scatters, so the two agree bit for bit: final
-state, buffer tail, pending gap, counters and every snapshot. Tests swap
-this function in for ``popmc._advance`` to run the public API on it.
+state, buffer tail, pending gap, counters and every snapshot. Both take
+their gaps from ``popmc._neg_log1p``, here applied to each whole buffer.
+Tests swap this function in for ``popmc._advance`` to run the public API
+on it.
 """
-
-from math import log1p as _log1p
 
 import numpy as np
 
@@ -18,11 +18,13 @@ from randloc.popmc import Population, PopulationSnapshot
 
 def reference_advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationSnapshot]:
     """Event loop core. Mutates pop in place and returns the snapshots."""
+    if not np.isfinite(tau_end):
+        raise ValueError(f"tau_end must be finite, got {tau_end}")
     if tau_end < pop.tau - 1e-12:
         raise ValueError(f"tau_end={tau_end} is before the population time {pop.tau}")
     pending = sorted(float(t) for t in snapshot_taus)
     for t in pending:
-        if t < pop.tau - 1e-12 or t > tau_end + 1e-12:
+        if not pop.tau - 1e-12 <= t <= tau_end + 1e-12:
             raise ValueError(f"snapshot time {t} outside [{pop.tau}, {tau_end}]")
     snaps: list[PopulationSnapshot] = []
     m = pop.size
@@ -62,14 +64,19 @@ def reference_advance(pop: Population, tau_end: float, snapshot_taus) -> list[Po
         emit_until(tau_end)
         tau = tau_end
     else:
-        buf = pop._buffer.tolist()
+        def refill():
+            # -log1p(-u) of every uniform, so a gap is one lookup
+            block = rng.random(3 * block_events)
+            return block.tolist(), popmc._neg_log1p(block).tolist()
+
+        buf, neg = pop._buffer.tolist(), popmc._neg_log1p(pop._buffer).tolist()
         pos = 0
         gap = pop._pending_gap
         if gap < 0.0:
             if pos + 1 > len(buf):
-                buf = rng.random(3 * block_events).tolist()
+                buf, neg = refill()
                 pos = 0
-            gap = -_log1p(-buf[pos]) / rate
+            gap = neg[pos] / rate
             pos += 1
         inv_rate = 1.0 / rate
         m1 = m - 1
@@ -85,7 +92,7 @@ def reference_advance(pop: Population, tau_end: float, snapshot_taus) -> list[Po
                 emit_until(t_next)
             tau = t_next
             if pos + 2 > n_buf:
-                buf = rng.random(3 * block_events).tolist()
+                buf, neg = refill()
                 pos = 0
                 n_buf = len(buf)
             i = int(buf[pos] * m)
@@ -132,10 +139,10 @@ def reference_advance(pop: Population, tau_end: float, snapshot_taus) -> list[Po
                 n_dd += 1
             # draw the next interarrival with the same block discipline
             if pos + 1 > n_buf:
-                buf = rng.random(3 * block_events).tolist()
+                buf, neg = refill()
                 pos = 0
                 n_buf = len(buf)
-            gap = -_log1p(-buf[pos]) * inv_rate
+            gap = neg[pos] * inv_rate
             pos += 1
         pop._buffer = np.asarray(buf[pos:])
         pop._pending_gap = float(gap)

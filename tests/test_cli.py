@@ -1,5 +1,10 @@
 """End-to-end CLI runs: directories, headers, exit codes, reruns."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -143,6 +148,53 @@ def test_mc_header_counts_events_by_type(tmp_path, capsys):
     assert int(meta["events_loc_deloc"]) == localized - 200
     assert int(meta["events_loc_loc"]) > 0
     assert int(meta["events_deloc_deloc"]) > 0
+
+
+@pytest.mark.parametrize("tau_end", ["nan", "inf"])
+def test_non_finite_mc_end_time_is_exit_code_one(tmp_path, tau_end):
+    # Without its guard such an end keeps the event loop alive for ever, so
+    # the run goes to a subprocess whose timeout turns a hang into a failure.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "randloc.cli", "mc-steady", "--out", str(tmp_path),
+         "--set", f"tau_end={tau_end}", "--set", "m_particles=2000"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "error: tau_end must be finite" in proc.stderr
+    assert not list(tmp_path.glob("mc-steady/*/*.csv"))
+
+
+def test_nan_mc_snapshot_time_is_exit_code_one(tmp_path, capsys):
+    rc = main(["mc-transient", "--out", str(tmp_path), "--set", "m_particles=1000",
+               "--set", "tau_end=1.0", "--set", "snapshot_taus=0.5,nan"])
+    assert rc == 1
+    assert "snapshot time nan outside" in capsys.readouterr().err
+    assert not list(tmp_path.glob("mc-transient/*/*.csv"))
+
+
+@pytest.mark.parametrize(
+    "subcommand, sets, message",
+    [
+        ("mc-steady", ["hist_h=0.07"], "is not an integer multiple of h=0.07"),
+        ("mc-steady", ["hist_h=nan"], "spacing must be positive and finite, got nan"),
+        ("mc-transient", ["hist_u_max=inf"], "u_max must be positive and finite, got inf"),
+    ],
+)
+def test_bad_histogram_grid_fails_before_any_event(tmp_path, capsys, monkeypatch,
+                                                   subcommand, sets, message):
+    def run(*args, **kwargs):
+        pytest.fail("the Monte Carlo run started")
+
+    monkeypatch.setattr(cli, "run_steady", run)
+    monkeypatch.setattr(cli, "run_transient", run)
+    argv = [subcommand, "--out", str(tmp_path), "--set", "m_particles=1000"]
+    rc = main(argv + [x for kv in sets for x in ("--set", kv)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob(f"{subcommand}/*/*.csv"))
 
 
 def test_oracle_reports_fitted_order(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Pairwise event-driven Monte Carlo population dynamics."""
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -82,10 +83,11 @@ def test_checkpoint_rejects_foreign_version(tmp_path):
     save_checkpoint(pop, path)
     with np.load(path) as z:
         payload = {k: z[k] for k in z.files}
-    payload["version"] = np.int64(99)
-    np.savez(path, **payload)
-    with pytest.raises(ValueError, match="version"):
-        load_checkpoint(path)
+    for version in (2, 99):  # version 2 drew its gaps with the platform's log1p
+        payload["version"] = np.int64(version)
+        np.savez(path, **payload)
+        with pytest.raises(ValueError, match=f"version {version}"):
+            load_checkpoint(path)
 
 
 def test_resume_requires_generator():
@@ -205,6 +207,22 @@ def test_non_finite_rate_is_rejected(rate):
         run_steady(1000, 1.0, seed=0, pair_rate=rate)
 
 
+@pytest.mark.parametrize("tau_end", [np.nan, np.inf])
+def test_non_finite_end_time_is_rejected(tau_end):
+    with pytest.raises(ValueError, match="tau_end must be finite"):
+        run_steady(1000, tau_end, seed=0)
+    pop, _ = run_transient(1000, 0.5, 0.5, seed=0)
+    with pytest.raises(ValueError, match="tau_end must be finite"):
+        resume(pop, tau_end)
+    assert pop.tau == 0.5
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_non_finite_snapshot_time_is_rejected(t):
+    with pytest.raises(ValueError, match="outside"):
+        run_steady(1000, 1.0, seed=0, snapshot_taus=(0.5, t))
+
+
 def test_empty_sample_guards():
     grid = UGrid.from_spacing(5.0, 0.1)
     with pytest.raises(ValueError, match="no localized"):
@@ -258,9 +276,26 @@ def assert_bit_identical(batched, dense):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("M", [1000, 4001])
+@pytest.mark.parametrize("M", [1000, 2000, 4001])
 def test_batched_steady_matches_reference(seed, M):
     assert_bit_identical(*both_loops(lambda: run_steady(M, 3.0, seed, (0.5, 1.7, 3.0))))
+
+
+# Runs of a few events split the wavefronts and the blocks at every place; runs
+# of one event (slow: about 100 numpy calls an event) take only seed 0.
+@pytest.mark.parametrize("run_events, seed", [(n, s) for n in (3, 7) for s in (0, 1, 2)] + [(1, 0)])
+@pytest.mark.parametrize("M", [1000, 2000, 4001])
+def test_batched_run_sizes_match_reference(monkeypatch, run_events, seed, M):
+    monkeypatch.setattr(popmc, "_RUN_EVENTS", run_events)
+    assert_bit_identical(*both_loops(lambda: run_steady(M, 3.0, seed, (0.5, 1.7, 3.0))))
+
+
+def test_full_runs_at_small_population_have_many_levels():
+    # At M = 2000 a full run touches each particle about 8 times.
+    rng = np.random.default_rng(0)
+    i = rng.integers(0, 2000, popmc._RUN_EVENTS)
+    j = (i + rng.integers(1, 2000, i.size)) % 2000
+    assert popmc._wavefront_levels(i, j).max() >= 10
 
 
 @pytest.mark.parametrize("g0", [0.1, 1.0])
@@ -343,6 +378,69 @@ def test_batched_loop_matches_reference_property(seed, M, g0, rule, tau_end, sna
     taus = tuple(tau_end * f for f in snaps)
     assert_bit_identical(*both_loops(lambda: run_transient(
         M, g0, tau_end, seed, rule, taus, entrant_cap=1.0)))
+
+
+# Event gaps -------------------------------------------------------------------
+
+# (u, -log1p(-u)) as bit patterns, from glibc 2.36's non-FMA log1p
+# (__log1p_sse2 in libm.a) at x = -u: one or more inputs per branch.
+_NEG_LOG1P_GOLDEN = [
+    ("0x0.0p+0", "0x0.0p+0"),  # u = 0
+    ("0x0.0000000000001p-1022", "0x0.0000000000001p-1022"),  # smallest subnormal
+    ("0x1.0000000000000p-55", "0x1.0000000000000p-55"),  # |x| < 2^-54: log1p(x) = x
+    ("0x1.fffffffffffffp-55", "0x1.fffffffffffffp-55"),  # just below 2^-54
+    ("0x1.0000000000000p-54", "0x1.0000000000000p-54"),  # 2^-54: x - x*x/2
+    ("0x1.0000000000000p-53", "0x1.0000000000000p-53"),  # 2^-53
+    ("0x1.0000000000000p-40", "0x1.0000000000800p-40"),  # below 2^-29
+    ("0x1.fffffffffffffp-30", "0x1.00000003fffffp-29"),  # just below 2^-29
+    ("0x1.0000000000000p-29", "0x1.0000000400000p-29"),  # 2^-29: main path
+    ("0x1.ad7f29abcaf48p-24", "0x1.ad7f2b1414ae8p-24"),  # small, k = 0
+    ("0x1.0000000000000p-20", "0x1.0000080000555p-20"),  # 2^-20, k = 0
+    ("0x1.999999999999ap-4", "0x1.af8e8210a415ep-4"),  # k = 0
+    ("0x1.0000000000000p-2", "0x1.269621134db92p-2"),  # k = 0
+    ("0x1.2bec3ffffffffp-2", "0x1.62e4420e1ff0fp-2"),  # just below high word 0x3FD2BEC4: k = 0
+    ("0x1.2bec400000000p-2", "0x1.62e4420e1ff10p-2"),  # high word 0x3FD2BEC4: 1 + x on the sqrt(2)/2 cut
+    ("0x1.2bec400000001p-2", "0x1.62e4420e1ff10p-2"),  # 1 + x rounds onto the cut: k = 0 and glibc drops c
+    ("0x1.2bec400000002p-2", "0x1.62e4420e1ff13p-2"),  # just above: k = -1
+    ("0x1.4afb100000000p-1", "0x1.0a2b287b59cbcp+0"),  # 1 + x = cut/2: halved, k = -1
+    ("0x1.4afb100000001p-1", "0x1.0a2b287b59cbdp+0"),  # 1 + x just below cut/2: k = -2
+    ("0x1.fa57d88000000p-1", "0x1.205968149cb64p+2"),  # 1 + x = cut/64
+    ("0x1.fa57d88000001p-1", "0x1.205968149cb70p+2"),  # 1 + x just below cut/64
+    ("0x1.3333333333333p-2", "0x1.6d3c324e13f4ep-2"),
+    ("0x1.0000000000000p-1", "0x1.62e42fefa39efp-1"),  # f == 0, k = -1
+    ("0x1.8000000000000p-1", "0x1.62e42fefa39efp+0"),  # f == 0, k = -2
+    ("0x1.ff80000000000p-1", "0x1.bb9d3beb8c86bp+2"),  # f == 0, k = -10
+    ("0x1.fffffff800000p-2", "0x1.62e42fe7a39efp-1"),  # hu == 0 below a power of two: f = 2^-30
+    ("0x1.ffffe00000002p-2", "0x1.62e40fefa49f1p-1"),  # hu == 0: f just under 2^-20
+    ("0x1.ffffe00000000p-2", "0x1.62e40fefa49efp-1"),  # f = 2^-20: hu = 1, main path
+    ("0x1.0000020000000p-1", "0x1.62e433efa3a2fp-1"),  # hu == 0 above a power of two (u1 just under 1/2)
+    ("0x1.0000180000000p-1", "0x1.62e45fefa5defp-1"),  # hu == 0 at its edge: m = 1 - 3*2^-21
+    ("0x1.0000180000001p-1", "0x1.62e45fefa5df1p-1"),  # just past the hu == 0 edge: main path
+    ("0x1.8000000800000p-1", "0x1.62e42fffa39efp+0"),  # hu == 0 above 1/4
+    ("0x1.3333333333333p-1", "0x1.d5240f0e0e077p-1"),
+    ("0x1.ccccccccccccdp-1", "0x1.26bb1bbb55516p+1"),
+    ("0x1.ff7ced916872bp-1", "0x1.ba18a998fff9fp+2"),
+    ("0x1.f9add3739635fp-4", "0x1.0ddd0ce44ea5ap-3"),
+    ("0x1.ffffffffffffep-1", "0x1.205966f2b4f12p+5"),
+    ("0x1.fffffffffffffp-1", "0x1.25e4f7b2737fap+5"),  # largest uniform below 1
+]
+
+
+def test_neg_log1p_matches_glibc_bit_for_bit():
+    u = np.array([float.fromhex(x) for x, _ in _NEG_LOG1P_GOLDEN])
+    want = np.array([float.fromhex(y) for _, y in _NEG_LOG1P_GOLDEN])
+    got = popmc._neg_log1p(u)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+    # one element at a time, and strided, give the same bits
+    assert all(popmc._neg_log1p(u[n : n + 1])[0] == want[n] for n in range(u.size))
+    assert np.array_equal(popmc._neg_log1p(np.repeat(u, 3)[1::3]), want)
+
+
+def test_neg_log1p_is_within_one_ulp_of_math_log1p():
+    u = np.random.Generator(np.random.Philox(key=2024)).random(10**6)
+    got = popmc._neg_log1p(u)
+    want = -np.array([math.log1p(-x) for x in u.tolist()])
+    assert np.all(np.abs(got.view(np.int64) - want.view(np.int64)) <= 1)
 
 
 # Event counts by type ---------------------------------------------------------
