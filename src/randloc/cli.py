@@ -36,7 +36,7 @@ from .meanfield import (
     solve_steady,
 )
 from .popmc import empirical_density, run_steady, run_transient
-from .udist import UGrid, moment
+from .udist import UGrid, _check_table_bytes, moment
 
 __all__ = ["main"]
 
@@ -89,6 +89,9 @@ def cmd_transient(cfg: dict, run_dir: Path) -> None:
     dtau = cfg["dtau"] if cfg["dtau"] > 0.0 else None
     sc = SolverConfig(u_max=cfg["u_max"], h=cfg["h"], dtau=dtau)
     grid = sc.grid
+    # the initial density has a value a node and the closed trajectory one
+    # a step, of h by default: an oversized grid is refused before either
+    _check_table_bytes("deposit", grid)
     p0 = resolve_init(grid, cfg["init"])
     if cfg["g_mode"] == "closed":
         g = closed_trajectory(cfg["g0"], cfg["tau_end"], sc.dtau_resolved)

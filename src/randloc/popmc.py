@@ -214,6 +214,11 @@ def _draw_init_values(init: UDensity | None, n: int, rng: np.random.Generator) -
     return sample_from_density(init, n, rng)
 
 
+def _check_positive_finite(name: str, value: float) -> None:
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def run_steady(
     M: int,
     tau_end: float,
@@ -233,6 +238,7 @@ def run_steady(
     """
     if M < _MIN_STEADY:
         raise ValueError(f"steady runs need at least {_MIN_STEADY} particles, got {M}")
+    _check_positive_finite("u_ceiling", u_ceiling)
     rng = _new_rng(seed)
     pop = Population(
         seed=seed,
@@ -272,8 +278,9 @@ def run_transient(
         raise ValueError(f"g0 must lie in [0, 1], got {g0}")
     if entrant_rule not in _ENTRANT_RULES:
         raise ValueError(f"unknown entrant rule {entrant_rule!r}")
-    if entrant_rule == "capped" and entrant_cap <= 0.0:
-        raise ValueError("entrant_cap must be positive")
+    if entrant_rule == "capped":
+        _check_positive_finite("entrant_cap", entrant_cap)
+    _check_positive_finite("u_ceiling", u_ceiling)
     n0 = int(np.ceil(g0 * M))
     if g0 > 0 and n0 < _MIN_SEEDED:
         raise ValueError(

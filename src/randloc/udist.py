@@ -20,8 +20,10 @@ Core physics operations:
   The "node" scheme evaluates K[p, p] at the nodes by a fourth-order
   quadrature of its integral form. It is not mass-exact; the steady solver
   and the steady residual use it. Its cached tables hold one row of pairs
-  per node u_i <= u_max / 2 (36 bytes a pair, under N^2 / 4 pairs); they
-  are built row block by row block, without pair-sized temporaries.
+  per node u_i <= u_max / 2 (20 bytes a pair, under N^2 / 4 pairs): each
+  pair keeps its cubic stencil's offset, and a call forms the stencil in
+  Newton form from forward differences of p. They are built row block by
+  row block, without pair-sized temporaries.
   Both schemes store node indices as uint16, so a grid has at most 65536
   nodes. Both walk their pairs in fixed blocks of about 64k, cut at
   segment starts (a target bin, a row), on at most two threads once a grid
@@ -160,13 +162,13 @@ def _table_bytes(kind: str, grid: UGrid) -> int:
         # starts, diag and the blocks' segment and diagonal starts (intp),
         # each at most one a node
         return 12 * (n * (n + 1) // 2) + 40 * n
-    # j, b (uint16) and four float64 weights of each of at most
-    # half * (n_bins - half) pairs; rows and starts (intp) of each row; and
-    # the Gauss part's points, 88 bytes each: 8 ceil(4 log(m / i)) for each
-    # row i < m, fewer than 40 m in all
+    # j, b (uint16) and the stencil offset and folded weight (float64) of
+    # each of at most half * (n_bins - half) pairs; rows and starts (intp)
+    # of each row; and the Gauss part's points, 88 bytes each:
+    # 8 ceil(4 log(m / i)) for each row i < m, fewer than 40 m in all
     half = grid.n_bins // 2
     m = _near_cells(grid.u_max, grid.n_bins)
-    return 36 * half * (grid.n_bins - half) + 16 * half + 88 * 40 * m
+    return 20 * half * (grid.n_bins - half) + 16 * half + 88 * 40 * m
 
 
 def _check_table_bytes(kind: str, grid: UGrid) -> None:
@@ -524,9 +526,10 @@ def collision_kernel(p: UDensity, q: UDensity, *, scheme: str = "deposit") -> UD
       ``_node_kernel``. Fourth order in h for smooth p, but the output mass
       equals mass(p)^2 only to that order. Needs q equal to p. The cached
       tables of ``_node_tables`` hold one row of pairs per node with
-      u <= u_max / 2: a uint16 node, a uint16 stencil start and four
-      float64 weights, 36 bytes a pair, under N^2 / 4 pairs. Each row's
-      value is a sum over its contiguous segment of pairs.
+      u <= u_max / 2: a uint16 node, a uint16 stencil start, a float64
+      stencil offset and a float64 folded weight, 20 bytes a pair, under
+      N^2 / 4 pairs. Each row's value is a sum over its contiguous segment
+      of pairs.
 
     Both schemes walk their pairs in fixed blocks of about 64k, cut at
     segment starts (a bin, a row) from the tables alone, on at most
@@ -620,13 +623,18 @@ _NEAR_SPAN = 1.0
 _NEAR_PANEL = 0.25
 
 
-def _lagrange4(s: np.ndarray, n_bins: int, out: np.ndarray | None = None):
-    """First node b and weights of the 4-point Lagrange stencil b..b+3 that
-    interpolates node values at positions s, in units of h; the weights go
-    into ``out`` (4 rows) when it is given."""
+def _stencil(s: np.ndarray, n_bins: int):
+    """First node b of the 4-point stencil b..b+3 that interpolates node
+    values at positions s, in units of h, and the offset t = s - b."""
     b = np.clip(np.floor(s).astype(np.int64) - 1, 0, n_bins - 3)
-    t = s - b
-    w = np.empty((4, t.size)) if out is None else out
+    return b, s - b
+
+
+def _lagrange4(s: np.ndarray, n_bins: int):
+    """First node b and the four Lagrange weights of the stencil of
+    ``_stencil`` at positions s."""
+    b, t = _stencil(s, n_bins)
+    w = np.empty((4, t.size))
     w[0] = -(t - 1.0) * (t - 2.0) * (t - 3.0) / 6.0
     w[1] = t * (t - 2.0) * (t - 3.0) / 2.0
     w[2] = -t * (t - 1.0) * (t - 3.0) / 2.0
@@ -661,9 +669,10 @@ def _node_tables(u_max: float, n_bins: int):
     from j = 2i. Gregory's end weights sit at each row's first node.
 
     Returns the node part (row numbers, each row's start in the flat pair
-    arrays, the node j of every pair (uint16), the stencil b for p(y_j)
-    (uint16), and its four weights with quadrature weight and Jacobian
-    folded in; 36 bytes per pair, under n_bins^2 / 4 pairs) and the Gauss
+    arrays, the node j of every pair (uint16), the start b (uint16) and
+    offset t = y_j / h - b (float64) of the 4-point stencil for p(y_j), and
+    the pair's quadrature weight with the Jacobian and 2h folded in
+    (float64); 20 bytes per pair, under n_bins^2 / 4 pairs) and the Gauss
     part (row of every point, then stencil and weights for p(x) and for
     p(y), the quadrature weight folded into the latter). The flat arrays are
     allocated once and filled row block by row block of ``_segment_blocks``,
@@ -678,7 +687,8 @@ def _node_tables(u_max: float, n_bins: int):
     starts = np.cumsum(lens) - lens
     j = np.empty(int(lens.sum()), dtype=np.uint16)
     b = np.empty(j.size, dtype=np.uint16)
-    w = np.empty((4, j.size))
+    t = np.empty(j.size)
+    fold = np.empty(j.size)
     scale = 2.0 * u_max / n
 
     def fill(block):
@@ -688,7 +698,7 @@ def _node_tables(u_max: float, n_bins: int):
         jb = np.arange(s1 - s0) - np.repeat(seg - first[r0:r1], rl)
         r = jb / (jb - i)  # x / (x - u), so y_j / h = i r, in (i, 2i]
         j[s0:s1] = jb
-        b[s0:s1] = _lagrange4(i * r, n, out=w[:, s0:s1])[0]
+        b[s0:s1], t[s0:s1] = _stencil(i * r, n)
         # Rows too short for Gregory's weights lie near u_max / 2, where
         # p(x) p(y) is negligible, and keep the plain trapezoid; a one-node
         # row spans no interval.
@@ -698,7 +708,7 @@ def _node_tables(u_max: float, n_bins: int):
         for k, g in enumerate(_GREGORY):
             q[seg[long_row] + k] = g
         q[seg[~long_row]] = np.where(rl[~long_row] == 1, 0.0, 0.5)
-        w[:, s0:s1] *= q * scale * r * r
+        fold[s0:s1] = q * scale * r * r
 
     _run_blocks(_segment_blocks(starts, j.size, _BLOCK_PAIRS)[0], fill)
     # Gauss part: x - u = u e^s for s in [0, log(m / i)], in panels of at
@@ -715,7 +725,7 @@ def _node_tables(u_max: float, n_bins: int):
     by, wy = _lagrange4(ni + ni * ni / v, n)
     # dx = (x - u) ds, and x^2 / (x - u)^2 = (1 + u / (x - u))^2
     wy *= scale * (1.0 + ni / v) ** 2 * v * ws
-    tables = (rows, starts, j, b, w, ni.astype(np.int64), bx, wx, by, wy)
+    tables = (rows, starts, j, b, t, fold, ni.astype(np.int64), bx, wx, by, wy)
     for arr in tables:
         arr.setflags(write=False)
     return tables
@@ -737,22 +747,26 @@ def _node_kernel(p: UDensity) -> UDensity:
     exact K is nonnegative, so the projection never moves a node value
     further from it.
 
-    The node part walks the row blocks of ``_segment_blocks`` (about
-    _BLOCK_PAIRS pairs each, cut at row starts) through ``_run_blocks``,
-    in per-thread scratch, so no call allocates a pair-sized array. Every
-    row's sum lies in one block, so the output does not depend on the block
-    size or the thread count.
+    The node part interpolates p(y) in Newton form, from the forward
+    differences d1 = Δv, d2 = Δ²v / 2 and d3 = Δ³v / 6 of the node values,
+    built once a call. It walks the row blocks of ``_segment_blocks``
+    (about _BLOCK_PAIRS pairs each, cut at row starts) through
+    ``_run_blocks``, in per-thread scratch, so no call allocates a
+    pair-sized array. Every row's sum lies in one block, so the output does
+    not depend on the block size or the thread count.
     """
     g = p.grid
     if g.n_bins < 3:
         raise ValueError(f"the node scheme needs at least 3 bins, got {g.n_bins}")
     _check_table_bytes("node", g)
-    rows, starts, j, b, w, ni, bx, wx, by, wy = _node_tables(g.u_max, g.n_bins)
+    rows, starts, j, b, t, fold, ni, bx, wx, by, wy = _node_tables(g.u_max, g.n_bins)
     v = p.values
+    d1 = np.diff(v)
+    diffs = (v, d1, np.diff(d1) / 2.0, np.diff(d1, 2) / 6.0)
     out = np.zeros(g.n_nodes)
     row_out = out[rows[0]:rows[-1] + 1]
     blocks, width = _segment_blocks(starts, j.size, _BLOCK_PAIRS)
-    _run_blocks(blocks, lambda block: _node_block(block, width, j, b, w, v, row_out))
+    _run_blocks(blocks, lambda block: _node_block(block, width, j, b, t, fold, diffs, row_out))
     out += np.bincount(ni, weights=_interp4(v, bx, wx) * _interp4(v, by, wy),
                        minlength=g.n_nodes)
     wq = g.quad_weights().copy()
@@ -763,21 +777,29 @@ def _node_kernel(p: UDensity) -> UDensity:
     return UDensity(g, np.maximum(out, 0.0, out=out))
 
 
-def _node_block(block, width, j, b, w, v, row_out) -> None:
-    """One row block's sums of (((w0 v[b] + w1 v[b+1]) + w2 v[b+2]) +
-    w3 v[b+3]) v[j], into its slice of the row outputs, in this thread's
-    scratch."""
+def _node_block(block, width, j, b, t, fold, diffs, row_out) -> None:
+    """One row block's sums of fold (v[b] + t (d1[b] + (t - 1) (d2[b] +
+    (t - 2) d3[b]))) v[j], into its slice of the row outputs, in this
+    thread's scratch."""
     s0, s1, r0, r1, seg = block
+    v, d1, d2, d3 = diffs
     buf, idx = _scratch_rows(width)
     n = s1 - s0
-    acc, x, idx = buf[0, :n], buf[1, :n], idx[:n]
+    acc, x, idx, tb = buf[0, :n], buf[1, :n], idx[:n], t[s0:s1]
     idx[:] = b[s0:s1]  # widened once, for the four gathers
+    np.take(d3, idx, out=acc, mode="clip")
+    np.subtract(tb, 2.0, out=x)
+    acc *= x
+    np.take(d2, idx, out=x, mode="clip")
+    acc += x
+    np.subtract(tb, 1.0, out=x)
+    acc *= x
+    np.take(d1, idx, out=x, mode="clip")
+    acc += x
+    acc *= tb
     np.take(v, idx, out=x, mode="clip")
-    np.multiply(w[0, s0:s1], x, out=acc)
-    for k in (1, 2, 3):
-        np.take(v[k:], idx, out=x, mode="clip")
-        x *= w[k, s0:s1]
-        acc += x
+    acc += x
+    acc *= fold[s0:s1]
     idx[:] = j[s0:s1]
     np.take(v, idx, out=x, mode="clip")
     acc *= x

@@ -1,9 +1,11 @@
-"""Closed forms shared by the kernel and steady-residual tests, and the
-Hypothesis profile of the suite."""
+"""Closed forms shared by the kernel and steady-residual tests, a guard
+against grid-sized allocations, and the Hypothesis profile of the suite."""
 
 import numpy as np
 import pytest
 from hypothesis import settings
+
+from randloc import udist
 
 # Every run draws the same examples, so a tier-1 run is reproducible; each
 # test keeps its own max_examples.
@@ -33,3 +35,17 @@ def exp_pair_density():
         return np.where(u > 0.0, out, 2.0)
 
     return density
+
+
+@pytest.fixture
+def no_grid_beyond_uint16(monkeypatch):
+    """Fails the test as soon as the node or weight arrays of a grid of more
+    than 65536 nodes are built, before anything is allocated."""
+    build = udist._grid_tables
+
+    def guarded(u_max, n_bins):
+        if n_bins + 1 > 1 << 16:
+            pytest.fail(f"the arrays of a grid of {n_bins + 1} nodes were built")
+        return build(u_max, n_bins)
+
+    monkeypatch.setattr(udist, "_grid_tables", guarded)

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: directories, headers, exit codes, reruns."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -292,6 +293,56 @@ def test_grid_beyond_uint16_nodes_is_exit_code_one(tmp_path, capsys, monkeypatch
     rc = main([subcommand, "--out", str(tmp_path), "--set", "h=0.0004"])
     assert rc == 1
     assert "75001 nodes) index nodes as uint16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["steady", "transient"])
+def test_grid_far_beyond_uint16_fails_before_any_grid_array(tmp_path, capsys,
+                                                            no_grid_beyond_uint16, subcommand):
+    rc = main([subcommand, "--out", str(tmp_path), "--set", "h=1e-9"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "30000000001 nodes) index nodes as uint16" in err
+
+
+@pytest.mark.parametrize(
+    "subcommand, sets, message",
+    [
+        ("mc-transient", ["entrant_rule=capped", "entrant_cap=nan", "g0=0.1"],
+         "entrant_cap must be positive and finite, got nan"),
+        ("mc-transient", ["entrant_rule=capped", "entrant_cap=inf", "g0=0.1"],
+         "entrant_cap must be positive and finite, got inf"),
+        ("mc-transient", ["u_ceiling=nan", "g0=0.1"], "u_ceiling must be positive and finite, got nan"),
+        ("mc-steady", ["u_ceiling=nan"], "u_ceiling must be positive and finite, got nan"),
+        ("mc-steady", ["u_ceiling=-1"], "u_ceiling must be positive and finite, got -1.0"),
+    ],
+)
+def test_non_finite_mc_cap_or_ceiling_is_exit_code_one(tmp_path, capsys, subcommand, sets,
+                                                       message):
+    argv = [subcommand, "--jobs", "1", "--out", str(tmp_path),
+            "--set", "m_particles=2000", "--set", "tau_end=1"]
+    rc = main(argv + [x for kv in sets for x in ("--set", kv)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"error: {message}\n"
+    assert not list(tmp_path.glob(f"{subcommand}/*/*.csv"))
+
+
+def test_python_m_randloc_runs_the_cli(tmp_path, capsys, monkeypatch):
+    # in process: the package's __main__ hands sys.argv to cli.main
+    def refuse(*args, **kwargs):
+        pytest.fail("a subprocess or worker pool was started")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(sys, "argv", ["randloc", "gamma", "--out", str(tmp_path),
+                                      "--set", "tau_end=1", "--set", "name=m"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("randloc", run_name="__main__")
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.strip() == str(tmp_path / "gamma" / "m")
+    taus, _, _ = read_trajectory(f"{tmp_path}/gamma/m/gamma.csv")
+    assert taus[-1] == 1.0
 
 
 def test_failed_echo_write_keeps_old_file(tmp_path, capsys, monkeypatch):

@@ -195,3 +195,12 @@ def test_boundary_slope_vanishes_with_resolution(steady):
         slopes[h] = abs(float(np.gradient(p.values, h, edge_order=2)[0]))
     assert slopes[0.025] < slopes[0.05]
     assert slopes[0.05] < 1e-4
+
+
+def test_oversized_grid_is_refused_before_any_grid_array(no_grid_beyond_uint16):
+    # h = 1e-9 would take about 224 GiB of node and weight arrays alone
+    with pytest.raises(ValueError, match="30000000001 nodes"):
+        solve_steady(SolverConfig(u_max=30.0, h=1e-9))
+    g = UGrid(30.0, 1 << 16)
+    with pytest.raises(ValueError, match="65537 nodes"):
+        residual_steady(UDensity(g, np.ones(g.n_nodes)))

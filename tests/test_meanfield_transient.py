@@ -208,3 +208,9 @@ def test_resummed_rejects_partial_cell_spacing(seeded_run):
         grid=sol.grid, taus=np.array([0.0, 0.05, 0.15]), densities=sol.densities[:3], dtau=0.05
     )
     assert residual_resummed(whole, 0.1).footnote[0] < 1e-15
+
+
+def test_oversized_grid_is_refused_before_any_grid_array(no_grid_beyond_uint16):
+    # h = 1e-9 would take about 224 GiB of node and weight arrays alone
+    with pytest.raises(ValueError, match="30000000001 nodes"):
+        evolve_transient(ue_init(), 0.5, 1.0, SolverConfig(u_max=30.0, h=1e-9))

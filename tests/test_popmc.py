@@ -182,6 +182,9 @@ def test_population_size_guards():
         (dict(g0=1.5), "g0"),
         (dict(entrant_rule="copy"), "entrant rule"),
         (dict(entrant_rule="capped", entrant_cap=0.0), "entrant_cap"),
+        (dict(entrant_rule="capped", entrant_cap=np.nan), "entrant_cap must be positive and finite"),
+        (dict(entrant_rule="capped", entrant_cap=np.inf), "entrant_cap must be positive and finite"),
+        (dict(u_ceiling=np.nan), "u_ceiling must be positive and finite"),
     ],
 )
 def test_transient_argument_validation(kwargs, msg):
@@ -189,6 +192,12 @@ def test_transient_argument_validation(kwargs, msg):
     base.update(kwargs)
     with pytest.raises(ValueError, match=msg):
         run_transient(**base)
+
+
+@pytest.mark.parametrize("ceiling", [np.nan, np.inf, 0.0, -1.0])
+def test_steady_u_ceiling_must_be_positive_and_finite(ceiling):
+    with pytest.raises(ValueError, match="u_ceiling must be positive and finite"):
+        run_steady(2000, 1.0, seed=0, u_ceiling=ceiling)
 
 
 def test_snapshot_and_rate_guards():

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from deposit_reference import deposit_kernel, deposit_tables
 from kernel_reference import dense_deposit
-from node_reference import node_kernel, node_tables
+from node_reference import node_kernel, thin_node_kernel, thin_node_tables
 
 import randloc
 from randloc import udist
+from randloc.meanfield import SolverConfig, solve_steady
 from randloc.udist import (
     UDensity,
     UGrid,
@@ -415,7 +416,11 @@ def test_predicted_table_bytes_bound_the_built_tables(n_bins, u_max):
     deposit = udist._nbytes(udist._deposit_tables(u_max, n_bins))
     deposit += udist._nbytes(udist._deposit_blocks(u_max, n_bins, udist._BLOCK_PAIRS))
     assert deposit <= udist._table_bytes("deposit", g)
-    assert udist._nbytes(udist._node_tables(u_max, n_bins)) <= udist._table_bytes("node", g)
+    node = udist._nbytes(udist._node_tables(u_max, n_bins))
+    assert node <= udist._table_bytes("node", g)
+    # 20 bytes a pair, plus row starts and the Gauss part, O(N)
+    half = n_bins // 2
+    assert node <= 20 * half * (n_bins - half) + 1800 * g.n_nodes
 
 
 @pytest.mark.parametrize("scheme", ["deposit", "node"])
@@ -467,8 +472,8 @@ def node_densities(draw):
 @given(node_densities(), st.integers(1, 64))
 def test_blocked_node_scheme_matches_one_shot_reference(p, block_pairs):
     g = p.grid
-    want_tables = node_tables(g.u_max, g.n_bins)
-    want = node_kernel(p)
+    want_tables = thin_node_tables(g.u_max, g.n_bins)
+    want = thin_node_kernel(p)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(udist, "_BLOCK_PAIRS", block_pairs)
         mp.setattr(udist, "_MIN_THREADED_BLOCKS", 2)
@@ -483,9 +488,15 @@ def test_blocked_node_scheme_matches_one_shot_reference(p, block_pairs):
 
 @pytest.mark.parametrize("h", [0.04, 0.02, 0.01])
 def test_node_scheme_matches_one_shot_reference_on_steady_grids(h):
+    # the Newton form interpolates the same cubic as the four Lagrange
+    # weights of the reference, so the two agree to rounding
     g = UGrid.from_spacing(30.0, h)
-    for p in (default_init_density(g), UDensity(g, np.exp(-g.nodes()))):
-        assert np.array_equal(collision_kernel(p, p, scheme="node").values, node_kernel(p))
+    steady = solve_steady(SolverConfig(u_max=30.0, h=h))
+    for p in (default_init_density(g), UDensity(g, np.exp(-g.nodes())), steady):
+        want = node_kernel(p)
+        got = collision_kernel(p, p, scheme="node").values
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+        assert np.array_equal(got, thin_node_kernel(p))
 
 
 def test_node_tables_and_call_peak_near_the_kept_tables():
@@ -501,7 +512,7 @@ def test_node_tables_and_call_peak_near_the_kept_tables():
     finally:
         tracemalloc.stop()
     kept = udist._nbytes(udist._node_tables(g.u_max, g.n_bins))
-    assert kept > 80e6
+    assert kept > 40e6
     assert peak < 1.25 * kept
 
 
