@@ -142,25 +142,15 @@ def _write_mc_outputs(run_dir: Path, cfg: dict, seed: int, snaps, final_pop, gri
               events_deloc_deloc=final_pop.events_deloc_deloc),
         names=("tau", "g_empirical"),
     )
-    blocks_t, blocks_u, blocks_p = [], [], []
-    for s in snaps:
-        if s.u_values.size == 0:
-            continue
-        d = empirical_density(s.u_values, grid)
-        blocks_t.append(np.full(grid.n_nodes, s.tau))
-        blocks_u.append(grid.nodes())
-        blocks_p.append(d.values)
-    if final_pop.n_localized > 0:
-        d = empirical_density(final_pop, grid)
-        blocks_t.append(np.full(grid.n_nodes, final_pop.tau))
-        blocks_u.append(grid.nodes())
-        blocks_p.append(d.values)
+    # one histogram block per snapshot and the final state, if any is localized
+    states = [(s.tau, s.u_values) for s in snaps] + [(final_pop.tau, final_pop.current_u())]
+    hists = [(tau, empirical_density(u, grid).values) for tau, u in states if u.size > 0]
     write_table(
         run_dir / f"density_seed{seed}.csv",
         {
-            "tau": np.concatenate(blocks_t) if blocks_t else np.empty(0),
-            "u_bin": np.concatenate(blocks_u) if blocks_u else np.empty(0),
-            "p_hat": np.concatenate(blocks_p) if blocks_p else np.empty(0),
+            "tau": np.repeat([tau for tau, _ in hists], grid.n_nodes),
+            "u_bin": np.tile(grid.nodes(), len(hists)),
+            "p_hat": np.concatenate([p for _, p in hists] or [np.empty(0)]),
         },
         _meta(cfg, seed=seed),
     )

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .csvio import format_value
 from .errors import ConfigError
+from .meanfield import _INIT_GUESSES
 
 __all__ = ["Field", "SCHEMAS", "parse_file", "resolve", "echo_lines", "run_name"]
 
@@ -51,7 +52,7 @@ _STEADY_SOLVE = {
     "tol_fixed_point": Field("float", 1e-8),
     "max_iters": Field("int", 500),
 }
-_INIT = {"init": Field("str", "ue", ("ue", "exp", "point"))}
+_INIT = {"init": Field("str", "ue", tuple(_INIT_GUESSES))}
 
 SCHEMAS: dict[str, dict[str, Field]] = {
     "gamma": {

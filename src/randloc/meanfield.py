@@ -206,6 +206,15 @@ def _check_steady_grid(grid: UGrid) -> None:
     _check_table_bytes("node", grid)
 
 
+# Initial densities by name, the choices of resolve_init and of the "init"
+# key of the steady and transient configs.
+_INIT_GUESSES = {
+    "ue": default_init_density,
+    "exp": exponential_density,
+    "point": lambda g: point_mass(g, 1.0),
+}
+
+
 def resolve_init(grid: UGrid, init) -> UDensity:
     """The initial density named by init ("ue", "exp" or "point") on grid,
     or init itself renormalized when it is a UDensity on grid."""
@@ -213,14 +222,9 @@ def resolve_init(grid: UGrid, init) -> UDensity:
         if init.grid != grid:
             raise ValueError("initial guess lives on a different grid")
         return normalize(init)
-    table = {
-        "ue": default_init_density,
-        "exp": exponential_density,
-        "point": lambda g: point_mass(g, 1.0),
-    }
-    if init not in table:
-        raise ValueError(f"unknown initial guess {init!r}; use one of {sorted(table)}")
-    return table[init](grid)
+    if init not in _INIT_GUESSES:
+        raise ValueError(f"unknown initial guess {init!r}; use one of {sorted(_INIT_GUESSES)}")
+    return _INIT_GUESSES[init](grid)
 
 
 def solve_steady(cfg: SolverConfig, init="ue") -> UDensity:

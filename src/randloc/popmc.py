@@ -662,6 +662,10 @@ def _check_checkpoint(f: dict) -> None:
             raise ValueError(f"checkpoint {name} holds a non-finite localized value")
     if str(f["entrant_rule"]) not in _ENTRANT_RULES:
         raise ValueError(f"checkpoint entrant_rule {str(f['entrant_rule'])!r} is unknown")
+    # the guards of run_steady and run_transient
+    if str(f["entrant_rule"]) == "capped":
+        _check_positive_finite("checkpoint entrant_cap", float(f["entrant_cap"]))
+    _check_positive_finite("checkpoint u_ceiling", float(f["u_ceiling"]))
     if not np.all((f["buffer"] >= 0.0) & (f["buffer"] < 1.0)):
         raise ValueError("checkpoint buffer holds a value outside [0, 1)")
     for name in _COUNTERS:

@@ -28,9 +28,9 @@ Core physics operations:
   nodes. Both walk their pairs in fixed blocks of about 64k, cut at
   segment starts (a target bin, a row), on at most two threads once a grid
   has 16 blocks; no segment's sum crosses a block, so the result is the
-  same floats for any block size and thread count. The tables of all grids
-  share one cache of at most 1 GiB, which evicts the least recently used
-  grid.
+  same floats for any block size and thread count. Each scheme caches the
+  tables and call blocks of its last grid only, at most 1 GiB, so a process
+  that uses both schemes holds at most 2 GiB of tables.
 * ``drift_shift``: free spreading between measurements, a rigid translation
   of the density toward larger u by whole cells.
 """
@@ -39,10 +39,9 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 
@@ -145,10 +144,11 @@ def _grid_tables(u_max: float, n_bins: int):
     return nodes, w
 
 
-# Pair tables above this many bytes are refused before they are built, and
-# the cached tables of all grids together hold at most this many bytes.
-# Both kinds of tables are filled in place, block by block, and their builds
-# peak at about 1.1 times their size in traced allocations.
+# Pair tables above this many bytes are refused before they are built. Each
+# scheme caches the tables of one grid, so a process holds at most this many
+# bytes of tables of one scheme and twice that of both. Both kinds of tables
+# are filled in place, block by block, and their builds peak at about 1.1
+# times their size in traced allocations.
 _TABLE_BUDGET_BYTES = 1 << 30
 # Both kinds of tables store node indices as uint16.
 _MAX_NODES = 1 << 16
@@ -163,12 +163,13 @@ def _table_bytes(kind: str, grid: UGrid) -> int:
         # each at most one a node
         return 12 * (n * (n + 1) // 2) + 40 * n
     # j, b (uint16) and the stencil offset and folded weight (float64) of
-    # each of at most half * (n_bins - half) pairs; rows and starts (intp)
-    # of each row; and the Gauss part's points, 88 bytes each:
-    # 8 ceil(4 log(m / i)) for each row i < m, fewer than 40 m in all
+    # each of at most half * (n_bins - half) pairs; rows, starts and the
+    # blocks' segment starts (intp) of each row; and the Gauss part's
+    # points, 88 bytes each: 8 ceil(4 log(m / i)) for each row i < m, fewer
+    # than 40 m in all
     half = grid.n_bins // 2
     m = _near_cells(grid.u_max, grid.n_bins)
-    return 20 * half * (grid.n_bins - half) + 16 * half + 88 * 40 * m
+    return 20 * half * (grid.n_bins - half) + 24 * half + 88 * 40 * m
 
 
 def _check_table_bytes(kind: str, grid: UGrid) -> None:
@@ -185,89 +186,9 @@ def _check_table_bytes(kind: str, grid: UGrid) -> None:
                          f"{_TABLE_BUDGET_BYTES} bytes; use a coarser grid")
 
 
-def _nbytes(obj) -> int:
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if isinstance(obj, tuple):
-        return sum(_nbytes(x) for x in obj)
-    return 0
-
-
-def _entries_bytes(entries: dict) -> int:
-    return sum(size for _, size in entries.values())
-
-
-class _TableCache:
-    """Kernel tables of recent grids, at most _TABLE_BUDGET_BYTES of arrays.
-
-    Entries are grouped by grid (u_max, n_bins). Any hit or store makes its
-    grid the most recently used, and storing evicts whole grids, least
-    recently used first, until the new entry fits; an entry larger than the
-    budget on its own is returned without being kept.
-    """
-
-    def __init__(self) -> None:
-        self._grids: OrderedDict = OrderedDict()  # grid -> {(name, rest): (value, bytes)}
-        self._lock = threading.Lock()
-
-    def grids(self) -> list:
-        """Cached grids, least recently used first."""
-        with self._lock:
-            return list(self._grids)
-
-    def nbytes(self) -> int:
-        with self._lock:
-            return sum(map(_entries_bytes, self._grids.values()))
-
-    def __call__(self, fn):
-        name = fn.__name__
-
-        @wraps(fn)
-        def cached(u_max, n_bins, *rest):
-            grid, key = (u_max, n_bins), (name, rest)
-            with self._lock:
-                hit = self._grids.get(grid, {}).get(key)
-                if hit is not None:
-                    self._grids.move_to_end(grid)
-                    return hit[0]
-            # built outside the lock: concurrent misses may build the same
-            # tables twice, as with lru_cache, and keep one
-            value = fn(u_max, n_bins, *rest)
-            self._store(grid, key, value)
-            return value
-
-        def cache_clear() -> None:
-            with self._lock:
-                for grid in list(self._grids):
-                    entries = self._grids[grid]
-                    for key in [k for k in entries if k[0] == name]:
-                        del entries[key]
-                    if not entries:
-                        del self._grids[grid]
-
-        cached.cache_clear = cache_clear
-        return cached
-
-    def _store(self, grid, key, value) -> None:
-        size = _nbytes(value)
-        with self._lock:
-            entries = self._grids.pop(grid, {})
-            entries.pop(key, None)
-            total = sum(map(_entries_bytes, self._grids.values())) + _entries_bytes(entries)
-            while total + size > _TABLE_BUDGET_BYTES and self._grids:
-                total -= _entries_bytes(self._grids.popitem(last=False)[1])
-            if total + size <= _TABLE_BUDGET_BYTES:
-                entries[key] = (value, size)
-            if entries:
-                self._grids[grid] = entries
-
-
-_table_cache = _TableCache()
-
-
-@_table_cache
+@lru_cache(maxsize=1)
 def _deposit_tables(u_max: float, n_bins: int):
-    """Pair-deposition tables of the deposit scheme.
+    """Pair-deposition tables of the deposit scheme, with its call blocks.
 
     combine is symmetric, so only the node pairs i <= j are stored, sorted
     (stably, from row-major order) by the target bin k = floor(combine / h):
@@ -278,28 +199,29 @@ def _deposit_tables(u_max: float, n_bins: int):
     the positions of the pairs (0, 0), (1, 1), ... in node order: the bin of
     (i, i) grows with i, and the sort is stable. The (0, 0) pair is pinned
     to u = 0, the limit of combine along any path. combine never exceeds
-    u_max / 2 on the grid, so k + 1 stays on it.
+    u_max / 2 on the grid, so k + 1 stays on it. The call blocks are those
+    of ``_segment_blocks`` over the bin segments, each extended by (first
+    diagonal node, end diagonal node, diagonal positions relative to the
+    first pair), and come with the widest block's pair count.
 
     The flat arrays are allocated once and filled row block by row block of
     ``_segment_blocks``: one pass counts each block's pairs per bin, the next
-    sorts each block by bin and places every pair at its bin's start plus
-    the pairs of that bin in earlier blocks plus its rank in the block. The
-    first pass's bins and fractions are kept for the second up to
-    _BUILD_KEEP_BYTES and computed again beyond. So the build allocates no
-    pair-sized temporary beyond that bound, and every pair's floats and
-    place are those of one stable sort of all pairs.
+    computes the block's bins and fractions again, sorts them by bin and
+    places every pair at its bin's start plus the pairs of that bin in
+    earlier blocks plus its rank in the block. So the build allocates no
+    pair-sized temporary, and every pair's floats and place are those of one
+    stable sort of all pairs.
     """
     n = n_bins + 1
     nodes = _grid_tables(u_max, n_bins)[0]
     lens = np.arange(n, 0, -1)  # row i holds the pairs (i, i) .. (i, n - 1)
     row_starts = np.cumsum(lens) - lens
     n_pairs = n * (n + 1) // 2
-    blocks = list(enumerate(_segment_blocks(row_starts, n_pairs, _BLOCK_PAIRS)[0]))
+    row_blocks = list(enumerate(_segment_blocks(row_starts, n_pairs, _BLOCK_PAIRS)[0]))
     scale = n_bins / u_max
 
-    def bins_of(block):
-        """The target bins and split fractions of a block's pairs."""
-        r0, r1 = block[2:4]
+    def bins_of(r0, r1):
+        """The target bins and split fractions of the pairs of rows r0..r1."""
         x = np.repeat(nodes[r0:r1], lens[r0:r1])
         y = np.concatenate([nodes[r:] for r in range(r0, r1)])
         c = x * y
@@ -312,19 +234,13 @@ def _deposit_tables(u_max: float, n_bins: int):
         c -= k
         return k, c
 
-    counts = np.empty((len(blocks), n), dtype=np.intp)
-    # the first blocks keep their bins and fractions for the second pass
-    kept = {}
-    n_kept = _BUILD_KEEP_BYTES // (16 * _BLOCK_PAIRS)
+    counts = np.empty((len(row_blocks), n), dtype=np.intp)
 
     def count(item):
-        b, block = item
-        k, c = bins_of(block)
-        counts[b] = np.bincount(k, minlength=n)
-        if b < n_kept:
-            kept[b] = k, c
+        b, (_, _, r0, r1, _) = item
+        counts[b] = np.bincount(bins_of(r0, r1)[0], minlength=n)
 
-    _run_blocks(blocks, count)
+    _run_blocks(row_blocks, count)
     total = counts.sum(axis=0)
     # per block and bin: the first place of the block's pairs, less the
     # block's own pairs of lower bins
@@ -337,7 +253,7 @@ def _deposit_tables(u_max: float, n_bins: int):
 
     def place(item):
         b, (s0, s1, r0, r1, seg) = item
-        k, c = kept.pop(b) if b < n_kept else bins_of((s0, s1, r0, r1, seg))
+        k, c = bins_of(r0, r1)
         # a pair goes to its bin's first place in this block plus its rank
         # among the block's pairs of that bin
         order = np.argsort(k, kind="stable")
@@ -349,20 +265,21 @@ def _deposit_tables(u_max: float, n_bins: int):
         frac[to] = c
         diag[r0:r1] = to[seg]  # (r, r) opens row r
 
-    _run_blocks(blocks, place)
+    _run_blocks(row_blocks, place)
     bins = np.flatnonzero(total)
     starts = (np.cumsum(total) - total)[bins]
     diag.sort()
-    tables = (i_out, j_out, frac, bins, starts, diag)
-    for arr in tables:
+    arrays = (i_out, j_out, frac, bins, starts, diag)
+    for arr in arrays:
         arr.setflags(write=False)
-    return tables
+    blocks, width = _segment_blocks(starts, n_pairs, _BLOCK_PAIRS)
+    call_blocks = []
+    for s0, s1, b0, b1, seg in blocks:
+        d0, d1 = (int(d) for d in np.searchsorted(diag, (s0, s1)))
+        call_blocks.append((s0, s1, b0, b1, seg, d0, d1, diag[d0:d1] - s0))
+    return arrays + (tuple(call_blocks), width)
 
 
-# Bytes of first-pass results (bin and fraction, 16 bytes a pair) that a
-# deposit-table build keeps for its second pass instead of computing them
-# again: all of a small grid's, and a bounded share of a large one's.
-_BUILD_KEEP_BYTES = 4 << 20
 # Pairs per block of both kernel schemes; a block ends at the first segment
 # start (a deposit bin, a node-scheme row) at or past each multiple of this.
 _BLOCK_PAIRS = 1 << 16
@@ -431,24 +348,6 @@ def _scratch_rows(width: int):
         _scratch.idx = np.empty(width, dtype=np.intp)
         _scratch.width = width
     return _scratch.rows, _scratch.idx
-
-
-@_table_cache
-def _deposit_blocks(u_max: float, n_bins: int, block_pairs: int):
-    """Fixed blocks of the bin-sorted pairs of ``_deposit_tables``.
-
-    The blocks of ``_segment_blocks`` over the bin segments, each extended
-    by (first diagonal node, end diagonal node, diagonal positions relative
-    to the first pair); they come with the widest block's pair count.
-    """
-    _, _, _, _, starts, diag = _deposit_tables(u_max, n_bins)
-    n_pairs = (n_bins + 1) * (n_bins + 2) // 2
-    blocks, width = _segment_blocks(starts, n_pairs, block_pairs)
-    out = []
-    for s0, s1, b0, b1, seg in blocks:
-        d0, d1 = (int(d) for d in np.searchsorted(diag, (s0, s1)))
-        out.append((s0, s1, b0, b1, seg, d0, d1, diag[d0:d1] - s0))
-    return tuple(out), width
 
 
 def _kernel_threads() -> int:
@@ -540,8 +439,9 @@ def collision_kernel(p: UDensity, q: UDensity, *, scheme: str = "deposit") -> UD
     block, so the floats do not depend on the block size or the thread
     count, and no call allocates a pair-sized array. Grids of more than
     65536 nodes, and grids whose tables would exceed a fixed budget
-    (1 GiB), raise ValueError before any table is built; the tables of all
-    grids together stay within the same budget.
+    (1 GiB), raise ValueError before any table is built. Each scheme caches
+    the tables of its last grid only, so the cached tables stay within
+    that budget for one scheme and twice it for both.
     """
     if p.grid != q.grid:
         raise ValueError("collision_kernel requires both densities on the same grid")
@@ -557,7 +457,7 @@ def collision_kernel(p: UDensity, q: UDensity, *, scheme: str = "deposit") -> UD
 
 def _deposit(p: UDensity, q: UDensity) -> np.ndarray:
     """Trapezoid mass of K[p, q] at each node, from the tables of
-    ``_deposit_tables``, block by block of ``_deposit_blocks``.
+    ``_deposit_tables``, walked in the call blocks cached with them.
 
     With a = w p and b = w q, the pair i < j carries a_i b_j + a_j b_i and
     the pair i == j carries a_i b_i, so K[p, q] and K[q, p] are the same
@@ -567,8 +467,7 @@ def _deposit(p: UDensity, q: UDensity) -> np.ndarray:
     """
     g = p.grid
     _check_table_bytes("deposit", g)
-    tables = _deposit_tables(g.u_max, g.n_bins)
-    blocks, width = _deposit_blocks(g.u_max, g.n_bins, _BLOCK_PAIRS)
+    *tables, blocks, width = _deposit_tables(g.u_max, g.n_bins)
     w = g.quad_weights()
     a = w * p.values
     b = a if q is p else w * q.values
@@ -655,7 +554,7 @@ def _near_cells(u_max: float, n_bins: int) -> int:
     return max(0, min(int(np.ceil(_NEAR_SPAN * n_bins / u_max - 1e-9)), (n_bins - 7) // 2))
 
 
-@_table_cache
+@lru_cache(maxsize=1)
 def _node_tables(u_max: float, n_bins: int):
     """Quadrature tables of ``_node_kernel``, in units of h.
 
@@ -674,10 +573,11 @@ def _node_tables(u_max: float, n_bins: int):
     the pair's quadrature weight with the Jacobian and 2h folded in
     (float64); 20 bytes per pair, under n_bins^2 / 4 pairs) and the Gauss
     part (row of every point, then stencil and weights for p(x) and for
-    p(y), the quadrature weight folded into the latter). The flat arrays are
-    allocated once and filled row block by row block of ``_segment_blocks``,
-    so the build allocates no pair-sized temporary; each pair's floats come
-    from the same operations whatever the blocks.
+    p(y), the quadrature weight folded into the latter), then the row
+    blocks of ``_segment_blocks`` and the widest block's pair count. The
+    flat arrays are allocated once and filled block by block, so the build
+    allocates no pair-sized temporary; each pair's floats come from the
+    same operations whatever the blocks.
     """
     n = n_bins
     m = _near_cells(u_max, n_bins)
@@ -710,7 +610,8 @@ def _node_tables(u_max: float, n_bins: int):
         q[seg[~long_row]] = np.where(rl[~long_row] == 1, 0.0, 0.5)
         fold[s0:s1] = q * scale * r * r
 
-    _run_blocks(_segment_blocks(starts, j.size, _BLOCK_PAIRS)[0], fill)
+    blocks, width = _segment_blocks(starts, j.size, _BLOCK_PAIRS)
+    _run_blocks(blocks, fill)
     # Gauss part: x - u = u e^s for s in [0, log(m / i)], in panels of at
     # most _NEAR_PANEL.
     xg, wg = np.polynomial.legendre.leggauss(8)
@@ -725,10 +626,10 @@ def _node_tables(u_max: float, n_bins: int):
     by, wy = _lagrange4(ni + ni * ni / v, n)
     # dx = (x - u) ds, and x^2 / (x - u)^2 = (1 + u / (x - u))^2
     wy *= scale * (1.0 + ni / v) ** 2 * v * ws
-    tables = (rows, starts, j, b, t, fold, ni.astype(np.int64), bx, wx, by, wy)
-    for arr in tables:
+    arrays = (rows, starts, j, b, t, fold, ni.astype(np.int64), bx, wx, by, wy)
+    for arr in arrays:
         arr.setflags(write=False)
-    return tables
+    return arrays + (tuple(blocks), width)
 
 
 def _node_kernel(p: UDensity) -> UDensity:
@@ -749,8 +650,8 @@ def _node_kernel(p: UDensity) -> UDensity:
 
     The node part interpolates p(y) in Newton form, from the forward
     differences d1 = Δv, d2 = Δ²v / 2 and d3 = Δ³v / 6 of the node values,
-    built once a call. It walks the row blocks of ``_segment_blocks``
-    (about _BLOCK_PAIRS pairs each, cut at row starts) through
+    built once a call. It walks the row blocks of ``_node_tables`` (about
+    _BLOCK_PAIRS pairs each, cut at row starts) through
     ``_run_blocks``, in per-thread scratch, so no call allocates a
     pair-sized array. Every row's sum lies in one block, so the output does
     not depend on the block size or the thread count.
@@ -759,13 +660,12 @@ def _node_kernel(p: UDensity) -> UDensity:
     if g.n_bins < 3:
         raise ValueError(f"the node scheme needs at least 3 bins, got {g.n_bins}")
     _check_table_bytes("node", g)
-    rows, starts, j, b, t, fold, ni, bx, wx, by, wy = _node_tables(g.u_max, g.n_bins)
+    rows, _, j, b, t, fold, ni, bx, wx, by, wy, blocks, width = _node_tables(g.u_max, g.n_bins)
     v = p.values
     d1 = np.diff(v)
     diffs = (v, d1, np.diff(d1) / 2.0, np.diff(d1, 2) / 6.0)
     out = np.zeros(g.n_nodes)
     row_out = out[rows[0]:rows[-1] + 1]
-    blocks, width = _segment_blocks(starts, j.size, _BLOCK_PAIRS)
     _run_blocks(blocks, lambda block: _node_block(block, width, j, b, t, fold, diffs, row_out))
     out += np.bincount(ni, weights=_interp4(v, bx, wx) * _interp4(v, by, wy),
                        minlength=g.n_nodes)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from randloc import csvio
-from randloc.config import echo_lines, parse_file, resolve, run_name
+from randloc.config import SCHEMAS, echo_lines, parse_file, resolve, run_name
 from randloc.csvio import (
     format_value,
     read_density,
@@ -21,7 +21,8 @@ from randloc.csvio import (
     write_trajectory,
 )
 from randloc.errors import ConfigError
-from randloc.udist import UGrid, exponential_density
+from randloc.meanfield import _INIT_GUESSES, resolve_init
+from randloc.udist import UGrid, exponential_density, mass
 
 
 def test_format_value_types():
@@ -273,6 +274,19 @@ def test_resolve_rejects_unknown_and_untyped():
         resolve("gamma", None, {"g0": "fast"})
     with pytest.raises(ConfigError, match="not one of"):
         resolve("gamma", None, {"method": "euler"})
+
+
+@pytest.mark.parametrize("subcommand", ["steady", "transient"])
+def test_init_choices_are_the_initial_guesses(subcommand):
+    # the configs take their choices from the one table resolve_init reads
+    assert SCHEMAS[subcommand]["init"].choices == tuple(_INIT_GUESSES) == ("ue", "exp", "point")
+    assert resolve(subcommand)["init"] == "ue"
+    grid = UGrid.from_spacing(5.0, 0.05)
+    for init in SCHEMAS[subcommand]["init"].choices:
+        assert resolve(subcommand, None, {"init": init})["init"] == init
+        assert mass(resolve_init(grid, init)) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ConfigError, match=r"'flat' not one of \['exp', 'point', 'ue'\]"):
+        resolve(subcommand, None, {"init": "flat"})
 
 
 def test_resolve_tuple_kinds():

@@ -543,6 +543,27 @@ def test_checkpoint_rejects_corrupted_field(tmp_path, changes, msg):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("field, rule", [("u_ceiling", "adopt"), ("u_ceiling", "capped"),
+                                         ("entrant_cap", "capped")])
+def test_checkpoint_rejects_a_ceiling_or_cap_the_runs_refuse(tmp_path, field, rule, bad):
+    pop, _ = run_transient(2000, 0.5, 0.5, seed=1, entrant_rule=rule)
+    path = tmp_path / "pop.npz"
+    save_checkpoint(pop, path)
+    _corrupt(path, **{field: lambda a: np.float64(bad)})
+    with pytest.raises(ValueError, match=f"checkpoint {field} "):
+        load_checkpoint(path)
+
+
+def test_checkpoint_of_an_adopt_run_loads_with_its_unused_cap(tmp_path):
+    # the adopt rule never reads entrant_cap, and run_transient accepts any
+    # value of it there, so the checkpoint of such a run loads
+    pop, _ = run_transient(2000, 0.5, 0.5, seed=1, entrant_cap=-1.0)
+    path = tmp_path / "pop.npz"
+    save_checkpoint(pop, path)
+    assert load_checkpoint(path).entrant_cap == -1.0
+
+
 def test_checkpoint_ignores_stale_delocalized_values(tmp_path):
     pop, _ = run_transient(2000, 0.1, 0.5, seed=1)
     stale = int(np.flatnonzero(~pop.localized)[0])

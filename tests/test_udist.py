@@ -1,3 +1,5 @@
+import contextlib
+import inspect
 import os
 import subprocess
 import sys
@@ -205,26 +207,59 @@ def test_deposit_kernel_matches_dense_reference(h):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
 
 
+def _nbytes(obj) -> int:
+    """Bytes of the arrays in obj, a nest of tuples."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, tuple):
+        return sum(_nbytes(x) for x in obj)
+    return 0
+
+
+_TABLE_CACHES = (udist._deposit_tables, udist._node_tables)
+
+
+def _clear_table_caches():
+    for fn in _TABLE_CACHES:
+        fn.cache_clear()
+
+
+def _set_block_pairs(mp, block_pairs):
+    """Patches the kernel block size and clears the table caches, which
+    hold each grid's blocks, so the next build and call use the new size."""
+    mp.setattr(udist, "_BLOCK_PAIRS", block_pairs)
+    _clear_table_caches()
+
+
+@contextlib.contextmanager
+def _patched_blocks():
+    """A MonkeyPatch context that clears the table caches on exit, so no
+    later call meets tables cut into patched blocks."""
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            yield mp
+    finally:
+        _clear_table_caches()
+
+
 def test_deposit_tables_hold_each_pair_once():
     g = UGrid.from_spacing(30.0, 0.05)
     tables = udist._deposit_tables(g.u_max, g.n_bins)
     i, j = tables[0], tables[1]
     assert i.size == g.n_nodes * (g.n_nodes + 1) // 2
     assert np.all(i <= j)
-    assert sum(t.nbytes for t in tables) <= 7 * g.n_nodes**2
+    assert _nbytes(tables) <= 7 * g.n_nodes**2
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 200), st.sampled_from([0.9, 4.0, 30.0, 250.0]), st.integers(1, 64))
 def test_blocked_deposit_tables_match_one_shot_reference(n_bins, u_max, block_pairs):
     want = deposit_tables(u_max, n_bins)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(udist, "_BLOCK_PAIRS", block_pairs)
+    with _patched_blocks() as mp:
+        _set_block_pairs(mp, block_pairs)
         mp.setattr(udist, "_MIN_THREADED_BLOCKS", 2)
-        # no block, two blocks, or every block keeps its first-pass results
-        for threads, kept in ((1, 0), (2, 0), (1, 2), (2, 1 << 40)):
+        for threads in (1, 2):
             mp.setattr(udist, "_kernel_threads", lambda: threads)
-            mp.setattr(udist, "_BUILD_KEEP_BYTES", 16 * block_pairs * kept)
             udist._deposit_tables.cache_clear()  # build the tables in these blocks
             got = udist._deposit_tables(u_max, n_bins)
             for a, b in zip(want, got):
@@ -311,7 +346,7 @@ def _kernels(p, q):
 @pytest.mark.parametrize("h", [0.05, 0.02, 0.0125])
 def test_deposit_kernel_is_the_same_on_one_and_two_threads(monkeypatch, h):
     g = UGrid.from_spacing(30.0, h)
-    assert len(udist._deposit_blocks(g.u_max, g.n_bins, udist._BLOCK_PAIRS)[0]) > 1
+    assert len(udist._deposit_tables(g.u_max, g.n_bins)[-2]) > 1
     p = normalize(default_init_density(g))
     q = normalize(exponential_density(g))
     monkeypatch.setattr(udist, "_MIN_THREADED_BLOCKS", 2)
@@ -327,10 +362,10 @@ def test_deposit_kernel_is_the_same_on_one_and_two_threads(monkeypatch, h):
 @given(density_pairs(), st.integers(1, 40))
 def test_small_blocks_give_the_one_block_kernel(pq, block_pairs):
     p, q = pq
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(udist, "_BLOCK_PAIRS", 1 << 40)
+    with _patched_blocks() as mp:
+        _set_block_pairs(mp, 1 << 40)
         whole = _kernels(p, q)
-        mp.setattr(udist, "_BLOCK_PAIRS", block_pairs)
+        _set_block_pairs(mp, block_pairs)
         mp.setattr(udist, "_MIN_THREADED_BLOCKS", 2)
         for threads in (1, 2):
             mp.setattr(udist, "_kernel_threads", lambda: threads)
@@ -413,12 +448,11 @@ assert "numpy.ma" not in sys.modules
 @example(1500, 30.0)
 def test_predicted_table_bytes_bound_the_built_tables(n_bins, u_max):
     g = UGrid(u_max, n_bins)
-    deposit = udist._nbytes(udist._deposit_tables(u_max, n_bins))
-    deposit += udist._nbytes(udist._deposit_blocks(u_max, n_bins, udist._BLOCK_PAIRS))
+    deposit = _nbytes(udist._deposit_tables(u_max, n_bins))
     assert deposit <= udist._table_bytes("deposit", g)
-    node = udist._nbytes(udist._node_tables(u_max, n_bins))
+    node = _nbytes(udist._node_tables(u_max, n_bins))
     assert node <= udist._table_bytes("node", g)
-    # 20 bytes a pair, plus row starts and the Gauss part, O(N)
+    # 20 bytes a pair, plus row and block starts and the Gauss part, O(N)
     half = n_bins // 2
     assert node <= 20 * half * (n_bins - half) + 1800 * g.n_nodes
 
@@ -451,14 +485,6 @@ def test_kernel_thread_count_is_capped(monkeypatch, cpus, threads):
     assert udist._kernel_threads() == 1
 
 
-_TABLE_CACHES = (udist._deposit_tables, udist._deposit_blocks, udist._node_tables)
-
-
-def _clear_table_caches():
-    for fn in _TABLE_CACHES:
-        fn.cache_clear()
-
-
 @st.composite
 def node_densities(draw):
     n_bins = draw(st.integers(7, 200))
@@ -474,8 +500,8 @@ def test_blocked_node_scheme_matches_one_shot_reference(p, block_pairs):
     g = p.grid
     want_tables = thin_node_tables(g.u_max, g.n_bins)
     want = thin_node_kernel(p)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(udist, "_BLOCK_PAIRS", block_pairs)
+    with _patched_blocks() as mp:
+        _set_block_pairs(mp, block_pairs)
         mp.setattr(udist, "_MIN_THREADED_BLOCKS", 2)
         for threads in (1, 2):
             mp.setattr(udist, "_kernel_threads", lambda: threads)
@@ -511,7 +537,7 @@ def test_node_tables_and_call_peak_near_the_kept_tables():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    kept = udist._nbytes(udist._node_tables(g.u_max, g.n_bins))
+    kept = _nbytes(udist._node_tables(g.u_max, g.n_bins))
     assert kept > 40e6
     assert peak < 1.25 * kept
 
@@ -528,43 +554,50 @@ def test_deposit_tables_and_call_peak_near_the_kept_tables():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    kept = udist._nbytes(udist._deposit_tables(g.u_max, g.n_bins))
-    kept += udist._nbytes(udist._deposit_blocks(g.u_max, g.n_bins, udist._BLOCK_PAIRS))
+    kept = _nbytes(udist._deposit_tables(g.u_max, g.n_bins))
     assert kept > 50e6
     assert peak < 1.25 * kept
 
 
-def test_table_cache_evicts_least_recently_used_grid(monkeypatch):
-    a, b, c = (10.0, 100), (20.0, 100), (30.0, 100)
-    _clear_table_caches()
-    size = {grid: udist._nbytes(udist._node_tables(*grid)) for grid in (a, b, c)}
-    _clear_table_caches()
-    budget = max(size[a] + size[b], size[a] + size[c])
-    monkeypatch.setattr(udist, "_TABLE_BUDGET_BYTES", budget)
+@pytest.mark.parametrize("cache", _TABLE_CACHES, ids=lambda fn: fn.__name__)
+def test_each_table_cache_holds_one_grid(cache):
+    a, b = (10.0, 100), (20.0, 100)
+    cache.cache_clear()
     try:
-        kept_a = udist._node_tables(*a)
-        udist._node_tables(*b)
-        assert udist._node_tables(*a) is kept_a  # a hit, and a is now the newest
-        udist._node_tables(*c)
-        assert udist._table_cache.grids() == [a, c]
-        assert udist._table_cache.nbytes() == size[a] + size[c] <= budget
-        # another table of c evicts a whole grid, a, and keeps c's node tables
-        deposit = udist._nbytes(udist._deposit_tables(*c))
-        assert size[a] + size[c] + deposit > budget >= size[c] + deposit
-        assert udist._table_cache.grids() == [c]
-        assert udist._table_cache.nbytes() == size[c] + deposit
-        # clearing one function keeps the others' entries
-        udist._deposit_tables.cache_clear()
-        assert udist._table_cache.grids() == [c]
-        assert udist._table_cache.nbytes() == size[c]
-        assert udist._node_tables(*c) is udist._node_tables(*c)
-        # tables larger than the budget alone are returned but not kept
-        monkeypatch.setattr(udist, "_TABLE_BUDGET_BYTES", size[a] // 2)
-        udist._node_tables.cache_clear()
-        assert udist._nbytes(udist._node_tables(*b)) == size[b]
-        assert udist._table_cache.grids() == [] and udist._table_cache.nbytes() == 0
+        kept_a = cache(*a)
+        assert cache(*a) is kept_a
+        kept_b = cache(*b)
+        assert cache.cache_info().currsize == 1
+        assert cache(*b) is kept_b
+        again = cache(*a)  # b replaced a: built again, to the same arrays
+        assert again is not kept_a
+        for x, y in zip(kept_a, again):
+            if isinstance(x, np.ndarray):
+                assert np.array_equal(x, y)
+        cache.cache_clear()
+        assert cache.cache_info().currsize == 0
+        assert cache(*a) is not again
     finally:
-        _clear_table_caches()
+        cache.cache_clear()
+
+
+def test_every_grid_keyed_cache_can_be_cleared():
+    # Each run of the benchmark clears the module's caches through their
+    # cache_clear, so each invocation builds its tables as a fresh process
+    # would: every function of a grid's (u_max, n_bins) that returns arrays
+    # must be a cache with cache_clear.
+    keyed = []
+    for name, fn in vars(udist).items():
+        if not callable(fn) or getattr(fn, "__module__", None) != udist.__name__:
+            continue
+        params = list(inspect.signature(fn).parameters)
+        if params[:2] == ["u_max", "n_bins"] and _nbytes(fn(30.0, 20)):
+            keyed.append(name)
+            assert callable(getattr(fn, "cache_clear", None)), name
+    assert {"_grid_tables", "_deposit_tables", "_node_tables"} <= set(keyed)
+    for name in keyed:
+        getattr(udist, name).cache_clear()
+        assert getattr(udist, name).cache_info().currsize == 0, name
 
 
 def test_node_scheme_one_block_kernel_and_mc_start_no_thread(tmp_path):
