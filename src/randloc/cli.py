@@ -6,9 +6,9 @@ files plus a `config.echo` into `<out>/<subcommand>/<name-or-hash>/`.
 Outputs carry the resolved config in `#` header lines and contain no
 timestamps, so re-running an identical config rewrites identical bytes.
 
-Exit codes: 0 success, 1 invalid configuration or arguments, 2 solver or
-quadrature non-convergence (including mass-loss and step instability),
-3 filesystem trouble.
+Exit codes: 0 success, 1 invalid configuration or arguments (including
+work too large for memory), 2 solver or quadrature non-convergence
+(including mass-loss and step instability), 3 filesystem trouble.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .meanfield import (
     solve_steady,
 )
 from .popmc import empirical_density, run_steady, run_transient
-from .udist import UGrid, _check_table_bytes, moment
+from .udist import UGrid, moment
 
 __all__ = ["main"]
 
@@ -89,9 +89,6 @@ def cmd_transient(cfg: dict, run_dir: Path) -> None:
     dtau = cfg["dtau"] if cfg["dtau"] > 0.0 else None
     sc = SolverConfig(u_max=cfg["u_max"], h=cfg["h"], dtau=dtau)
     grid = sc.grid
-    # the initial density has a value a node and the closed trajectory one
-    # a step, of h by default: an oversized grid is refused before either
-    _check_table_bytes("deposit", grid)
     p0 = resolve_init(grid, cfg["init"])
     if cfg["g_mode"] == "closed":
         g = closed_trajectory(cfg["g0"], cfg["tau_end"], sc.dtau_resolved)
@@ -296,6 +293,9 @@ def main(argv=None) -> int:
         return 0
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the allocation; a bare one says nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except (ConvergenceError, MassLossError, StepInstabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _MAX_ODE_STEP = 0.1
+_MAX_TIME_NODES = 10**7  # of one trajectory: 80 MB an array
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +112,11 @@ def _time_nodes(tau_end: float, dtau: float) -> np.ndarray:
         raise ValueError(f"tau_end must be positive, got {tau_end}")
     if dtau <= 0.0:
         raise ValueError(f"dtau must be positive, got {dtau}")
-    n = int(np.ceil(tau_end / dtau - 1e-12))
+    steps = np.ceil(tau_end / dtau - 1e-12)
+    if not steps < _MAX_TIME_NODES:  # also refuses a NaN dtau
+        raise ValueError(f"tau_end={tau_end} and dtau={dtau} give more than "
+                         f"{_MAX_TIME_NODES} time nodes; use a larger dtau")
+    n = int(steps)
     taus = np.minimum(dtau * np.arange(n + 1), tau_end)
     taus[-1] = tau_end
     return taus

@@ -72,7 +72,6 @@ from .gamma import GammaTrajectory
 from .udist import (
     UDensity,
     UGrid,
-    _check_table_bytes,
     collision_kernel,
     default_init_density,
     drift_shift,
@@ -196,14 +195,12 @@ def _cubic_sweep(grid: UGrid, kvals: np.ndarray) -> np.ndarray:
 
 
 def _check_steady_grid(grid: UGrid) -> None:
-    """Refuses a grid too coarse for the steady stencils, or too fine for
-    the node scheme's tables, before any grid-sized array is built."""
+    """Refuses a grid too coarse for the steady stencils."""
     if grid.n_bins < _STEADY_MIN_BINS:
         raise ValueError(
             f"the steady discretization needs at least {_STEADY_MIN_BINS} bins, "
             f"got {grid.n_bins}"
         )
-    _check_table_bytes("node", grid)
 
 
 # Initial densities by name, the choices of resolve_init and of the "init"
@@ -393,7 +390,6 @@ def evolve_transient(
     drift_shift and collision_kernel without being validated again.
     """
     grid = cfg.grid
-    _check_table_bytes("deposit", grid)  # before any grid-sized array
     if p0.grid != grid:
         raise ValueError("p0 lives on a different grid than the config")
     if abs(mass(p0) - 1.0) > 1e-9:

@@ -20,6 +20,9 @@ fully localized population sees only loc-loc ones.
 
 Drift is lazy: each localized particle stores (value, sync time) and is
 materialized only when touched by an event, a snapshot, or a checkpoint.
+A Population checks its own fields when built and when resumed, so runs,
+checkpoints and resumed runs accept the same states; run_steady is
+run_transient at g0 = 1.
 
 Determinism. All randomness comes from one counter-based Philox stream
 keyed by the run seed. Initial values are drawn first; then the event
@@ -107,7 +110,9 @@ class Population:
     (counted, never dropped); events_loc_loc, events_loc_deloc and
     events_deloc_deloc count the events of each kind. The private fields
     carry the RNG block buffer and the already-drawn gap to the next event
-    so that resumed runs are bit-identical to uninterrupted ones.
+    so that resumed runs are bit-identical to uninterrupted ones. Building
+    one, and ``resume``, check every field and raise ValueError naming a
+    bad one; entrant_cap must be finite, and positive under "capped".
     """
 
     seed: int
@@ -127,6 +132,45 @@ class Population:
     _buffer: np.ndarray = field(default_factory=lambda: np.empty(0))
     _pending_gap: float = -1.0  # time from self.tau to the next event; < 0 if not drawn
 
+    def __post_init__(self) -> None:
+        self._check()
+
+    def _check(self) -> None:
+        arrays = {"localized": self.localized, "u_sync": self.u_sync,
+                  "t_sync": self.t_sync, "buffer": self._buffer}
+        arrays = {name: np.asarray(a) for name, a in arrays.items()}
+        for name, a in arrays.items():
+            dtype = np.dtype(bool if name == "localized" else float)
+            if a.dtype != dtype or a.ndim != 1:
+                raise ValueError(f"{name} must be a 1-d {dtype} array, got {a.ndim}-d {a.dtype}")
+        loc = arrays["localized"]
+        if loc.size < 2:  # an event draws two distinct particles
+            raise ValueError(f"a population needs at least 2 particles, got {loc.size}")
+        for name in ("u_sync", "t_sync"):
+            if arrays[name].size != loc.size:
+                raise ValueError(f"{name} has {arrays[name].size} entries, "
+                                 f"localized has {loc.size}")
+            if not np.all(np.isfinite(arrays[name][loc])):
+                raise ValueError(f"{name} holds a non-finite localized value")
+        if self.entrant_rule not in _ENTRANT_RULES:
+            raise ValueError(f"entrant_rule {self.entrant_rule!r} is unknown; the entrant "
+                             f"rules are {', '.join(map(repr, _ENTRANT_RULES))}")
+        if self.entrant_rule == "capped":
+            _check_positive_finite("entrant_cap", self.entrant_cap)
+        _check_positive_finite("u_ceiling", self.u_ceiling)
+        rate = 0.0 if self.pair_rate is None else self.pair_rate
+        for name, value in (("tau", self.tau), ("pending_gap", self._pending_gap),
+                            ("entrant_cap", self.entrant_cap), ("pair_rate", rate)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} is not finite")
+        if rate < 0.0:
+            raise ValueError(f"pair_rate must be nonnegative and finite, got {rate}")
+        if not np.all((arrays["buffer"] >= 0.0) & (arrays["buffer"] < 1.0)):
+            raise ValueError("buffer holds a value outside [0, 1)")
+        for name in _COUNTERS:
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} is negative")
+
     @property
     def size(self) -> int:
         return int(self.localized.size)
@@ -143,10 +187,6 @@ class Population:
         """Materialized values of the localized particles at self.tau."""
         sel = self.localized
         return self.u_sync[sel] + (self.tau - self.t_sync[sel])
-
-
-def _new_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
 
 
 def sample_from_density(density: UDensity, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -207,13 +247,6 @@ def ks_distance(pop: Population | np.ndarray, ref: UDensity) -> float:
     return float(max(np.max(hi - f), np.max(f - lo)))
 
 
-def _draw_init_values(init: UDensity | None, n: int, rng: np.random.Generator) -> np.ndarray:
-    # Default start: u e^{-u}, i.e. a gamma(shape 2, scale 1) variate.
-    if init is None:
-        return rng.gamma(2.0, 1.0, size=n)
-    return sample_from_density(init, n, rng)
-
-
 def _check_positive_finite(name: str, value: float) -> None:
     if not 0.0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -234,24 +267,13 @@ def run_steady(
     Initial values are drawn from init (default u e^{-u}). pair_rate
     overrides the default total event rate M/2; rate 0 turns events off
     entirely (drift-only test hook). Snapshots never perturb the event
-    sequence.
+    sequence. This is run_transient at g0 = 1, which the same seed
+    reproduces bit for bit, for populations of at least 1000 particles.
     """
     if M < _MIN_STEADY:
         raise ValueError(f"steady runs need at least {_MIN_STEADY} particles, got {M}")
-    _check_positive_finite("u_ceiling", u_ceiling)
-    rng = _new_rng(seed)
-    pop = Population(
-        seed=seed,
-        tau=0.0,
-        localized=np.ones(M, dtype=bool),
-        u_sync=_draw_init_values(init, M, rng),
-        t_sync=np.zeros(M),
-        pair_rate=pair_rate,
-        u_ceiling=u_ceiling,
-        rng=rng,
-    )
-    snaps = _advance(pop, tau_end, snapshot_taus)
-    return pop, snaps
+    return run_transient(M, 1.0, tau_end, seed, "adopt", snapshot_taus, init=init,
+                         pair_rate=pair_rate, u_ceiling=u_ceiling)
 
 
 def run_transient(
@@ -272,26 +294,23 @@ def run_transient(
     entrant_rule fixes the value a newly localized particle receives from
     its localized partner u: "adopt" copies u; "capped" uses the harmonic
     combination of u with entrant_cap. g0 = 1 reduces to run_steady
-    semantics, g0 = 0 stays identically delocalized.
+    semantics, g0 = 0 stays identically delocalized. The Population
+    checks the rule, the cap and the ceiling before any event.
     """
     if not 0.0 <= g0 <= 1.0:
         raise ValueError(f"g0 must lie in [0, 1], got {g0}")
-    if entrant_rule not in _ENTRANT_RULES:
-        raise ValueError(f"unknown entrant rule {entrant_rule!r}")
-    if entrant_rule == "capped":
-        _check_positive_finite("entrant_cap", entrant_cap)
-    _check_positive_finite("u_ceiling", u_ceiling)
     n0 = int(np.ceil(g0 * M))
     if g0 > 0 and n0 < _MIN_SEEDED:
         raise ValueError(
             f"seeded runs need ceil(g0*M) >= {_MIN_SEEDED} localized particles, got {n0}"
         )
-    rng = _new_rng(seed)
+    rng = np.random.Generator(np.random.Philox(key=seed))
     localized = np.zeros(M, dtype=bool)
     localized[:n0] = True
     u_sync = np.zeros(M)
-    if n0:
-        u_sync[:n0] = _draw_init_values(init, n0, rng)
+    if n0:  # by default u e^{-u}, a gamma(shape 2, scale 1) variate
+        u_sync[:n0] = (rng.gamma(2.0, 1.0, n0) if init is None
+                       else sample_from_density(init, n0, rng))
     pop = Population(
         seed=seed,
         tau=0.0,
@@ -309,9 +328,11 @@ def run_transient(
 
 
 def resume(pop: Population, tau_end: float, snapshot_taus=()) -> list[PopulationSnapshot]:
-    """Continue a population (fresh or loaded from checkpoint) to tau_end."""
+    """Continue a population (fresh or loaded from checkpoint) to tau_end,
+    after checking its fields again."""
     if pop.rng is None:
         raise ValueError("population carries no generator; load a checkpoint first")
+    pop._check()
     return _advance(pop, tau_end, snapshot_taus)
 
 
@@ -328,8 +349,6 @@ def _advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationS
     snaps: list[PopulationSnapshot] = []
     m = pop.size
     rate = (m / 2.0) if pop.pair_rate is None else float(pop.pair_rate)
-    if not 0.0 <= rate < np.inf:
-        raise ValueError(f"pair_rate must be nonnegative and finite, got {rate}")
 
     # Events scatter into private copies; the caller's arrays are replaced, not mutated.
     pop.u_sync = np.array(pop.u_sync, dtype=float)
@@ -607,67 +626,39 @@ def _json_np(obj):
 def load_checkpoint(path) -> Population:
     """Rebuild a resumable Population from a checkpoint file.
 
-    Every field is checked before the population is built; a missing,
-    mistyped, non-finite or inconsistent one raises ValueError naming it.
+    A checkpoint of another version or one that lacks a field raises
+    ValueError; so does any field the Population refuses (mistyped,
+    non-finite or inconsistent), with its message prefixed by "checkpoint".
     """
     with np.load(path, allow_pickle=False) as z:
         version = int(z["version"])
         if version != _CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         f = {name: z[name] for name in z.files}
-    _check_checkpoint(f)
-    rng = np.random.Generator(np.random.Philox())
-    rng.bit_generator.state = json.loads(str(f["rng_state"]))
-    pr = float(f["pair_rate"])
-    return Population(
-        seed=int(f["seed"]),
-        tau=float(f["tau"]),
-        localized=f["localized"],
-        u_sync=f["u_sync"],
-        t_sync=f["t_sync"],
-        entrant_rule=str(f["entrant_rule"]),
-        entrant_cap=float(f["entrant_cap"]),
-        pair_rate=None if pr < 0.0 else pr,
-        u_ceiling=float(f["u_ceiling"]),
-        **{name: int(f[name]) for name in _COUNTERS},
-        rng=rng,
-        _buffer=f["buffer"],
-        _pending_gap=float(f["pending_gap"]),
-    )
-
-
-def _check_checkpoint(f: dict) -> None:
     missing = sorted(
         {"seed", "tau", "localized", "u_sync", "t_sync", "entrant_rule", "entrant_cap",
          "pair_rate", "u_ceiling", "rng_state", "buffer", "pending_gap", *_COUNTERS} - f.keys()
     )
     if missing:
         raise ValueError(f"checkpoint lacks {', '.join(missing)}")
-    for name, dtype in (("localized", np.bool_), ("u_sync", np.float64),
-                        ("t_sync", np.float64), ("buffer", np.float64)):
-        if f[name].dtype != dtype or f[name].ndim != 1:
-            raise ValueError(
-                f"checkpoint {name} must be a 1-d {np.dtype(dtype)} array, "
-                f"got {f[name].ndim}-d {f[name].dtype}"
-            )
-    m = f["localized"].size
-    for name in ("u_sync", "t_sync"):
-        if f[name].size != m:
-            raise ValueError(f"checkpoint {name} has {f[name].size} entries, localized has {m}")
-    for name in ("tau", "pending_gap", "entrant_cap", "pair_rate"):
-        if not np.isfinite(f[name]):
-            raise ValueError(f"checkpoint {name} is not finite")
-    for name in ("u_sync", "t_sync"):
-        if not np.all(np.isfinite(f[name][f["localized"]])):
-            raise ValueError(f"checkpoint {name} holds a non-finite localized value")
-    if str(f["entrant_rule"]) not in _ENTRANT_RULES:
-        raise ValueError(f"checkpoint entrant_rule {str(f['entrant_rule'])!r} is unknown")
-    # the guards of run_steady and run_transient
-    if str(f["entrant_rule"]) == "capped":
-        _check_positive_finite("checkpoint entrant_cap", float(f["entrant_cap"]))
-    _check_positive_finite("checkpoint u_ceiling", float(f["u_ceiling"]))
-    if not np.all((f["buffer"] >= 0.0) & (f["buffer"] < 1.0)):
-        raise ValueError("checkpoint buffer holds a value outside [0, 1)")
-    for name in _COUNTERS:
-        if int(f[name]) < 0:
-            raise ValueError(f"checkpoint {name} is negative")
+    rng = np.random.Generator(np.random.Philox())
+    rng.bit_generator.state = json.loads(str(f["rng_state"]))
+    pr = float(f["pair_rate"])
+    try:
+        return Population(
+            seed=int(f["seed"]),
+            tau=float(f["tau"]),
+            localized=f["localized"],
+            u_sync=f["u_sync"],
+            t_sync=f["t_sync"],
+            entrant_rule=str(f["entrant_rule"]),
+            entrant_cap=float(f["entrant_cap"]),
+            pair_rate=None if pr < 0.0 else pr,
+            u_ceiling=float(f["u_ceiling"]),
+            **{name: int(f[name]) for name in _COUNTERS},
+            rng=rng,
+            _buffer=f["buffer"],
+            _pending_gap=float(f["pending_gap"]),
+        )
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {exc}") from None

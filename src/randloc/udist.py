@@ -24,13 +24,14 @@ Core physics operations:
   pair keeps its cubic stencil's offset, and a call forms the stencil in
   Newton form from forward differences of p. They are built row block by
   row block, without pair-sized temporaries.
-  Both schemes store node indices as uint16, so a grid has at most 65536
-  nodes. Both walk their pairs in fixed blocks of about 64k, cut at
-  segment starts (a target bin, a row), on at most two threads once a grid
-  has 16 blocks; no segment's sum crosses a block, so the result is the
-  same floats for any block size and thread count. Each scheme caches the
-  tables and call blocks of its last grid only, at most 1 GiB, so a process
-  that uses both schemes holds at most 2 GiB of tables.
+  Both schemes store node indices as uint16, so ``UGrid`` refuses more
+  than 65536 nodes on every grid, a histogram's too. Both walk their pairs
+  in fixed blocks of about 64k, cut at segment starts (a target bin, a
+  row), on at most two threads once a grid has 16 blocks; no segment's sum
+  crosses a block, so the result is the same floats for any block size and
+  thread count. Each scheme caches the tables and call blocks of its last
+  grid only, at most 1 GiB, so a process that uses both schemes holds at
+  most 2 GiB of tables; every array of a cache entry is read-only.
 * ``drift_shift``: free spreading between measurements, a rigid translation
   of the density toward larger u by whole cells.
 """
@@ -60,9 +61,14 @@ __all__ = [
 ]
 
 
+# Both kinds of kernel tables index nodes as uint16, so no grid has more
+# nodes; its node and weight arrays stay within 512 KB each.
+_MAX_NODES = 1 << 16
+
+
 @dataclass(frozen=True)
 class UGrid:
-    """Uniform grid over u in [0, u_max] with nodes u_i = i * h."""
+    """Uniform grid over u in [0, u_max] with nodes u_i = i * h, at most _MAX_NODES."""
 
     u_max: float
     n_bins: int
@@ -72,6 +78,10 @@ class UGrid:
             raise ValueError(f"u_max must be positive and finite, got {self.u_max}")
         if self.n_bins < 2:
             raise ValueError(f"need at least 2 bins, got {self.n_bins}")
+        if self.n_nodes > _MAX_NODES:
+            raise ValueError(f"the kernel tables of the grid u_max={self.u_max:g}, h={self.h:g} "
+                             f"({self.n_nodes} nodes) index nodes as uint16, so a grid has "
+                             f"at most {_MAX_NODES} nodes; use a coarser grid")
 
     @classmethod
     def from_spacing(cls, u_max: float, h: float) -> "UGrid":
@@ -150,8 +160,6 @@ def _grid_tables(u_max: float, n_bins: int):
 # are filled in place, block by block, and their builds peak at about 1.1
 # times their size in traced allocations.
 _TABLE_BUDGET_BYTES = 1 << 30
-# Both kinds of tables store node indices as uint16.
-_MAX_NODES = 1 << 16
 
 
 def _table_bytes(kind: str, grid: UGrid) -> int:
@@ -173,17 +181,12 @@ def _table_bytes(kind: str, grid: UGrid) -> int:
 
 
 def _check_table_bytes(kind: str, grid: UGrid) -> None:
-    """Refuses, before any table is built, a grid whose node indices do not
-    fit the tables' uint16 or whose tables would exceed the budget."""
-    tables = (f"the {kind} kernel tables of the grid u_max={grid.u_max:g}, h={grid.h:g} "
-              f"({grid.n_nodes} nodes)")
-    if grid.n_nodes > _MAX_NODES:
-        raise ValueError(f"{tables} index nodes as uint16, so at most {_MAX_NODES} nodes; "
-                         f"use a coarser grid")
+    """Refuses a grid whose tables would exceed the budget, before any is built."""
     nbytes = _table_bytes(kind, grid)
     if nbytes > _TABLE_BUDGET_BYTES:
-        raise ValueError(f"{tables} would take {nbytes} bytes, above the budget of "
-                         f"{_TABLE_BUDGET_BYTES} bytes; use a coarser grid")
+        raise ValueError(f"the {kind} kernel tables of the grid u_max={grid.u_max:g}, "
+                         f"h={grid.h:g} ({grid.n_nodes} nodes) would take {nbytes} bytes, "
+                         f"above the budget of {_TABLE_BUDGET_BYTES} bytes; use a coarser grid")
 
 
 @lru_cache(maxsize=1)
@@ -276,7 +279,9 @@ def _deposit_tables(u_max: float, n_bins: int):
     call_blocks = []
     for s0, s1, b0, b1, seg in blocks:
         d0, d1 = (int(d) for d in np.searchsorted(diag, (s0, s1)))
-        call_blocks.append((s0, s1, b0, b1, seg, d0, d1, diag[d0:d1] - s0))
+        dpos = diag[d0:d1] - s0
+        dpos.setflags(write=False)
+        call_blocks.append((s0, s1, b0, b1, seg, d0, d1, dpos))
     return arrays + (tuple(call_blocks), width)
 
 
@@ -298,8 +303,8 @@ def _segment_blocks(starts: np.ndarray, total: int, block_pairs: int):
 
     ``starts`` holds the first pair of each segment, starting at 0. A block
     is (first pair, end pair, first segment, end segment, segment starts
-    relative to the first pair); the blocks come with the widest block's
-    pair count.
+    relative to the first pair, read-only); the blocks come with the widest
+    block's pair count.
     """
     cuts = np.searchsorted(starts, np.arange(0, total, block_pairs))
     # the cuts are sorted, so this dedupes them; np.unique would too, but
@@ -311,7 +316,9 @@ def _segment_blocks(starts: np.ndarray, total: int, block_pairs: int):
     for k in range(cuts.size):
         s0, s1 = int(pair_cuts[k]), int(pair_cuts[k + 1])
         g0, g1 = int(seg_cuts[k]), int(seg_cuts[k + 1])
-        blocks.append((s0, s1, g0, g1, starts[g0:g1] - s0))
+        seg = starts[g0:g1] - s0
+        seg.setflags(write=False)
+        blocks.append((s0, s1, g0, g1, seg))
     return blocks, int(np.max(np.diff(pair_cuts)))
 
 
@@ -437,11 +444,11 @@ def collision_kernel(p: UDensity, q: UDensity, *, scheme: str = "deposit") -> UD
     runs in the calling thread. Each block widens its uint16 node indices
     once into per-thread scratch before gathering. No segment crosses a
     block, so the floats do not depend on the block size or the thread
-    count, and no call allocates a pair-sized array. Grids of more than
-    65536 nodes, and grids whose tables would exceed a fixed budget
-    (1 GiB), raise ValueError before any table is built. Each scheme caches
-    the tables of its last grid only, so the cached tables stay within
-    that budget for one scheme and twice it for both.
+    count, and no call allocates a pair-sized array. Grids whose tables
+    would exceed a fixed budget (1 GiB) raise ValueError before any table
+    is built; ``UGrid`` already refuses more than 65536 nodes. Each scheme
+    caches the tables of its last grid only, so the cached tables stay
+    within that budget for one scheme and twice it for both.
     """
     if p.grid != q.grid:
         raise ValueError("collision_kernel requires both densities on the same grid")

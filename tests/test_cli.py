@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from randloc import cli, csvio, meanfield, udist
+from randloc import cli, csvio, meanfield, popmc, udist
 from randloc.cli import main
 from randloc.csvio import read_density, read_table, read_trajectory
 
@@ -196,6 +196,79 @@ def test_bad_histogram_grid_fails_before_any_event(tmp_path, capsys, monkeypatch
     assert rc == 1
     assert message in capsys.readouterr().err
     assert not list(tmp_path.glob(f"{subcommand}/*/*.csv"))
+
+
+@pytest.mark.parametrize("subcommand", ["mc-steady", "mc-transient"])
+def test_histogram_grid_beyond_uint16_fails_before_any_event(tmp_path, capsys, monkeypatch,
+                                                             no_grid_beyond_uint16, subcommand):
+    # hist_h = 1e-9 once ran every event, then died allocating 224 GiB of bins
+    def advance(*args):
+        pytest.fail("the Monte Carlo event loop started")
+
+    monkeypatch.setattr(popmc, "_advance", advance)
+    rc = main([subcommand, "--out", str(tmp_path), "--set", "m_particles=1000",
+               "--set", "hist_h=1e-9"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "(30000000001 nodes) index nodes as uint16" in err
+    assert not list(tmp_path.glob(f"{subcommand}/*/*.csv"))
+
+
+def test_nan_entrant_cap_is_exit_code_one_under_the_adopt_rule(tmp_path, capsys):
+    # the adopt rule never reads the cap, but a checkpoint of the run must load
+    rc = main(["mc-transient", "--out", str(tmp_path), "--set", "m_particles=2000",
+               "--set", "tau_end=1", "--set", "g0=0.1", "--set", "entrant_cap=nan"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: entrant_cap is not finite\n"
+    assert not list(tmp_path.glob("mc-transient/*/*.csv"))
+
+
+@pytest.mark.parametrize("m_particles", [0, 1])
+def test_population_of_fewer_than_two_is_exit_code_one(tmp_path, capsys, m_particles):
+    rc = main(["mc-transient", "--out", str(tmp_path), "--set", f"m_particles={m_particles}",
+               "--set", "g0=0", "--set", "tau_end=1"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: a population needs at least 2 particles, got {m_particles}\n")
+
+
+@pytest.mark.parametrize("method", ["ode", "closed"])
+def test_trajectory_beyond_the_node_limit_is_exit_code_one(tmp_path, capsys, monkeypatch,
+                                                           method):
+    # 1e12 time nodes once died allocating 7.28 TiB
+    arange = np.arange
+
+    def guarded(*args, **kwargs):
+        if args and args[0] > 10**7:
+            pytest.fail(f"an arange of {args[0]} values was started")
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", guarded)
+    rc = main(["gamma", "--out", str(tmp_path), "--set", f"method={method}",
+               "--set", "tau_end=1e9", "--set", "dtau=1e-3"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == ("error: tau_end=1000000000.0 and dtau=0.001 give more than 10000000 "
+                   "time nodes; use a larger dtau\n")
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [(MemoryError(), "out of memory"),
+     (MemoryError("Unable to allocate 9.09 TiB"), "Unable to allocate 9.09 TiB")],
+)
+def test_memory_error_is_one_line_and_exit_code_one(tmp_path, capsys, monkeypatch, exc, message):
+    # nothing is allocated: the commands raise as numpy does when an array does not fit
+    def exhausted(*args):
+        raise exc
+
+    monkeypatch.setitem(cli._DISPATCH, "oracle", exhausted)
+    monkeypatch.setattr(cli, "cmd_mc", exhausted)
+    for subcommand in ("oracle", "mc-steady"):
+        rc = main([subcommand, "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_oracle_reports_fitted_order(tmp_path, capsys):

@@ -564,6 +564,92 @@ def test_checkpoint_of_an_adopt_run_loads_with_its_unused_cap(tmp_path):
     assert load_checkpoint(path).entrant_cap == -1.0
 
 
+def test_every_accepted_cap_and_ceiling_saves_and_loads(tmp_path):
+    # what run_transient accepts, its checkpoint holds: the cap must be
+    # finite under both rules and positive under capped, the ceiling
+    # positive and finite
+    path = tmp_path / "pop.npz"
+    accepted = set()
+    for rule in ("adopt", "capped"):
+        for cap in (np.nan, np.inf, -np.inf, -1.0, 0.0, 0.5, 100.0):
+            for ceiling in (np.nan, np.inf, -1.0, 0.0, 3.0, 1e9):
+                try:
+                    pop, _ = run_transient(2000, 0.5, 0.2, seed=1, entrant_rule=rule,
+                                           entrant_cap=cap, u_ceiling=ceiling)
+                except ValueError:
+                    continue
+                accepted.add((rule, cap, ceiling))
+                save_checkpoint(pop, path)
+                loaded = load_checkpoint(path)
+                assert (loaded.entrant_rule, loaded.entrant_cap, loaded.u_ceiling) == (
+                    rule, cap, ceiling)
+                assert_same_state(state_tuple(loaded), state_tuple(pop))
+    assert accepted == {(rule, cap, ceiling)
+                        for rule, caps in (("adopt", (-1.0, 0.0, 0.5, 100.0)),
+                                           ("capped", (0.5, 100.0)))
+                        for cap in caps for ceiling in (3.0, 1e9)}
+
+
+def _bare(**changes):
+    fields = dict(seed=0, tau=0.0, localized=np.ones(5, dtype=bool), u_sync=np.ones(5),
+                  t_sync=np.zeros(5))
+    fields.update(changes)
+    return Population(**fields)
+
+
+@pytest.mark.parametrize(
+    "changes, name",
+    [
+        (dict(localized=np.ones(5, dtype=np.int8)), "localized"),
+        (dict(localized=np.ones(1, dtype=bool), u_sync=np.ones(1), t_sync=np.zeros(1)),
+         "at least 2 particles"),
+        (dict(u_sync=np.ones(5, dtype=np.float32)), "u_sync"),
+        (dict(t_sync=np.zeros((5, 1))), "t_sync"),
+        (dict(u_sync=np.ones(4)), "u_sync"),
+        (dict(u_sync=np.array([1.0, np.nan, 1.0, 1.0, 1.0])), "u_sync"),
+        (dict(t_sync=np.full(5, -np.inf)), "t_sync"),
+        (dict(entrant_rule="bogus"), "entrant_rule"),
+        (dict(entrant_cap=np.nan), "entrant_cap"),
+        (dict(entrant_rule="capped", entrant_cap=0.0), "entrant_cap"),
+        (dict(u_ceiling=-5.0), "u_ceiling"),
+        (dict(u_ceiling=np.inf), "u_ceiling"),
+        (dict(pair_rate=-1.0), "pair_rate"),
+        (dict(pair_rate=np.nan), "pair_rate"),
+        (dict(tau=np.inf), "tau"),
+        (dict(_pending_gap=np.nan), "pending_gap"),
+        (dict(_buffer=np.ones(3, dtype=np.float32)), "buffer"),
+        (dict(_buffer=np.array([0.5, 1.0])), "buffer"),
+        (dict(overflow_count=-1), "overflow_count"),
+        (dict(events_deloc_deloc=-2), "events_deloc_deloc"),
+    ],
+)
+def test_population_refuses_a_bad_field(changes, name):
+    with pytest.raises(ValueError, match=name):
+        _bare(**changes)
+
+
+def test_population_refuses_an_unknown_rule_with_a_negative_ceiling():
+    # this population once resumed and counted more overflows than particles
+    with pytest.raises(ValueError, match="entrant_rule 'bogus' is unknown"):
+        _bare(u_ceiling=-5.0, entrant_rule="bogus", rng=np.random.Generator(np.random.Philox()))
+
+
+@pytest.mark.parametrize("M", [0, 1])
+def test_population_of_fewer_than_two_is_refused(M):
+    # one particle once failed with an IndexError at its first event, none
+    # with a ZeroDivisionError in its empirical fraction
+    with pytest.raises(ValueError, match=f"at least 2 particles, got {M}"):
+        run_transient(M, 0.0, 1.0, seed=0)
+
+
+def test_resume_refuses_a_field_set_after_construction():
+    pop, _ = run_transient(2000, 0.5, 0.5, seed=1)
+    pop.u_ceiling = np.nan
+    with pytest.raises(ValueError, match="u_ceiling must be positive and finite, got nan"):
+        resume(pop, 1.0)
+    assert pop.tau == 0.5
+
+
 def test_checkpoint_ignores_stale_delocalized_values(tmp_path):
     pop, _ = run_transient(2000, 0.1, 0.5, seed=1)
     stale = int(np.flatnonzero(~pop.localized)[0])

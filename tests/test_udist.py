@@ -207,13 +207,18 @@ def test_deposit_kernel_matches_dense_reference(h):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
 
 
+def _arrays(obj):
+    """Every array in obj, a nest of tuples."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, tuple):
+        return [a for x in obj for a in _arrays(x)]
+    return []
+
+
 def _nbytes(obj) -> int:
     """Bytes of the arrays in obj, a nest of tuples."""
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if isinstance(obj, tuple):
-        return sum(_nbytes(x) for x in obj)
-    return 0
+    return sum(a.nbytes for a in _arrays(obj))
 
 
 _TABLE_CACHES = (udist._deposit_tables, udist._node_tables)
@@ -466,10 +471,8 @@ def test_grid_beyond_uint16_nodes_is_refused_before_any_table(monkeypatch, schem
     monkeypatch.setattr(udist, "_deposit_tables", build)
     monkeypatch.setattr(udist, "_node_tables", build)
     udist._check_table_bytes(scheme, UGrid(1.0, (1 << 16) - 1))  # 65536 nodes fit
-    g = UGrid(1.0, 1 << 16)
-    p = UDensity(g, np.ones(g.n_nodes))
-    with pytest.raises(ValueError, match="65537 nodes"):
-        collision_kernel(p, p, scheme=scheme)
+    with pytest.raises(ValueError, match=r"65537 nodes\) index nodes as uint16"):
+        UGrid(1.0, 1 << 16)
 
 
 @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (64, 2)])
@@ -577,6 +580,20 @@ def test_each_table_cache_holds_one_grid(cache):
         cache.cache_clear()
         assert cache.cache_info().currsize == 0
         assert cache(*a) is not again
+    finally:
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("cache", _TABLE_CACHES, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("n_bins", [100, 600])
+def test_every_cached_array_is_read_only(cache, n_bins):
+    # the call blocks' segment starts and diagonal positions too: a write
+    # into any of them would change every later kernel call on the grid
+    cache.cache_clear()
+    try:
+        *tables, blocks, _ = cache(30.0, n_bins)
+        assert len(_arrays(blocks)) >= len(blocks) > 0
+        assert not any(a.flags.writeable for a in _arrays((*tables, blocks)))
     finally:
         cache.cache_clear()
 
