@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -95,15 +94,13 @@ def cmd_transient(cfg: dict, run_dir: Path) -> None:
     else:
         g = float(cfg["g0"])
     m_max = cfg["residual_m_max"]
+    if not 0 <= m_max <= _HIERARCHY_LIMIT:
+        raise ConfigError(f"residual_m_max must lie in 0..{_HIERARCHY_LIMIT}, got {m_max}")
     if m_max > 0:
         if cfg["snapshot_stride"] > 10:
             raise ConfigError(
                 "residual_m_max needs snapshot_stride <= 10 so the time quadrature "
                 "has dense enough snapshots"
-            )
-        if m_max > _HIERARCHY_LIMIT:
-            raise ConfigError(
-                f"residual_m_max must lie in 0..{_HIERARCHY_LIMIT}, got {m_max}"
             )
         if not 0.0 <= cfg["g0"] < 1.0:
             raise ConfigError(f"residual_m_max needs 0 <= g0 < 1, got g0={cfg['g0']}")
@@ -183,6 +180,8 @@ def cmd_mc(subcommand: str, cfg: dict, run_dir: Path, jobs: int) -> None:
     grid = _hist_grid(cfg)  # a bad histogram grid fails before any event is drawn
     workers = _worker_count(jobs, len(seeds))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # its import costs every run ~13 ms
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             futures = [
                 ex.submit(_mc_one, subcommand, cfg, str(run_dir), s, grid) for s in seeds

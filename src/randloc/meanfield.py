@@ -141,6 +141,8 @@ class SolverConfig:
         if self.dtau is None:
             return self.grid.h
         k = self.dtau / self.h
+        if not np.isfinite(k):  # round() of an overflowed ratio raises OverflowError
+            raise ValueError(f"dtau / h overflows for dtau={self.dtau}, h={self.h}")
         if abs(k - round(k)) > 1e-9 or round(k) < 1:
             raise ValueError(
                 f"dtau={self.dtau} must be a positive integer multiple of h={self.h}"
@@ -399,7 +401,10 @@ def evolve_transient(
     if isinstance(g, GammaTrajectory) and g.tau_end < tau_end - 1e-12:
         raise ValueError("fraction trajectory does not cover [0, tau_end]")
     dtau = cfg.dtau_resolved
-    n_steps = int(round(tau_end / dtau))
+    ratio = tau_end / dtau
+    if not np.isfinite(ratio):  # int() of an overflowed ratio raises OverflowError
+        raise ValueError(f"tau_end / dtau overflows for tau_end={tau_end}, dtau={dtau}")
+    n_steps = int(round(ratio))
     if n_steps < 1 or abs(n_steps * dtau - tau_end) > 1e-9 * max(1.0, tau_end):
         raise ValueError(f"tau_end={tau_end} is not an integer multiple of dtau={dtau}")
 

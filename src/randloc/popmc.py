@@ -1,10 +1,10 @@
 """Event-driven population Monte Carlo for the localization process.
 
 A population of M particles is either delocalized or localized with a
-dimensionless squared length u >= 0. Localized values grow at unit rate
-between events. Pair events arrive as a Poisson stream of total rate M/2
-(so each particle is involved at rate 1); at each event an unordered
-distinct pair is drawn uniformly and
+dimensionless squared length u >= 0. Localized values start as u e^{-u}
+variates and grow at unit rate between events. Pair events arrive as a
+Poisson stream of total rate M/2 (so each particle is involved at rate
+1); at each event an unordered distinct pair is drawn uniformly and
 
     (localized, localized)    both members become combine(u_i, u_j),
     (localized, delocalized)  the delocalized member localizes; by default
@@ -36,7 +36,9 @@ therefore reproduce bit-identical trajectories on every platform that
 rounds doubles to IEEE 754 (see Gaps below). Checkpoints capture the
 stream state, the unconsumed tail of the current block, the pending
 interarrival gap and the event counters, so a resumed run continues
-bit-for-bit as if never interrupted.
+bit-for-bit as if never interrupted. A checkpoint (version 4) holds the
+version, the stream state and every other Population field, and nothing
+else.
 
 Wavefront schedule. The loop takes a block's triples as arrays, at most
 _RUN_EVENTS at a time (a run), and gets the event times from one
@@ -62,7 +64,7 @@ every platform, and a whole run's gaps cost a few dozen array passes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -85,7 +87,7 @@ _MIN_STEADY = 1000
 _MIN_SEEDED = 10
 _BLOCK_EVENTS = 1 << 15
 _RUN_EVENTS = 1 << 13  # events per wavefront run; keeps a run's temporaries in cache
-_CHECKPOINT_VERSION = 3
+_CHECKPOINT_VERSION = 4
 _ENTRANT_RULES = ("adopt", "capped")
 _COUNTERS = ("overflow_count", "events_loc_loc", "events_loc_deloc", "events_deloc_deloc")
 
@@ -110,9 +112,10 @@ class Population:
     (counted, never dropped); events_loc_loc, events_loc_deloc and
     events_deloc_deloc count the events of each kind. The private fields
     carry the RNG block buffer and the already-drawn gap to the next event
-    so that resumed runs are bit-identical to uninterrupted ones. Building
-    one, and ``resume``, check every field and raise ValueError naming a
-    bad one; entrant_cap must be finite, and positive under "capped".
+    so that resumed runs are bit-identical to uninterrupted ones. These
+    fields, rng aside, are what a checkpoint holds. Building one, and
+    ``resume``, check every field and raise ValueError naming a bad one;
+    entrant_cap must be finite, and positive under "capped".
     """
 
     seed: int
@@ -122,7 +125,6 @@ class Population:
     t_sync: np.ndarray
     entrant_rule: str = "adopt"
     entrant_cap: float = 100.0
-    pair_rate: float | None = None
     u_ceiling: float = 1e9
     overflow_count: int = 0
     events_loc_loc: int = 0
@@ -158,13 +160,10 @@ class Population:
         if self.entrant_rule == "capped":
             _check_positive_finite("entrant_cap", self.entrant_cap)
         _check_positive_finite("u_ceiling", self.u_ceiling)
-        rate = 0.0 if self.pair_rate is None else self.pair_rate
         for name, value in (("tau", self.tau), ("pending_gap", self._pending_gap),
-                            ("entrant_cap", self.entrant_cap), ("pair_rate", rate)):
+                            ("entrant_cap", self.entrant_cap)):
             if not np.isfinite(value):
                 raise ValueError(f"{name} is not finite")
-        if rate < 0.0:
-            raise ValueError(f"pair_rate must be nonnegative and finite, got {rate}")
         if not np.all((arrays["buffer"] >= 0.0) & (arrays["buffer"] < 1.0)):
             raise ValueError("buffer holds a value outside [0, 1)")
         for name in _COUNTERS:
@@ -187,6 +186,12 @@ class Population:
         """Materialized values of the localized particles at self.tau."""
         sel = self.localized
         return self.u_sync[sel] + (self.tau - self.t_sync[sel])
+
+
+# What a checkpoint holds besides its version and generator state: every other
+# Population field as (attribute, npz key).
+_CHECKPOINT_FIELDS = tuple((f.name, f.name.lstrip("_"))
+                           for f in fields(Population) if f.name != "rng")
 
 
 def sample_from_density(density: UDensity, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -258,22 +263,18 @@ def run_steady(
     seed: int,
     snapshot_taus=(),
     *,
-    init: UDensity | None = None,
-    pair_rate: float | None = None,
     u_ceiling: float = 1e9,
 ) -> tuple[Population, list[PopulationSnapshot]]:
     """Fully localized population (g = 1) advanced to tau_end.
 
-    Initial values are drawn from init (default u e^{-u}). pair_rate
-    overrides the default total event rate M/2; rate 0 turns events off
-    entirely (drift-only test hook). Snapshots never perturb the event
-    sequence. This is run_transient at g0 = 1, which the same seed
-    reproduces bit for bit, for populations of at least 1000 particles.
+    Initial values are u e^{-u} variates and events arrive at total rate
+    M/2. Snapshots never perturb the event sequence. This is run_transient
+    at g0 = 1, which the same seed reproduces bit for bit, for populations
+    of at least 1000 particles.
     """
     if M < _MIN_STEADY:
         raise ValueError(f"steady runs need at least {_MIN_STEADY} particles, got {M}")
-    return run_transient(M, 1.0, tau_end, seed, "adopt", snapshot_taus, init=init,
-                         pair_rate=pair_rate, u_ceiling=u_ceiling)
+    return run_transient(M, 1.0, tau_end, seed, "adopt", snapshot_taus, u_ceiling=u_ceiling)
 
 
 def run_transient(
@@ -284,9 +285,7 @@ def run_transient(
     entrant_rule: str = "adopt",
     snapshot_taus=(),
     *,
-    init: UDensity | None = None,
     entrant_cap: float = 100.0,
-    pair_rate: float | None = None,
     u_ceiling: float = 1e9,
 ) -> tuple[Population, list[PopulationSnapshot]]:
     """Seeded population: ceil(g0*M) localized at the start, rest delocalized.
@@ -308,9 +307,8 @@ def run_transient(
     localized = np.zeros(M, dtype=bool)
     localized[:n0] = True
     u_sync = np.zeros(M)
-    if n0:  # by default u e^{-u}, a gamma(shape 2, scale 1) variate
-        u_sync[:n0] = (rng.gamma(2.0, 1.0, n0) if init is None
-                       else sample_from_density(init, n0, rng))
+    if n0:  # u e^{-u}, a gamma(shape 2, scale 1) variate
+        u_sync[:n0] = rng.gamma(2.0, 1.0, n0)
     pop = Population(
         seed=seed,
         tau=0.0,
@@ -319,7 +317,6 @@ def run_transient(
         t_sync=np.zeros(M),
         entrant_rule=entrant_rule,
         entrant_cap=entrant_cap,
-        pair_rate=pair_rate,
         u_ceiling=u_ceiling,
         rng=rng,
     )
@@ -348,7 +345,7 @@ def _advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationS
             raise ValueError(f"snapshot time {t} outside [{pop.tau}, {tau_end}]")
     snaps: list[PopulationSnapshot] = []
     m = pop.size
-    rate = (m / 2.0) if pop.pair_rate is None else float(pop.pair_rate)
+    rate = m / 2.0  # each particle takes part in events at rate 1
 
     # Events scatter into private copies; the caller's arrays are replaced, not mutated.
     pop.u_sync = np.array(pop.u_sync, dtype=float)
@@ -368,54 +365,53 @@ def _advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationS
             snaps.append(PopulationSnapshot(tau=ts, g_empirical=pop.n_localized / m, u_values=u))
             snap_i += 1
 
-    if rate > 0.0:
-        rng = pop.rng
-        block = 3 * _BLOCK_EVENTS
-        buf = pop._buffer
-        pos = 0
-        gap = pop._pending_gap
-        if gap < 0.0:  # a fresh population's first gap
-            if buf.size == 0:
-                buf = rng.random(block)
-            gap = float(_neg_log1p(buf[:1])[0]) / rate
-            pos = 1
-        inv_rate = 1.0 / rate
-        tau = pop.tau
-        while True:
-            t_next = tau + gap
-            if t_next > tau_end:
+    rng = pop.rng
+    block = 3 * _BLOCK_EVENTS
+    buf = pop._buffer
+    pos = 0
+    gap = pop._pending_gap
+    if gap < 0.0:  # a fresh population's first gap
+        if buf.size == 0:
+            buf = rng.random(block)
+        gap = float(_neg_log1p(buf[:1])[0]) / rate
+        pos = 1
+    inv_rate = 1.0 / rate
+    tau = pop.tau
+    while True:
+        t_next = tau + gap
+        if t_next > tau_end:
+            break
+        if buf.size - pos < 3:
+            # A refill drops a tail too short for the indices; a tail of two
+            # holds the indices of the event whose gap opens the new block.
+            tail = buf[pos:] if buf.size - pos == 2 else buf[:0]
+            buf = np.concatenate((tail, rng.random(block)))
+            pos = 0
+        k = min((buf.size - pos) // 3, _RUN_EVENTS)
+        draws = buf[pos : pos + 3 * k].reshape(k, 3)
+        i = (draws[:, 0] * m).astype(np.int64)
+        j = (draws[:, 1] * (m - 1)).astype(np.int64)
+        j += j >= i
+        gaps = _neg_log1p(draws[:, 2])
+        gaps *= inv_rate
+        # The same left-to-right additions as stepping tau += gap event by event.
+        times = np.cumsum(np.concatenate(([tau, gap], gaps[:-1])))[1:]
+        n = int(np.searchsorted(times, tau_end, side="right"))
+        a = 0
+        while True:  # a snapshot within 1e-12 of an event sees the state before it
+            c = n
+            if snap_i < n_pending:
+                c = a + int(np.searchsorted(times[a:n] + 1e-12, pending[snap_i]))
+            _apply_events(pop, i[a:c], j[a:c], times[a:c])
+            if c == n:
                 break
-            if buf.size - pos < 3:
-                # A refill drops a tail too short for the indices; a tail of two
-                # holds the indices of the event whose gap opens the new block.
-                tail = buf[pos:] if buf.size - pos == 2 else buf[:0]
-                buf = np.concatenate((tail, rng.random(block)))
-                pos = 0
-            k = min((buf.size - pos) // 3, _RUN_EVENTS)
-            draws = buf[pos : pos + 3 * k].reshape(k, 3)
-            i = (draws[:, 0] * m).astype(np.int64)
-            j = (draws[:, 1] * (m - 1)).astype(np.int64)
-            j += j >= i
-            gaps = _neg_log1p(draws[:, 2])
-            gaps *= inv_rate
-            # The same left-to-right additions as stepping tau += gap event by event.
-            times = np.cumsum(np.concatenate(([tau, gap], gaps[:-1])))[1:]
-            n = int(np.searchsorted(times, tau_end, side="right"))
-            a = 0
-            while True:  # a snapshot within 1e-12 of an event sees the state before it
-                c = n
-                if snap_i < n_pending:
-                    c = a + int(np.searchsorted(times[a:n] + 1e-12, pending[snap_i]))
-                _apply_events(pop, i[a:c], j[a:c], times[a:c])
-                if c == n:
-                    break
-                emit_until(times[c])
-                a = c
-            tau = float(times[n - 1])
-            gap = float(gaps[n - 1])
-            pos += 3 * n
-        pop._buffer = buf[pos:].copy()
-        pop._pending_gap = float(t_next - tau_end)
+            emit_until(times[c])
+            a = c
+        tau = float(times[n - 1])
+        gap = float(gaps[n - 1])
+        pos += 3 * n
+    pop._buffer = buf[pos:].copy()
+    pop._pending_gap = float(t_next - tau_end)
     emit_until(tau_end)
     pop.tau = tau_end
     return snaps
@@ -592,27 +588,18 @@ def _apply_events(pop: Population, i: np.ndarray, j: np.ndarray, t: np.ndarray) 
 
 
 def save_checkpoint(pop: Population, path) -> None:
-    """Binary checkpoint (versioned npz) of the full resumable state."""
+    """Binary checkpoint (versioned npz) of the full resumable state: the
+    version, the generator state as JSON and every other Population field,
+    under its name without the leading underscore. A field that only a
+    pickle could hold, such as a seed beyond 64 bits, raises ValueError."""
     if pop.rng is None:
         raise ValueError("population carries no generator state to save")
     state = json.dumps(pop.rng.bit_generator.state, default=_json_np)
-    np.savez(
-        path,
-        version=np.int64(_CHECKPOINT_VERSION),
-        seed=np.int64(pop.seed),
-        tau=np.float64(pop.tau),
-        localized=pop.localized,
-        u_sync=pop.u_sync,
-        t_sync=pop.t_sync,
-        entrant_rule=np.str_(pop.entrant_rule),
-        entrant_cap=np.float64(pop.entrant_cap),
-        pair_rate=np.float64(-1.0 if pop.pair_rate is None else pop.pair_rate),
-        u_ceiling=np.float64(pop.u_ceiling),
-        **{name: np.int64(getattr(pop, name)) for name in _COUNTERS},
-        rng_state=np.str_(state),
-        buffer=pop._buffer,
-        pending_gap=np.float64(pop._pending_gap),
-    )
+    entries = {key: np.asarray(getattr(pop, name)) for name, key in _CHECKPOINT_FIELDS}
+    for key, a in entries.items():
+        if a.dtype.hasobject:  # np.savez would pickle it, and load_checkpoint refuses pickles
+            raise ValueError(f"a checkpoint cannot hold {key} {a}")
+    np.savez(path, version=np.int64(_CHECKPOINT_VERSION), rng_state=np.str_(state), **entries)
 
 
 def _json_np(obj):
@@ -635,30 +622,14 @@ def load_checkpoint(path) -> Population:
         if version != _CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         f = {name: z[name] for name in z.files}
-    missing = sorted(
-        {"seed", "tau", "localized", "u_sync", "t_sync", "entrant_rule", "entrant_cap",
-         "pair_rate", "u_ceiling", "rng_state", "buffer", "pending_gap", *_COUNTERS} - f.keys()
-    )
+    missing = sorted({"rng_state", *(key for _, key in _CHECKPOINT_FIELDS)} - f.keys())
     if missing:
         raise ValueError(f"checkpoint lacks {', '.join(missing)}")
     rng = np.random.Generator(np.random.Philox())
     rng.bit_generator.state = json.loads(str(f["rng_state"]))
-    pr = float(f["pair_rate"])
+    values = {name: f[key].item() if f[key].ndim == 0 else f[key]
+              for name, key in _CHECKPOINT_FIELDS}
     try:
-        return Population(
-            seed=int(f["seed"]),
-            tau=float(f["tau"]),
-            localized=f["localized"],
-            u_sync=f["u_sync"],
-            t_sync=f["t_sync"],
-            entrant_rule=str(f["entrant_rule"]),
-            entrant_cap=float(f["entrant_cap"]),
-            pair_rate=None if pr < 0.0 else pr,
-            u_ceiling=float(f["u_ceiling"]),
-            **{name: int(f[name]) for name in _COUNTERS},
-            rng=rng,
-            _buffer=f["buffer"],
-            _pending_gap=float(f["pending_gap"]),
-        )
+        return Population(**values, rng=rng)
     except ValueError as exc:
         raise ValueError(f"checkpoint {exc}") from None

@@ -89,7 +89,10 @@ class UGrid:
             raise ValueError(f"spacing must be positive and finite, got {h}")
         if not 0 < u_max < np.inf:
             raise ValueError(f"u_max must be positive and finite, got {u_max}")
-        n = int(round(u_max / h))
+        ratio = u_max / h
+        if not np.isfinite(ratio):  # int() of an overflowed ratio raises OverflowError
+            raise ValueError(f"u_max / h overflows for u_max={u_max}, h={h}; use a coarser grid")
+        n = int(round(ratio))
         if n < 2 or abs(n * h - u_max) > 1e-9 * u_max:
             raise ValueError(f"u_max={u_max} is not an integer multiple of h={h}")
         return cls(float(u_max), n)

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: directories, headers, exit codes, reruns."""
 
+import concurrent.futures
 import os
 import runpy
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import randloc
 from randloc import cli, csvio, meanfield, popmc, udist
 from randloc.cli import main
 from randloc.csvio import read_density, read_table, read_trajectory
@@ -92,7 +94,8 @@ def test_transient_residual_needs_dense_snapshots(tmp_path, capsys):
 @pytest.mark.parametrize(
     "sets, message",
     [(["g_mode=const", "g0=1", "residual_m_max=1"], "g0 < 1"),
-     (["residual_m_max=4"], "residual_m_max must lie in 0..3")],
+     (["residual_m_max=4"], "residual_m_max must lie in 0..3"),
+     (["residual_m_max=-1"], "residual_m_max must lie in 0..3, got -1")],
 )
 def test_impossible_residual_fails_before_evolve(tmp_path, capsys, monkeypatch, sets, message):
     def evolve(*args, **kwargs):
@@ -195,6 +198,28 @@ def test_bad_histogram_grid_fails_before_any_event(tmp_path, capsys, monkeypatch
     rc = main(argv + [x for kv in sets for x in ("--set", kv)])
     assert rc == 1
     assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob(f"{subcommand}/*/*.csv"))
+
+
+@pytest.mark.parametrize(
+    "subcommand, sets, message",
+    [
+        ("steady", ["h=1e-320"], "u_max / h overflows for u_max=30.0, h=1e-320"),
+        ("mc-steady", ["hist_h=1e-320"], "u_max / h overflows for u_max=30.0, h=1e-320"),
+        ("transient", ["dtau=1e308"], "dtau / h overflows for dtau=1e+308, h=0.02"),
+        ("transient", ["g_mode=const", "tau_end=1e308"],
+         "tau_end / dtau overflows for tau_end=1e+308, dtau=0.02"),
+    ],
+)
+def test_overflowing_grid_or_step_count_is_exit_code_one(tmp_path, capsys, subcommand, sets,
+                                                         message):
+    # each of these ratios once overflowed to infinity in int(round(...)), and
+    # its OverflowError ended the run in a traceback
+    rc = main([subcommand, "--jobs", "1", "--out", str(tmp_path)]
+              + [x for kv in sets for x in ("--set", kv)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not list(tmp_path.glob(f"{subcommand}/*/*.csv"))
 
 
@@ -407,7 +432,7 @@ def test_python_m_randloc_runs_the_cli(tmp_path, capsys, monkeypatch):
         pytest.fail("a subprocess or worker pool was started")
 
     monkeypatch.setattr(subprocess, "Popen", refuse)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     monkeypatch.setattr(sys, "argv", ["randloc", "gamma", "--out", str(tmp_path),
                                       "--set", "tau_end=1", "--set", "name=m"])
     with pytest.raises(SystemExit) as stop:
@@ -416,6 +441,15 @@ def test_python_m_randloc_runs_the_cli(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.strip() == str(tmp_path / "gamma" / "m")
     taus, _, _ = read_trajectory(f"{tmp_path}/gamma/m/gamma.csv")
     assert taus[-1] == 1.0
+
+
+def test_cli_import_leaves_the_worker_pool_unimported():
+    # the pool pulls in multiprocessing and socket, which only a run with
+    # workers needs
+    script = "import sys, randloc.cli; assert 'multiprocessing' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(Path(randloc.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_failed_echo_write_keeps_old_file(tmp_path, capsys, monkeypatch):

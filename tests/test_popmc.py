@@ -1,5 +1,6 @@
 """Pairwise event-driven Monte Carlo population dynamics."""
 
+import dataclasses
 import math
 from contextlib import contextmanager
 
@@ -83,7 +84,8 @@ def test_checkpoint_rejects_foreign_version(tmp_path):
     save_checkpoint(pop, path)
     with np.load(path) as z:
         payload = {k: z[k] for k in z.files}
-    for version in (2, 99):  # version 2 drew its gaps with the platform's log1p
+    # version 2 drew its gaps with the platform's log1p, version 3 held a rate field
+    for version in (2, 3, 99):
         payload["version"] = np.int64(version)
         np.savez(path, **payload)
         with pytest.raises(ValueError, match=f"version {version}"):
@@ -118,11 +120,19 @@ def test_transient_fraction_tracks_closed_form():
     assert abs(pop.g_empirical - gc) < 3.0 * se
 
 
-def test_rate_zero_is_pure_drift():
-    pop, snaps = run_steady(1000, 2.5, seed=6, pair_rate=0.0, snapshot_taus=(1.25,))
-    assert np.array_equal(pop.t_sync, np.zeros(1000))
-    assert np.array_equal(pop.current_u(), pop.u_sync + 2.5)
-    assert np.array_equal(snaps[0].u_values, pop.u_sync + 1.25)
+def test_resume_within_the_pending_gap_is_pure_drift():
+    pop, _ = run_transient(1000, 0.5, 1.0, seed=6)
+    kept = [pop.u_sync.copy(), pop.t_sync.copy(), pop.localized.copy(), pop._buffer.copy()]
+    counts = [getattr(pop, n) for n in popmc._COUNTERS]
+    u0 = pop.current_u()
+    elapsed = 0.5 * pop._pending_gap
+    assert elapsed > 0.0
+    resume(pop, 1.0 + elapsed)
+    assert pop.tau == 1.0 + elapsed
+    for a, b in zip(kept, [pop.u_sync, pop.t_sync, pop.localized, pop._buffer]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert [getattr(pop, n) for n in popmc._COUNTERS] == counts
+    assert np.max(np.abs(pop.current_u() - u0 - elapsed)) < 1e-12
 
 
 def test_steady_population_matches_grid_solution():
@@ -203,17 +213,9 @@ def test_steady_u_ceiling_must_be_positive_and_finite(ceiling):
 def test_snapshot_and_rate_guards():
     with pytest.raises(ValueError, match="outside"):
         run_steady(1000, 1.0, seed=0, snapshot_taus=(2.0,))
-    with pytest.raises(ValueError, match="nonnegative"):
-        run_steady(1000, 1.0, seed=0, pair_rate=-1.0)
     pop, _ = run_steady(1000, 1.0, seed=0)
     with pytest.raises(ValueError, match="before"):
         resume(pop, 0.5)
-
-
-@pytest.mark.parametrize("rate", [np.nan, np.inf])
-def test_non_finite_rate_is_rejected(rate):
-    with pytest.raises(ValueError, match="finite"):
-        run_steady(1000, 1.0, seed=0, pair_rate=rate)
 
 
 @pytest.mark.parametrize("tau_end", [np.nan, np.inf])
@@ -323,14 +325,13 @@ def test_batched_overflow_matches_reference(rule):
 
 
 @pytest.mark.parametrize("block_events", [None, 1, 2, 5])
-@pytest.mark.parametrize("pair_rate", [None, 1.0])
-def test_batched_refills_match_reference(monkeypatch, block_events, pair_rate):
+def test_batched_refills_match_reference(monkeypatch, block_events):
     # Blocks of a few events make most events straddle a refill.
     if block_events is not None:
         monkeypatch.setattr(popmc, "_BLOCK_EVENTS", block_events)
-    tau_end = 1.5 if pair_rate is None else 400.0
+    tau_end = 1.5
     batched, dense = both_loops(lambda: run_transient(
-        1000, 0.2, tau_end, 4, snapshot_taus=(0.3 * tau_end,), pair_rate=pair_rate))
+        1000, 0.2, tau_end, 4, snapshot_taus=(0.3 * tau_end,)))
     assert sum(getattr(batched[0], n) for n in popmc._COUNTERS[1:]) > 200
     assert_bit_identical(batched, dense)
 
@@ -524,7 +525,7 @@ def _with(index, value):
         (dict(tau=lambda a: np.float64(np.nan)), "tau is not finite"),
         (dict(pending_gap=lambda a: np.float64(np.inf)), "pending_gap is not finite"),
         (dict(entrant_cap=lambda a: np.float64(-np.inf)), "entrant_cap is not finite"),
-        (dict(pair_rate=lambda a: np.float64(np.nan)), "pair_rate is not finite"),
+        (dict(rng_state=None), "lacks rng_state"),
         (dict(u_sync=_with(0, np.nan)), "u_sync holds a non-finite"),
         (dict(t_sync=_with(1, np.inf)), "t_sync holds a non-finite"),
         (dict(entrant_rule=lambda a: np.str_("copy")), "entrant_rule 'copy'"),
@@ -541,6 +542,36 @@ def test_checkpoint_rejects_corrupted_field(tmp_path, changes, msg):
     _corrupt(path, **changes)
     with pytest.raises(ValueError, match=msg):
         load_checkpoint(path)
+
+
+def test_checkpoint_holds_exactly_the_population_fields(tmp_path):
+    pop, _ = run_transient(2000, 0.5, 0.5, seed=1, entrant_rule="capped", entrant_cap=2.0,
+                           u_ceiling=3.0)
+    path = tmp_path / "pop.npz"
+    save_checkpoint(pop, path)
+    names = [f.name for f in dataclasses.fields(Population) if f.name != "rng"]
+    with np.load(path, allow_pickle=False) as z:
+        assert sorted(z.files) == sorted(["version", "rng_state",
+                                          *(name.lstrip("_") for name in names)])
+    loaded = load_checkpoint(path)
+    for name in names:
+        saved, got = getattr(pop, name), getattr(loaded, name)
+        assert type(got) is type(saved), name
+        assert np.array_equal(got, saved), name
+    assert np.array_equal(loaded.rng.random(8), pop.rng.random(8))  # the same stream state
+
+
+def test_checkpoint_saves_only_what_it_can_load(tmp_path):
+    # every 128-bit seed keys a Philox stream, but np.savez would pickle one
+    # beyond 64 bits, which load_checkpoint refuses to read
+    path = tmp_path / "pop.npz"
+    pop, _ = run_steady(1000, 0.1, seed=2**70)
+    with pytest.raises(ValueError, match="cannot hold seed 1180591620717411303424"):
+        save_checkpoint(pop, path)
+    assert not path.exists()
+    pop, _ = run_steady(1000, 0.1, seed=2**64 - 1)
+    save_checkpoint(pop, path)
+    assert load_checkpoint(path).seed == 2**64 - 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
@@ -613,8 +644,8 @@ def _bare(**changes):
         (dict(entrant_rule="capped", entrant_cap=0.0), "entrant_cap"),
         (dict(u_ceiling=-5.0), "u_ceiling"),
         (dict(u_ceiling=np.inf), "u_ceiling"),
-        (dict(pair_rate=-1.0), "pair_rate"),
-        (dict(pair_rate=np.nan), "pair_rate"),
+        (dict(events_loc_loc=-1), "events_loc_loc"),
+        (dict(events_loc_deloc=-1), "events_loc_deloc"),
         (dict(tau=np.inf), "tau"),
         (dict(_pending_gap=np.nan), "pending_gap"),
         (dict(_buffer=np.ones(3, dtype=np.float32)), "buffer"),
