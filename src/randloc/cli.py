@@ -85,8 +85,7 @@ def cmd_steady(cfg: dict, run_dir: Path) -> None:
 
 
 def cmd_transient(cfg: dict, run_dir: Path) -> None:
-    dtau = cfg["dtau"] if cfg["dtau"] > 0.0 else None
-    sc = SolverConfig(u_max=cfg["u_max"], h=cfg["h"], dtau=dtau)
+    sc = SolverConfig(u_max=cfg["u_max"], h=cfg["h"], dtau=cfg["dtau"] or None)  # 0 means h
     grid = sc.grid
     p0 = resolve_init(grid, cfg["init"])
     if cfg["g_mode"] == "closed":

@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 _MAX_ODE_STEP = 0.1
-_MAX_TIME_NODES = 10**7  # of one trajectory: 80 MB an array
+_MAX_TIME_STEPS = 10**7  # a time axis takes fewer, so its node arrays stay within 80 MB
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,15 +107,19 @@ def half_time(g0: float) -> float:
     return float(np.log((1.0 - g0) / g0))
 
 
+def _check_time_steps(steps: float, tau_end: float, dtau: float) -> None:
+    if not steps < _MAX_TIME_STEPS:  # also refuses a NaN count
+        raise ValueError(f"tau_end={tau_end} and dtau={dtau} give more than "
+                         f"{_MAX_TIME_STEPS} time nodes; use a larger dtau")
+
+
 def _time_nodes(tau_end: float, dtau: float) -> np.ndarray:
     if not np.isfinite(tau_end) or tau_end <= 0.0:
         raise ValueError(f"tau_end must be positive, got {tau_end}")
-    if dtau <= 0.0:
-        raise ValueError(f"dtau must be positive, got {dtau}")
+    if not 0.0 < dtau < np.inf:
+        raise ValueError(f"dtau must be positive and finite, got {dtau}")
     steps = np.ceil(tau_end / dtau - 1e-12)
-    if not steps < _MAX_TIME_NODES:  # also refuses a NaN dtau
-        raise ValueError(f"tau_end={tau_end} and dtau={dtau} give more than "
-                         f"{_MAX_TIME_NODES} time nodes; use a larger dtau")
+    _check_time_steps(steps, tau_end, dtau)
     n = int(steps)
     taus = np.minimum(dtau * np.arange(n + 1), tau_end)
     taus[-1] = tau_end

@@ -45,10 +45,16 @@ _REL_TOL = 1e-6
 _MIN_HALFWIDTH_SIGMAS = 8.0
 
 
+def _check_positive(**values: float) -> None:
+    """Refuses any value outside (0, inf), NaN included, by its key."""
+    for key, value in values.items():
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{key} must be positive and finite, got {value}")
+
+
 def contraction_limit(xi1_sq: float, xi2_sq: float) -> float:
     """Harmonic combination xi1_sq*xi2_sq/(xi1_sq+xi2_sq): inverse variances add."""
-    if xi1_sq <= 0.0 or xi2_sq <= 0.0:
-        raise ValueError("squared widths must be positive")
+    _check_positive(xi1_sq=xi1_sq, xi2_sq=xi2_sq)
     return xi1_sq * xi2_sq / (xi1_sq + xi2_sq)
 
 
@@ -59,7 +65,8 @@ class GaussPair:
     quad_points is the starting per-axis resolution; posterior_moments
     doubles it until the variances stabilize. halfwidth_sigmas fixes each
     axis's integration window as a multiple of that marginal's width and
-    must cover at least 8 sigma.
+    must cover at least 8 sigma. The widths and the box must be positive
+    and finite, and halfwidth_sigmas finite.
     """
 
     xi1_sq: float
@@ -71,16 +78,12 @@ class GaussPair:
     max_doublings: int = 12
 
     def __post_init__(self) -> None:
-        if self.xi1_sq <= 0.0 or self.xi2_sq <= 0.0:
-            raise ValueError("squared widths must be positive")
-        if self.box <= 0.0:
-            raise ValueError("box must be positive")
+        _check_positive(xi1_sq=self.xi1_sq, xi2_sq=self.xi2_sq, box=self.box)
         if self.box_convention not in ("diameter", "radius"):
             raise ValueError(f"unknown box convention {self.box_convention!r}")
-        if self.halfwidth_sigmas < _MIN_HALFWIDTH_SIGMAS:
-            raise ValueError(
-                f"integration window must cover >= {_MIN_HALFWIDTH_SIGMAS} sigma"
-            )
+        if not _MIN_HALFWIDTH_SIGMAS <= self.halfwidth_sigmas < np.inf:
+            raise ValueError(f"halfwidth_sigmas must lie in [{_MIN_HALFWIDTH_SIGMAS:g}, inf), "
+                             f"got {self.halfwidth_sigmas}")
         if self.quad_points < 16:
             raise ValueError("need at least 16 quadrature points per axis")
         if self.max_doublings < 1:
@@ -267,8 +270,8 @@ def convergence_study(xi1_sq: float, xi2_sq: float, box_list, **pair_kwargs) -> 
     boxes = np.asarray(sorted((float(b) for b in box_list), reverse=True))
     if boxes.size < 3:
         raise ValueError("need at least three box sizes to fit an order")
-    if np.any(boxes <= 0.0):
-        raise ValueError("box sizes must be positive")
+    if not np.all((boxes > 0.0) & (boxes < np.inf)):
+        raise ValueError(f"boxes must be positive and finite, got {boxes.tolist()}")
     ratios = boxes[1:] / boxes[:-1]
     if np.max(np.abs(ratios - ratios[0])) > 1e-9:
         raise ValueError("box sizes must be geometrically spaced")

@@ -68,10 +68,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, MassLossError, StepInstabilityError
-from .gamma import GammaTrajectory
+from .gamma import GammaTrajectory, _check_time_steps
 from .udist import (
     UDensity,
     UGrid,
+    _whole_steps,
     collision_kernel,
     default_init_density,
     drift_shift,
@@ -106,10 +107,11 @@ class SolverConfig:
     tol_fixed_point bounds the trapezoid L1 residual w @ |G(p) - p| at
     which the Anderson-accelerated steady solve stops.
     dtau defaults to the grid spacing h so that the transient drift is an
-    exact one-cell shift; any integer multiple of h is accepted.
+    exact one-cell shift; dtau_resolved returns any whole multiple of h as is.
     tol_mass bounds the tolerated per-step mass defect before the transient
     renormalization; lost_mass_cap bounds the cumulative drift leakage past
-    u_max (relative to unit mass) before the run aborts.
+    u_max (relative to unit mass) before the run aborts. The three bounds
+    must be positive and finite.
     """
 
     u_max: float = 30.0
@@ -123,12 +125,12 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.u_max > _U_MAX_LIMIT:
             raise ValueError(f"u_max above {_U_MAX_LIMIT} overflows the e^u sweep")
-        if self.tol_fixed_point <= 0.0 or self.tol_mass <= 0.0:
-            raise ValueError("tolerances must be positive")
+        for key in ("tol_fixed_point", "tol_mass", "lost_mass_cap"):
+            value = getattr(self, key)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{key} must be positive and finite, got {value}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.lost_mass_cap <= 0.0:
-            raise ValueError("lost_mass_cap must be positive")
         self.grid  # validates u_max, h
         self.dtau_resolved  # validates dtau
 
@@ -140,13 +142,7 @@ class SolverConfig:
     def dtau_resolved(self) -> float:
         if self.dtau is None:
             return self.grid.h
-        k = self.dtau / self.h
-        if not np.isfinite(k):  # round() of an overflowed ratio raises OverflowError
-            raise ValueError(f"dtau / h overflows for dtau={self.dtau}, h={self.h}")
-        if abs(k - round(k)) > 1e-9 or round(k) < 1:
-            raise ValueError(
-                f"dtau={self.dtau} must be a positive integer multiple of h={self.h}"
-            )
+        _whole_steps(self.dtau, self.h, "dtau", "h")
         return float(self.dtau)
 
 
@@ -377,10 +373,10 @@ def evolve_transient(
     """Advance (d_tau + d_u) p = g (K[p,p] - p) from p0 to tau_end.
 
     g is either a constant fraction or a GammaTrajectory covering
-    [0, tau_end]; it is sampled at the start of each step. Every step
-    performs the exact cell-shift drift, the Euler reaction update, and a
-    renormalization. Snapshots are stored every ``snapshot_stride`` steps
-    plus the final state.
+    [0, tau_end]; it is sampled at the start of each step. tau_end must be
+    1 to 10^7 - 1 whole steps of cfg.dtau_resolved. Every step performs the
+    exact cell-shift drift, the Euler reaction update, and a renormalization.
+    Snapshots are stored every ``snapshot_stride`` steps plus the final state.
 
     Raises StepInstabilityError when a step produces values below -1e-12
     (rounding-level negatives are clipped), a non-finite value (seen as a
@@ -401,12 +397,8 @@ def evolve_transient(
     if isinstance(g, GammaTrajectory) and g.tau_end < tau_end - 1e-12:
         raise ValueError("fraction trajectory does not cover [0, tau_end]")
     dtau = cfg.dtau_resolved
-    ratio = tau_end / dtau
-    if not np.isfinite(ratio):  # int() of an overflowed ratio raises OverflowError
-        raise ValueError(f"tau_end / dtau overflows for tau_end={tau_end}, dtau={dtau}")
-    n_steps = int(round(ratio))
-    if n_steps < 1 or abs(n_steps * dtau - tau_end) > 1e-9 * max(1.0, tau_end):
-        raise ValueError(f"tau_end={tau_end} is not an integer multiple of dtau={dtau}")
+    n_steps = _whole_steps(tau_end, dtau, "tau_end", "dtau")
+    _check_time_steps(n_steps, tau_end, dtau)
 
     w = grid.quad_weights()
     vals = p0.values.copy()
@@ -495,8 +487,8 @@ def residual_resummed(sol: TransientSolution, g, m_max: int = _HIERARCHY_LIMIT) 
 
     g must be the fraction input used for the evolution (constant or
     trajectory) with 0 <= g(0) < 1. Snapshots must be dense enough for the
-    time quadrature, spacing at most 10 * dtau, and spaced by whole grid
-    cells, as every ``evolve_transient`` output is. The footnote and each
+    time quadrature, spacing at most 10 * dtau, and spaced by 1 or more whole
+    grid cells, as every ``evolve_transient`` output is. The footnote and each
     depth are one ``_memory_integral`` of their own source, which takes
     nsnap * m_max kernel calls in all.
     """
@@ -512,13 +504,8 @@ def residual_resummed(sol: TransientSolution, g, m_max: int = _HIERARCHY_LIMIT) 
             f"quadrature (limit {10.0 * sol.dtau:.4g})"
         )
     grid = sol.grid
-    cells = spacing / grid.h
-    partial = np.abs(cells - np.round(cells)) > 1e-9 * np.maximum(1.0, cells)
-    if np.any(partial):
-        raise ValueError(
-            f"snapshot spacings must be whole multiples of h={grid.h}, "
-            f"got {spacing[partial][0]:.6g}"
-        )
+    for delta in np.unique(spacing):
+        _whole_steps(float(delta), grid.h, "snapshot spacing", "h")
     g0 = _g_of(g, 0.0)
     if not 0.0 <= g0 < 1.0:
         raise ValueError(f"resummed residual requires 0 <= g(0) < 1, got {g0}")

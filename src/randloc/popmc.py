@@ -88,6 +88,7 @@ _MIN_SEEDED = 10
 _BLOCK_EVENTS = 1 << 15
 _RUN_EVENTS = 1 << 13  # events per wavefront run; keeps a run's temporaries in cache
 _CHECKPOINT_VERSION = 4
+_MAX_EVENTS = 10**10  # expected events of one run: 33-56 minutes at 3-5 M events a second
 _ENTRANT_RULES = ("adopt", "capped")
 _COUNTERS = ("overflow_count", "events_loc_loc", "events_loc_deloc", "events_deloc_deloc")
 
@@ -294,7 +295,9 @@ def run_transient(
     its localized partner u: "adopt" copies u; "capped" uses the harmonic
     combination of u with entrant_cap. g0 = 1 reduces to run_steady
     semantics, g0 = 0 stays identically delocalized. The Population
-    checks the rule, the cap and the ceiling before any event.
+    checks the rule, the cap and the ceiling before any event. A run, or a
+    resume, that expects more than 10^10 events, M (tau_end - tau) / 2, is
+    refused before its first event.
     """
     if not 0.0 <= g0 <= 1.0:
         raise ValueError(f"g0 must lie in [0, 1], got {g0}")
@@ -339,6 +342,10 @@ def _advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationS
         raise ValueError(f"tau_end must be finite, got {tau_end}")
     if tau_end < pop.tau - 1e-12:
         raise ValueError(f"tau_end={tau_end} is before the population time {pop.tau}")
+    events = pop.size * (tau_end - pop.tau) / 2.0
+    if events > _MAX_EVENTS:
+        raise ValueError(f"tau_end={tau_end} with m_particles={pop.size} expects {events:.3g} "
+                         f"events, more than {_MAX_EVENTS:.0e}; use a shorter run")
     pending = sorted(float(t) for t in snapshot_taus)
     for t in pending:
         if not pop.tau - 1e-12 <= t <= tau_end + 1e-12:  # also refuses NaN

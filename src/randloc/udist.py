@@ -38,6 +38,7 @@ Core physics operations:
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -66,6 +67,23 @@ __all__ = [
 _MAX_NODES = 1 << 16
 
 
+def _whole_steps(span: float, step: float, span_name: str, step_name: str, *, least=1) -> int:
+    """n = round(span / step) for a positive step: the one rule that cuts a grid,
+    a time step, a drift shift and a snapshot spacing into whole cells. A ratio
+    that is NaN, infinite, below least or more than 1e-9 max(1, n) from n
+    raises a ValueError that names both quantities."""
+    ratio = span / step
+    if math.isfinite(ratio):
+        n = round(ratio)
+        if n >= least and abs(ratio - n) <= 1e-9 * max(1, n):
+            return n
+    elif math.isfinite(span):  # round() of an overflowed ratio raises OverflowError
+        raise ValueError(f"{span_name} / {step_name} overflows for "
+                         f"{span_name}={span}, {step_name}={step}")
+    raise ValueError(f"{span_name}={span} is not an integer multiple of {step_name}={step}, "
+                     f"{least} or more times")
+
+
 @dataclass(frozen=True)
 class UGrid:
     """Uniform grid over u in [0, u_max] with nodes u_i = i * h, at most _MAX_NODES."""
@@ -85,17 +103,12 @@ class UGrid:
 
     @classmethod
     def from_spacing(cls, u_max: float, h: float) -> "UGrid":
+        """The grid of spacing h over [0, u_max], 2 or more whole cells of h."""
         if not 0 < h < np.inf:
             raise ValueError(f"spacing must be positive and finite, got {h}")
         if not 0 < u_max < np.inf:
             raise ValueError(f"u_max must be positive and finite, got {u_max}")
-        ratio = u_max / h
-        if not np.isfinite(ratio):  # int() of an overflowed ratio raises OverflowError
-            raise ValueError(f"u_max / h overflows for u_max={u_max}, h={h}; use a coarser grid")
-        n = int(round(ratio))
-        if n < 2 or abs(n * h - u_max) > 1e-9 * u_max:
-            raise ValueError(f"u_max={u_max} is not an integer multiple of h={h}")
-        return cls(float(u_max), n)
+        return cls(float(u_max), _whole_steps(u_max, h, "u_max", "h", least=2))
 
     @property
     def h(self) -> float:
@@ -719,18 +732,13 @@ def _node_block(block, width, j, b, t, fold, diffs, row_out) -> None:
 def drift_shift(p: UDensity, delta: float) -> tuple[UDensity, float]:
     """Translate the density by +delta in u (free spreading for a time delta).
 
-    delta must be a whole number of cells, so the shift is exact:
-    out(u) = p(u - delta), zero below u = delta. Returns (shifted density,
-    lost mass), where the lost mass is the trapezoid-mass defect, the tail
-    pushed past u_max.
+    delta must be zero or more whole cells (``_whole_steps``), so the shift
+    is exact: out(u) = p(u - delta), zero below u = delta. Returns (shifted
+    density, lost mass), where the lost mass is the trapezoid-mass defect,
+    the tail pushed past u_max.
     """
-    if not np.isfinite(delta) or delta < 0.0:
-        raise ValueError(f"shift must be nonnegative and finite, got {delta}")
     g = p.grid
-    steps = delta / g.h
-    m = int(round(steps))
-    if abs(steps - m) > 1e-9 * max(1.0, steps):
-        raise ValueError(f"shift must be a whole multiple of h={g.h}, got {delta}")
+    m = _whole_steps(delta, g.h, "shift", "h", least=0)
     out = np.zeros(g.n_nodes)
     if m <= g.n_bins:
         out[m:] = p.values[: g.n_nodes - m]

@@ -223,6 +223,67 @@ def test_overflowing_grid_or_step_count_is_exit_code_one(tmp_path, capsys, subco
     assert not list(tmp_path.glob(f"{subcommand}/*/*.csv"))
 
 
+@pytest.mark.parametrize(
+    "sets",
+    [["tau_end=1e300"], ["tau_end=1e12", "h=0.5"]],
+    ids=["tau_end=1e300", "tau_end=1e12-h=0.5"],
+)
+def test_transient_beyond_the_step_limit_is_exit_code_one(tmp_path, capsys, monkeypatch, sets):
+    # these runs once took their first of 5e301 and 2e12 steps and ran until killed
+    monkeypatch.setattr(meanfield, "drift_shift",
+                        lambda *a: pytest.fail("a transient step started"))
+    rc = main(["transient", "--out", str(tmp_path), "--set", "g_mode=const", "--set", "g0=1"]
+              + [x for kv in sets for x in ("--set", kv)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: tau_end=") and err.count("\n") == 1
+    assert "give more than 10000000 time nodes" in err
+    assert not list(tmp_path.glob("transient/*/*.csv"))
+
+
+def _fail(what):
+    def fail(*args, **kwargs):
+        pytest.fail(f"{what} started")
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "subcommand, sets, message",
+    [
+        ("steady", ["h=0.1", "tol_fixed_point=nan"],
+         "tol_fixed_point must be positive and finite, got nan"),
+        ("steady", ["h=0.1", "tol_fixed_point=inf"],
+         "tol_fixed_point must be positive and finite, got inf"),
+        ("oracle", ["halfwidth_sigmas=inf"], "halfwidth_sigmas must lie in [8, inf), got inf"),
+        ("oracle", ["halfwidth_sigmas=nan"], "halfwidth_sigmas must lie in [8, inf), got nan"),
+        ("oracle", ["xi2_sq=inf"], "xi2_sq must be positive and finite, got inf"),
+        ("oracle", ["boxes=nan,0.1,0.05"],
+         "boxes must be positive and finite, got [nan, 0.1, 0.05]"),
+        ("oracle", ["fit_order=no", "boxes=nan,0.1,0.05"],
+         "box must be positive and finite, got nan"),
+        ("transient", ["dtau=-0.02"],
+         "dtau=-0.02 is not an integer multiple of h=0.02, 1 or more times"),
+        ("gamma", ["dtau=nan"], "dtau must be positive and finite, got nan"),
+        ("mc-steady", ["m_particles=1000", "tau_end=1e300"],
+         "tau_end=1e+300 with m_particles=1000 expects 5e+302 events, more than 1e+10"),
+    ],
+)
+def test_out_of_range_key_is_exit_code_one_naming_the_key(tmp_path, capsys, monkeypatch,
+                                                          subcommand, sets, message):
+    # each of these once ran (a stalled steady solve, a transient that silently
+    # used h, an endless event loop) or ended in a message that named no key
+    monkeypatch.setattr(cli, "solve_steady", _fail("the steady solve"))
+    monkeypatch.setattr(cli, "evolve_transient", _fail("the transient evolution"))
+    monkeypatch.setattr(popmc, "_apply_events", _fail("the Monte Carlo event loop"))
+    rc = main([subcommand, "--jobs", "1", "--out", str(tmp_path)]
+              + [x for kv in sets for x in ("--set", kv)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not list(tmp_path.glob(f"{subcommand}/*/*.csv"))
+
+
 @pytest.mark.parametrize("subcommand", ["mc-steady", "mc-transient"])
 def test_histogram_grid_beyond_uint16_fails_before_any_event(tmp_path, capsys, monkeypatch,
                                                              no_grid_beyond_uint16, subcommand):

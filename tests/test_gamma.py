@@ -118,6 +118,19 @@ def test_ode_rejects_large_step():
         gamma_ode(0.1, 1.0, dtau=0.2)
 
 
+@pytest.mark.parametrize(
+    "make, dtau",
+    # gamma_ode refuses an infinite step as above its stable step
+    [(closed_trajectory, d) for d in (np.nan, np.inf, 0.0, -0.1)]
+    + [(gamma_ode, d) for d in (np.nan, 0.0, -0.1)],
+)
+def test_trajectory_step_must_be_positive_and_finite(make, dtau):
+    # a NaN step was once reported as too many time nodes, and an infinite
+    # one as a one-node trajectory
+    with pytest.raises(ValueError, match=f"dtau must be positive and finite, got {dtau}"):
+        make(0.1, 1.0, dtau)
+
+
 def test_ode_handles_fixed_points():
     flat = gamma_ode(0.0, 3.0, dtau=0.05)
     assert np.all(flat.values == 0.0)

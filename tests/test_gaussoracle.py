@@ -26,6 +26,33 @@ def test_contraction_limit_rejects_nonpositive():
         contraction_limit(1.0, -2.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, key",
+    [
+        (dict(xi1_sq=np.nan), "xi1_sq"),
+        (dict(xi2_sq=np.inf), "xi2_sq"),
+        (dict(box=np.nan), "box"),
+        (dict(box=np.inf), "box"),
+        (dict(halfwidth_sigmas=np.nan), "halfwidth_sigmas"),
+        (dict(halfwidth_sigmas=np.inf), "halfwidth_sigmas"),
+    ],
+)
+def test_non_finite_setup_is_refused_by_name(kwargs, key):
+    # these once reached int() of a NaN or infinite node count, naming no key
+    base = dict(xi1_sq=1.0, xi2_sq=1.0, box=0.1)
+    base.update(kwargs)
+    with pytest.raises(ValueError, match=f"^{key} must"):
+        GaussPair(**base)
+    if key.startswith("xi"):
+        with pytest.raises(ValueError, match=f"^{key} must be positive and finite"):
+            contraction_limit(base["xi1_sq"], base["xi2_sq"])
+
+
+def test_convergence_study_refuses_a_nan_box():
+    with pytest.raises(ValueError, match=r"boxes must be positive and finite, got \[nan"):
+        convergence_study(1.0, 1.0, [np.nan, 0.1, 0.05])
+
+
 def test_narrow_box_reaches_harmonic_combination():
     m = posterior_moments(GaussPair(1.0, 1.0, 0.1))
     limit = contraction_limit(1.0, 1.0)

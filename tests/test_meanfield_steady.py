@@ -56,6 +56,14 @@ def test_config_rejects_bad_values(kwargs):
         SolverConfig(**kwargs)
 
 
+@pytest.mark.parametrize("key", ["tol_fixed_point", "tol_mass", "lost_mass_cap"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+def test_config_bounds_are_positive_and_finite(key, value):
+    # a NaN tol_fixed_point once ran every sweep and reported a stall
+    with pytest.raises(ValueError, match=f"{key} must be positive and finite, got {value}"):
+        SolverConfig(**{key: value})
+
+
 def test_steady_is_normalized_density(steady):
     assert mass(steady) == pytest.approx(1.0, abs=1e-12)
     assert steady.values[0] == 0.0

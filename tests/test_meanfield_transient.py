@@ -202,7 +202,7 @@ def test_resummed_rejects_partial_cell_spacing(seeded_run):
     sol, _ = seeded_run
     taus = np.array([0.0, 0.05, 0.125])  # the second spacing is 1.5 cells
     odd = TransientSolution(grid=sol.grid, taus=taus, densities=sol.densities[:3], dtau=0.05)
-    with pytest.raises(ValueError, match="whole multiples of h"):
+    with pytest.raises(ValueError, match="integer multiple of h"):
         residual_resummed(odd, 0.1)
     whole = TransientSolution(
         grid=sol.grid, taus=np.array([0.0, 0.05, 0.15]), densities=sol.densities[:3], dtau=0.05

@@ -210,6 +210,31 @@ def test_steady_u_ceiling_must_be_positive_and_finite(ceiling):
         run_steady(2000, 1.0, seed=0, u_ceiling=ceiling)
 
 
+def test_run_beyond_the_event_limit_is_refused_before_any_event(monkeypatch):
+    # M = 1000 to tau_end = 1e300 once drew events until it was killed
+    class Started(Exception):
+        pass
+
+    def started(*args):
+        raise Started
+
+    monkeypatch.setattr(popmc, "_apply_events", started)
+    message = r"tau_end=1e\+300 with m_particles=1000 expects 5e\+302 events, more than 1e\+10"
+    with pytest.raises(ValueError, match=message):
+        run_steady(1000, 1e300, seed=0)
+    with pytest.raises(Started):  # 10^10 expected events is the most a run may take
+        run_steady(2000, 1e7, seed=0)
+    with pytest.raises(ValueError, match="more than 1e\\+10"):
+        run_transient(2000, 0.5, 1.0000001e7, seed=0)
+    monkeypatch.undo()
+    pop, _ = run_steady(2000, 1.0, seed=0)
+    monkeypatch.setattr(popmc, "_apply_events", started)
+    with pytest.raises(ValueError, match="tau_end=1e\\+300 with m_particles=2000 expects"):
+        resume(pop, 1e300)
+    with pytest.raises(Started):  # the limit counts the events still to come, from tau = 1
+        resume(pop, 1e7 + 1.0)
+
+
 def test_snapshot_and_rate_guards():
     with pytest.raises(ValueError, match="outside"):
         run_steady(1000, 1.0, seed=0, snapshot_taus=(2.0,))

@@ -674,7 +674,7 @@ def test_drift_shift_rejects_negative_delta():
 def test_drift_shift_rejects_partial_cells():
     g = UGrid.from_spacing(5.0, 0.1)
     p = point_mass(g, 1.0)
-    with pytest.raises(ValueError, match="whole multiple"):
+    with pytest.raises(ValueError, match="integer multiple"):
         drift_shift(p, 0.25)
 
 
