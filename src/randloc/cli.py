@@ -2,7 +2,9 @@
 
 Every subcommand reads an optional `key = value` config file, applies
 `--set` overrides, resolves against its typed schema, and writes CSV
-files plus a `config.echo` into `<out>/<subcommand>/<name-or-hash>/`.
+files plus a `config.echo` into `<out>/<subcommand>/<name-or-hash>/`. The
+directory is made by the first file written, so a run refused before its
+first file leaves none behind; `config.echo` is written once the run is done.
 Outputs carry the resolved config in `#` header lines and contain no
 timestamps, so re-running an identical config rewrites identical bytes.
 
@@ -46,14 +48,6 @@ def _meta(cfg: dict, **extra) -> dict:
         out[k] = ",".join(format_value(x) for x in v) if isinstance(v, tuple) else v
     out.update(extra)
     return out
-
-
-def _run_dir(out_root: str, subcommand: str, cfg: dict) -> Path:
-    d = Path(out_root) / subcommand / cfgmod.run_name(cfg)
-    d.mkdir(parents=True, exist_ok=True)
-    with atomic_writer(d / "config.echo") as fh:
-        fh.write("\n".join(cfgmod.echo_lines(cfg)) + "\n")
-    return d
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
@@ -104,12 +98,9 @@ def cmd_transient(cfg: dict, run_dir: Path) -> None:
         if not 0.0 <= cfg["g0"] < 1.0:
             raise ConfigError(f"residual_m_max needs 0 <= g0 < 1, got g0={cfg['g0']}")
     sol = evolve_transient(p0, g, cfg["tau_end"], sc, snapshot_stride=cfg["snapshot_stride"])
-    n_nodes = grid.n_nodes
-    taus = np.repeat(sol.taus, n_nodes)
-    us = np.tile(grid.nodes(), sol.taus.size)
     write_table(
         run_dir / "transient.csv",
-        {"tau": taus, "u": us, "p": sol.densities.ravel()},
+        {"tau": sol.taus, "u": grid.nodes(), "p": sol.densities},
         _meta(cfg, max_renorm_drift=sol.max_renorm_drift, lost_mass=sol.lost_mass),
     )
     if m_max > 0:
@@ -141,9 +132,9 @@ def _write_mc_outputs(run_dir: Path, cfg: dict, seed: int, snaps, final_pop, gri
     write_table(
         run_dir / f"density_seed{seed}.csv",
         {
-            "tau": np.repeat([tau for tau, _ in hists], grid.n_nodes),
-            "u_bin": np.tile(grid.nodes(), len(hists)),
-            "p_hat": np.concatenate([p for _, p in hists] or [np.empty(0)]),
+            "tau": np.array([tau for tau, _ in hists], dtype=float),
+            "u_bin": grid.nodes(),
+            "p_hat": np.reshape([p for _, p in hists], (len(hists), grid.n_nodes)),
         },
         _meta(cfg, seed=seed),
     )
@@ -282,11 +273,14 @@ def main(argv=None) -> int:
             if "seeds" not in cfg:
                 raise ConfigError(f"subcommand {args.subcommand} takes no --seed")
             cfg["seeds"] = (args.seed,)
-        run_dir = _run_dir(args.out, args.subcommand, cfg)
+        run_dir = Path(args.out) / args.subcommand / cfgmod.run_name(cfg)
         if args.subcommand in ("mc-steady", "mc-transient"):
             cmd_mc(args.subcommand, cfg, run_dir, args.jobs)
         else:
             _DISPATCH[args.subcommand](cfg, run_dir)
+        # written last, so that a refused run leaves no run directory
+        with atomic_writer(run_dir / "config.echo") as fh:
+            fh.write("\n".join(cfgmod.echo_lines(cfg)) + "\n")
         print(run_dir)
         return 0
     except (ConfigError, ValueError) as exc:

@@ -34,11 +34,10 @@ Nothing is guessed: zeros, subnormals, magnitudes below 1e-282 or from
 1e298 up, inf, nan, and values whose N lies within 1e-7 of a rounding tie
 (exact ties among them) are formatted by ``'%.17g' % v`` itself, once per
 distinct bit pattern, and so are calls with fewer than 64 values, where
-the fixed cost of the numpy path outweighs it. A float column block whose
-values repeat (a spread sample of 1024 holds under 7/8 distinct values)
-is formatted once per distinct bit pattern. Every other column goes
+the fixed cost of the numpy path outweighs it. Every other column goes
 through ``format_value`` value by value. The lookup tables are built on
-first use, in a few ms.
+first use, in a few ms. The two axes of a long table are formatted once
+each, and every block gathers their cells by row.
 """
 
 from __future__ import annotations
@@ -68,11 +67,6 @@ __all__ = [
 # block's buffer and temporaries stay at a few MB.
 _ROWS_PER_BLOCK = 1 << 14
 _FLOAT_FORMAT = "%.17g"
-# A float block shorter than this, or whose spread sample of this many
-# values holds under 7/8 distinct ones, is formatted once per distinct bit
-# pattern.
-_SAMPLE = 1024
-_GOLDEN = 0.6180339887498949
 
 
 def format_value(v) -> str:
@@ -88,27 +82,46 @@ def format_value(v) -> str:
 def write_table(path, columns: dict[str, np.ndarray], meta: dict | None = None) -> None:
     """Write named columns with sorted `# key = value` meta lines on top.
 
-    The file is written through ``atomic_writer``, so a write that fails part
-    way leaves any earlier file intact.
+    The columns are 1-d of one length, or a long table: two 1-d axes of
+    lengths m and n, then 2-d columns of shape (m, n), whose row k holds
+    outer[k // n], inner[k % n] and values[k // n, k % n]. Other shapes
+    raise a ValueError. The file is written through ``atomic_writer``, so
+    a write that fails part way leaves any earlier file intact.
     """
     cols = {k: np.asarray(v) for k, v in columns.items()}
-    lengths = {c.size for c in cols.values()}
-    if len(lengths) > 1:
-        raise ValueError(f"column lengths differ: { {k: c.size for k, c in cols.items()} }")
+    axes, flat = _layout(cols)
     lines = []
     for key in sorted(meta or {}):
         lines.append(f"# {key} = {format_value((meta or {})[key])}")
     lines.append(",".join(cols))
-    n = lengths.pop() if lengths else 0
-    series = list(cols.values())
+    n = flat[0].size if flat else 0
+    axis_cells = [_compact(_column_cells(a)) for a in axes]
     with atomic_writer(path, binary=True) as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
         # one buffer for every block: a fresh one each block would have its
         # pages faulted in anew
         buf = bytearray()
         for lo in range(0, n, _ROWS_PER_BLOCK):
-            _fill_rows(buf, [_column_cells(c[lo : lo + _ROWS_PER_BLOCK]) for c in series])
+            hi = min(n, lo + _ROWS_PER_BLOCK)
+            at = divmod(np.arange(lo, hi), axes[1].size) if axes else ()
+            cells = [c[k] for c, k in zip(axis_cells, at)]
+            _fill_rows(buf, cells + [_column_cells(c[lo:hi]) for c in flat])
             fh.write(buf.translate(None, bytes([_PAD])))
+
+
+def _layout(cols: dict[str, np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The axes of a table (none, or outer and inner) and its other columns,
+    flattened to one value a row."""
+    series = list(cols.values())
+    shapes = [c.shape for c in series]
+    if all(len(s) == 1 for s in shapes) and len(set(shapes)) <= 1:
+        return [], series
+    if (len(shapes) > 2 and len(shapes[0]) == len(shapes[1]) == 1
+            and all(s == shapes[0] + shapes[1] for s in shapes[2:])):
+        return series[:2], [c.reshape(-1) for c in series[2:]]
+    raise ValueError(f"column lengths differ: a table is 1-d columns of one length, or two "
+                     f"1-d axes then 2-d columns of their lengths; got "
+                     f"{ {k: c.shape for k, c in cols.items()} }")
 
 
 def _fill_rows(buf: bytearray, cells: list[np.ndarray]) -> None:
@@ -131,40 +144,11 @@ def _fill_rows(buf: bytearray, cells: list[np.ndarray]) -> None:
 
 def _column_cells(block: np.ndarray) -> np.ndarray:
     """One column block as a uint8 matrix of UTF-8 cells padded with _PAD,
-    each reading as format_value writes it.
-
-    A float block with repeated values formats each distinct bit pattern
-    once, so -0.0 and 0.0 keep their own text, and its cells are compacted
-    before they are repeated.
-    """
-    if not np.issubdtype(block.dtype, np.floating):
-        texts = [format_value(v).encode("utf-8") for v in block]
-        return _padded(texts, max(map(len, texts), default=0))
-    x = np.ascontiguousarray(block, dtype=np.float64)
-    bits = x.view(np.uint64)
-    if _repeats(bits):
-        bits, which = np.unique(bits, return_inverse=True)
-        return _compact(_float_cells(bits.view(np.float64)))[which]
-    return _float_cells(x)
-
-
-def _repeats(bits: np.ndarray) -> bool:
-    """Whether a spread sample of the block repeats itself enough to pay
-    for formatting each distinct value once. Sorting a block whose values
-    are all distinct would add about a fifth to formatting it."""
-    if bits.size <= _SAMPLE:
-        return True
-    sample = np.sort(bits[_sample_at(bits.size)])
-    # np.unique would do, but its first call without return_inverse imports
-    # numpy.ma, about 30 ms
-    return 8 * (1 + np.count_nonzero(sample[1:] != sample[:-1])) < 7 * _SAMPLE
-
-
-@lru_cache(maxsize=4)
-def _sample_at(n: int) -> np.ndarray:
-    """_SAMPLE positions spread over n by the golden-ratio sequence, so that
-    they fall on a periodic column as if at random."""
-    return (np.arange(_SAMPLE) * _GOLDEN % 1.0 * n).astype(np.intp)
+    each reading as format_value writes it."""
+    if np.issubdtype(block.dtype, np.floating):
+        return _float_cells(block)
+    texts = [format_value(v).encode("utf-8") for v in block]
+    return _padded(texts, max(map(len, texts), default=0))
 
 
 # The text of float64 values: _float_cells and its helpers.
@@ -216,11 +200,11 @@ def _padded(texts: list[bytes], width: int) -> np.ndarray:
 def _compact(cells: np.ndarray) -> np.ndarray:
     """The cells with their text moved to the front of each row and the
     columns that only hold _PAD then cut: worth it where the cells are few
-    and their rows get repeated."""
+    and their rows get repeated, as an axis's are."""
     text = cells != _PAD
     at = np.cumsum(text, axis=1) - 1
     rows, cols = np.nonzero(text)
-    out = np.full((cells.shape[0], int(at[:, -1].max(initial=-1)) + 1), _PAD, np.uint8)
+    out = np.full((cells.shape[0], int(at[:, -1:].max(initial=-1)) + 1), _PAD, np.uint8)
     out[rows, at[rows, cols]] = cells[rows, cols]
     return out
 
@@ -414,13 +398,14 @@ def _slow_cells(x: np.ndarray) -> np.ndarray:
 @contextmanager
 def atomic_writer(path, binary: bool = False):
     """Open a file (UTF-8 text, or bytes when binary) that replaces path
-    only once the with-block completes.
+    only once the with-block completes, making path's directory if need be.
 
     The output goes to a temporary file beside path, which then replaces
     path in one step: a write that fails part way leaves any earlier file
     intact and removes the temporary file.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with (open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="\n")) as fh:

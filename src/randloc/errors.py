@@ -1,10 +1,21 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one check of a
+positive, finite value.
 
 ConfigError, ConvergenceError and IO failures map onto distinct CLI exit
 codes, so solver code must not collapse them into a generic RuntimeError.
 """
 
 from __future__ import annotations
+
+import math
+
+
+def check_positive_finite(**values: float) -> None:
+    """Refuses any value outside (0, inf), NaN included, with a ValueError
+    that names its key."""
+    for key, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{key} must be positive and finite, got {value}")
 
 
 class RandlocError(Exception):

@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import check_positive_finite
+
 __all__ = [
     "GammaTrajectory",
     "GammaResidual",
@@ -114,10 +116,7 @@ def _check_time_steps(steps: float, tau_end: float, dtau: float) -> None:
 
 
 def _time_nodes(tau_end: float, dtau: float) -> np.ndarray:
-    if not np.isfinite(tau_end) or tau_end <= 0.0:
-        raise ValueError(f"tau_end must be positive, got {tau_end}")
-    if not 0.0 < dtau < np.inf:
-        raise ValueError(f"dtau must be positive and finite, got {dtau}")
+    check_positive_finite(tau_end=tau_end, dtau=dtau)
     steps = np.ceil(tau_end / dtau - 1e-12)
     _check_time_steps(steps, tau_end, dtau)
     n = int(steps)

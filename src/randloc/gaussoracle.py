@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import QuadratureError, check_positive_finite
 
 __all__ = [
     "GaussPair",
@@ -43,18 +43,14 @@ __all__ = [
 _NORM_FLOOR = 1e-300
 _REL_TOL = 1e-6
 _MIN_HALFWIDTH_SIGMAS = 8.0
-
-
-def _check_positive(**values: float) -> None:
-    """Refuses any value outside (0, inf), NaN included, by its key."""
-    for key, value in values.items():
-        if not 0.0 < value < np.inf:
-            raise ValueError(f"{key} must be positive and finite, got {value}")
+# quad_points doubled max_doublings times stays within this many points per
+# axis; _moments_at holds about 270 bytes a point, 1.1 GB here.
+_MAX_POINTS = 1 << 22
 
 
 def contraction_limit(xi1_sq: float, xi2_sq: float) -> float:
     """Harmonic combination xi1_sq*xi2_sq/(xi1_sq+xi2_sq): inverse variances add."""
-    _check_positive(xi1_sq=xi1_sq, xi2_sq=xi2_sq)
+    check_positive_finite(xi1_sq=xi1_sq, xi2_sq=xi2_sq)
     return xi1_sq * xi2_sq / (xi1_sq + xi2_sq)
 
 
@@ -66,7 +62,8 @@ class GaussPair:
     doubles it until the variances stabilize. halfwidth_sigmas fixes each
     axis's integration window as a multiple of that marginal's width and
     must cover at least 8 sigma. The widths and the box must be positive
-    and finite, and halfwidth_sigmas finite.
+    and finite, halfwidth_sigmas finite, and quad_points doubled
+    max_doublings times at most 2^22.
     """
 
     xi1_sq: float
@@ -78,7 +75,7 @@ class GaussPair:
     max_doublings: int = 12
 
     def __post_init__(self) -> None:
-        _check_positive(xi1_sq=self.xi1_sq, xi2_sq=self.xi2_sq, box=self.box)
+        check_positive_finite(xi1_sq=self.xi1_sq, xi2_sq=self.xi2_sq, box=self.box)
         if self.box_convention not in ("diameter", "radius"):
             raise ValueError(f"unknown box convention {self.box_convention!r}")
         if not _MIN_HALFWIDTH_SIGMAS <= self.halfwidth_sigmas < np.inf:
@@ -88,6 +85,9 @@ class GaussPair:
             raise ValueError("need at least 16 quadrature points per axis")
         if self.max_doublings < 1:
             raise ValueError("max_doublings must be >= 1")
+        if self.quad_points > _MAX_POINTS >> self.max_doublings:
+            raise ValueError(f"quad_points={self.quad_points} doubled max_doublings="
+                             f"{self.max_doublings} times passes {_MAX_POINTS} points per axis")
 
     @property
     def accept_halfwidth(self) -> float:

@@ -67,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, MassLossError, StepInstabilityError
+from .errors import ConvergenceError, MassLossError, StepInstabilityError, check_positive_finite
 from .gamma import GammaTrajectory, _check_time_steps
 from .udist import (
     UDensity,
@@ -125,10 +125,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.u_max > _U_MAX_LIMIT:
             raise ValueError(f"u_max above {_U_MAX_LIMIT} overflows the e^u sweep")
-        for key in ("tol_fixed_point", "tol_mass", "lost_mass_cap"):
-            value = getattr(self, key)
-            if not 0.0 < value < np.inf:
-                raise ValueError(f"{key} must be positive and finite, got {value}")
+        check_positive_finite(tol_fixed_point=self.tol_fixed_point, tol_mass=self.tol_mass,
+                              lost_mass_cap=self.lost_mass_cap)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         self.grid  # validates u_max, h

@@ -68,6 +68,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .errors import check_positive_finite
 from .udist import UDensity, UGrid
 
 __all__ = [
@@ -89,6 +90,7 @@ _BLOCK_EVENTS = 1 << 15
 _RUN_EVENTS = 1 << 13  # events per wavefront run; keeps a run's temporaries in cache
 _CHECKPOINT_VERSION = 4
 _MAX_EVENTS = 10**10  # expected events of one run: 33-56 minutes at 3-5 M events a second
+_MAX_PARTICLES = 2 * 10**7  # a run holds about 45 bytes a particle: 0.9 GB
 _ENTRANT_RULES = ("adopt", "capped")
 _COUNTERS = ("overflow_count", "events_loc_loc", "events_loc_deloc", "events_deloc_deloc")
 
@@ -159,8 +161,8 @@ class Population:
             raise ValueError(f"entrant_rule {self.entrant_rule!r} is unknown; the entrant "
                              f"rules are {', '.join(map(repr, _ENTRANT_RULES))}")
         if self.entrant_rule == "capped":
-            _check_positive_finite("entrant_cap", self.entrant_cap)
-        _check_positive_finite("u_ceiling", self.u_ceiling)
+            check_positive_finite(entrant_cap=self.entrant_cap)
+        check_positive_finite(u_ceiling=self.u_ceiling)
         for name, value in (("tau", self.tau), ("pending_gap", self._pending_gap),
                             ("entrant_cap", self.entrant_cap)):
             if not np.isfinite(value):
@@ -253,11 +255,6 @@ def ks_distance(pop: Population | np.ndarray, ref: UDensity) -> float:
     return float(max(np.max(hi - f), np.max(f - lo)))
 
 
-def _check_positive_finite(name: str, value: float) -> None:
-    if not 0.0 < value < np.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
 def run_steady(
     M: int,
     tau_end: float,
@@ -295,12 +292,16 @@ def run_transient(
     its localized partner u: "adopt" copies u; "capped" uses the harmonic
     combination of u with entrant_cap. g0 = 1 reduces to run_steady
     semantics, g0 = 0 stays identically delocalized. The Population
-    checks the rule, the cap and the ceiling before any event. A run, or a
-    resume, that expects more than 10^10 events, M (tau_end - tau) / 2, is
-    refused before its first event.
+    checks the rule, the cap and the ceiling before any event. A run of
+    more than 2 10^7 particles, or one that expects more than 10^10 events,
+    M (tau_end - tau) / 2, is refused before any array is made, and a
+    resume beyond that many events before its first event.
     """
     if not 0.0 <= g0 <= 1.0:
         raise ValueError(f"g0 must lie in [0, 1], got {g0}")
+    if M > _MAX_PARTICLES:
+        raise ValueError(f"m_particles={M} is more than {_MAX_PARTICLES:.0e}, the most a run holds")
+    _check_span(M, 0.0, tau_end)
     n0 = int(np.ceil(g0 * M))
     if g0 > 0 and n0 < _MIN_SEEDED:
         raise ValueError(
@@ -333,19 +334,26 @@ def resume(pop: Population, tau_end: float, snapshot_taus=()) -> list[Population
     if pop.rng is None:
         raise ValueError("population carries no generator; load a checkpoint first")
     pop._check()
+    _check_span(pop.size, pop.tau, tau_end)
     return _advance(pop, tau_end, snapshot_taus)
 
 
-def _advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationSnapshot]:
-    """Event loop core. Mutates pop in place and returns the snapshots."""
+def _check_span(m: int, tau: float, tau_end: float) -> None:
+    """Refuses a run of m particles from tau to tau_end that would never stop,
+    would run backwards or expects more than _MAX_EVENTS events."""
     if not np.isfinite(tau_end):  # a NaN or infinite end would never stop the loop
         raise ValueError(f"tau_end must be finite, got {tau_end}")
-    if tau_end < pop.tau - 1e-12:
-        raise ValueError(f"tau_end={tau_end} is before the population time {pop.tau}")
-    events = pop.size * (tau_end - pop.tau) / 2.0
+    if tau_end < tau - 1e-12:
+        raise ValueError(f"tau_end={tau_end} is before the population time {tau}")
+    events = m * (tau_end - tau) / 2.0
     if events > _MAX_EVENTS:
-        raise ValueError(f"tau_end={tau_end} with m_particles={pop.size} expects {events:.3g} "
+        raise ValueError(f"tau_end={tau_end} with m_particles={m} expects {events:.3g} "
                          f"events, more than {_MAX_EVENTS:.0e}; use a shorter run")
+
+
+def _advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationSnapshot]:
+    """Event loop core, for a run that _check_span accepts. Mutates pop in
+    place and returns the snapshots."""
     pending = sorted(float(t) for t in snapshot_taus)
     for t in pending:
         if not pop.tau - 1e-12 <= t <= tau_end + 1e-12:  # also refuses NaN

@@ -47,6 +47,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import check_positive_finite
+
 __all__ = [
     "UGrid",
     "UDensity",
@@ -92,8 +94,7 @@ class UGrid:
     n_bins: int
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.u_max) or self.u_max <= 0:
-            raise ValueError(f"u_max must be positive and finite, got {self.u_max}")
+        check_positive_finite(u_max=self.u_max)
         if self.n_bins < 2:
             raise ValueError(f"need at least 2 bins, got {self.n_bins}")
         if self.n_nodes > _MAX_NODES:
@@ -104,10 +105,7 @@ class UGrid:
     @classmethod
     def from_spacing(cls, u_max: float, h: float) -> "UGrid":
         """The grid of spacing h over [0, u_max], 2 or more whole cells of h."""
-        if not 0 < h < np.inf:
-            raise ValueError(f"spacing must be positive and finite, got {h}")
-        if not 0 < u_max < np.inf:
-            raise ValueError(f"u_max must be positive and finite, got {u_max}")
+        check_positive_finite(spacing=h, u_max=u_max)
         return cls(float(u_max), _whole_steps(u_max, h, "u_max", "h", least=2))
 
     @property

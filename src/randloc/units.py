@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_positive_finite
+
 __all__ = ["UnitsMap", "RegimeReport", "units_convert", "validate_regime"]
 
 _DIRECTIONS = ("xi2_to_u", "u_to_xi2", "t_to_tau", "tau_to_t")
@@ -34,10 +36,8 @@ class UnitsMap:
     diffusion: float
 
     def __post_init__(self) -> None:
-        for name in ("mu", "number_density", "box_volume", "diffusion"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be positive and finite, got {v}")
+        check_positive_finite(mu=self.mu, number_density=self.number_density,
+                              box_volume=self.box_volume, diffusion=self.diffusion)
 
     @property
     def gamma_rate(self) -> float:

@@ -427,6 +427,28 @@ def test_blocked_output_root_is_exit_code_three(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "subcommand, sets, message",
+    [
+        ("transient", ["dtau=-0.02"], "dtau=-0.02 is not an integer multiple of h=0.02"),
+        ("mc-steady", ["m_particles=10000000000000"],
+         "m_particles=10000000000000 is more than 2e+07"),
+        ("oracle", ["quad_points=100000000000"],
+         "quad_points=100000000000 doubled max_doublings=12 times passes 4194304 points"),
+    ],
+)
+def test_refused_run_leaves_no_run_directory(tmp_path, capsys, subcommand, sets, message):
+    # each of these once left <out>/<subcommand>/<name>/config.echo behind, and
+    # the last two ended in numpy's "Unable to allocate", which names no key
+    out = tmp_path / "out"
+    rc = main([subcommand, "--jobs", "1", "--out", str(out)]
+              + [x for kv in sets for x in ("--set", kv)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("subcommand", ["steady", "transient"])
 def test_oversized_grid_is_exit_code_one(tmp_path, capsys, monkeypatch, subcommand):
     # h = 0.001 needs about 10 GB of pair tables: refused before any is built

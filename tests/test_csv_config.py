@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -172,6 +172,76 @@ def test_meta_lines_are_sorted(tmp_path):
 def test_write_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError, match="lengths differ"):
         write_table(tmp_path / "t.csv", {"a": np.arange(3.0), "b": np.arange(4.0)})
+
+
+_SPECIAL = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308,
+            1e-300, -1e300, 0.1]
+
+
+def _long_and_flat_bytes(outer, inner, values) -> tuple[bytes, bytes]:
+    """The file of a long table written from its axes, and the file of the
+    same table written from its expanded 1-d columns."""
+    m, n = values[0].shape
+    long = {"tau": outer, "u": inner, **{f"p{k}": v for k, v in enumerate(values)}}
+    flat = {"tau": np.repeat(outer, n), "u": np.tile(inner, m),
+            **{f"p{k}": v.ravel() for k, v in enumerate(values)}}
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, cols in enumerate((long, flat)):
+            path = Path(tmp) / f"{k}.csv"
+            write_table(path, cols, meta={"seed": 1})
+            out.append(path.read_bytes())
+    return out[0], out[1]
+
+
+# m == n, m == 0, n == 1, and more rows than one block
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(0, 40), st.integers(1, 700), st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from(_SPECIAL) | st.floats(width=64), max_size=20),
+    st.sampled_from([np.float64, np.float32]),
+)
+@example(5, 5, 0, _SPECIAL, np.float64)
+@example(0, 9, 1, [], np.float64)
+@example(300, 1, 2, _SPECIAL, np.float32)
+@example(3, 7000, 3, _SPECIAL, np.float64)
+def test_long_table_bytes_match_its_expanded_columns(m, n, seed, specials, dtype):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+
+    def draw(size):
+        x = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+        x[rng.random(size) < 0.2] = 0.0
+        if specials and size:
+            at = rng.integers(0, size, len(specials))
+            x[at] = specials
+        return x
+
+    outer = draw(m)
+    inner = np.tile(draw(min(n, 9)), n)[:n]  # axes repeat their own values too
+    with np.errstate(over="ignore"):
+        values = [draw(m * n).reshape(m, n).astype(dtype), draw(m * n).reshape(m, n)]
+    long, flat = _long_and_flat_bytes(outer, inner, values)
+    assert long == flat
+    assert long.count(b"\n") == 2 + m * n
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        {"p": (2, 3), "tau": (2,), "u": (3,)},  # axes after the values
+        {"tau": (3,), "u": (2,), "p": (2, 3)},  # axes of the wrong lengths
+        {"tau": (2,), "u": (3,), "p": (2, 3), "q": (3, 2)},  # two 2-d shapes
+        {"tau": (2,), "u": (3,), "w": (3,), "p": (2, 3)},  # a third 1-d column
+        {"tau": (2,), "u": (3,)},  # two axes of different lengths and no values
+    ],
+)
+def test_write_refuses_a_table_of_no_layout(tmp_path, shapes):
+    cols = {k: np.zeros(shape) for k, shape in shapes.items()}
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="lengths differ") as refused:
+        write_table(path, cols)
+    assert str({k: tuple(shape) for k, shape in shapes.items()}) in str(refused.value)
+    assert not path.exists()
 
 
 def test_failed_write_keeps_old_file(tmp_path):

@@ -169,3 +169,19 @@ def test_pair_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(ValueError):
         GaussPair(**base)
+
+
+@pytest.mark.parametrize(
+    "quad_points, max_doublings",
+    [(10**11, 12), (2**10 + 1, 12), (16, 19), (256, 10**18)],
+)
+def test_pair_beyond_the_resolution_limit_is_refused_by_key(quad_points, max_doublings):
+    # quad_points = 10^11 once ended in numpy's "Unable to allocate 745. GiB"
+    with pytest.raises(ValueError, match=f"quad_points={quad_points} doubled "
+                                         f"max_doublings={max_doublings} times passes 4194304"):
+        GaussPair(1.0, 1.0, 0.1, quad_points=quad_points, max_doublings=max_doublings)
+
+
+def test_pair_at_the_resolution_limit_is_accepted():
+    assert GaussPair(1.0, 1.0, 0.1, quad_points=2**10, max_doublings=12).quad_points == 2**10
+    assert GaussPair(1.0, 1.0, 0.1, quad_points=16, max_doublings=18).max_doublings == 18

@@ -235,6 +235,17 @@ def test_run_beyond_the_event_limit_is_refused_before_any_event(monkeypatch):
         resume(pop, 1e7 + 1.0)
 
 
+def test_population_beyond_the_particle_limit_is_refused_before_any_array(monkeypatch):
+    # 2^50 particles are more than any address space holds, so no array of them is tried
+    with pytest.raises(ValueError, match=f"m_particles={2**50} is more than 2e\\+07"):
+        run_steady(2**50, 1.0, seed=0)
+    monkeypatch.setattr(popmc, "_MAX_PARTICLES", 2000)
+    with pytest.raises(ValueError, match="m_particles=2001 is more than 2e\\+03"):
+        run_transient(2001, 0.5, 1e-6, seed=0)
+    pop, _ = run_transient(2000, 0.5, 1e-6, seed=0)
+    assert pop.size == 2000
+
+
 def test_snapshot_and_rate_guards():
     with pytest.raises(ValueError, match="outside"):
         run_steady(1000, 1.0, seed=0, snapshot_taus=(2.0,))
