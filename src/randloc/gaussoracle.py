@@ -43,8 +43,10 @@ __all__ = [
 _NORM_FLOOR = 1e-300
 _REL_TOL = 1e-6
 _MIN_HALFWIDTH_SIGMAS = 8.0
-# quad_points doubled max_doublings times stays within this many points per
-# axis; _moments_at holds about 270 bytes a point, 1.1 GB here.
+# No quadrature runs at more than this many points per axis: quad_points
+# doubled max_doublings times stays within it, and posterior_moments stops
+# doubling here whatever resolution _start_points chose. _moments_at holds
+# about 270 bytes a point, 1.1 GB here.
 _MAX_POINTS = 1 << 22
 
 
@@ -226,11 +228,18 @@ def posterior_moments(pair: GaussPair) -> PosteriorMoments:
     Starts at the first doubling of pair.quad_points that resolves the
     acceptance window and both marginals, then doubles the resolution
     until var1, var2, and var_rel all change by less than 1e-6 relative;
-    raises QuadratureError when max_doublings is exhausted first.
+    raises QuadratureError when max_doublings is exhausted first, or when
+    the next doubling would pass _MAX_POINTS points per axis.
     """
     n = _start_points(pair)
     prev = _moments_at(pair, n)
     for _ in range(pair.max_doublings):
+        if 2 * n > _MAX_POINTS:
+            raise QuadratureError(
+                f"posterior variances did not stabilize to {_REL_TOL:g} relative at "
+                f"n={n} points per axis; doubling again would pass the limit of "
+                f"{_MAX_POINTS} points per axis"
+            )
         n *= 2
         cur = _moments_at(pair, n)
         scale = max(abs(cur.var1), abs(cur.var2), abs(cur.var_rel))

@@ -241,7 +241,8 @@ def solve_steady(cfg: SolverConfig, init="ue") -> UDensity:
     falls below tol_fixed_point, returns G(p), which is within that
     tolerance of p and, unlike the extrapolated p, is a sweep output, so it
     keeps the sweep's p(0) = 0 and nonnegativity. Raises ConvergenceError
-    if no iterate does within max_iters iterations.
+    if no iterate does within max_iters iterations, or if a sweep or an
+    Anderson step gives a non-finite or massless iterate.
     """
     grid = cfg.grid
     _check_steady_grid(grid)
@@ -277,7 +278,10 @@ def solve_steady(cfg: SolverConfig, init="ue") -> UDensity:
             gamma = np.linalg.lstsq(root_w[:, None] * df, root_w * f, rcond=None)[0]
             step = f - (dp + df) @ gamma
         nxt = np.maximum(p.values + step, 0.0)
-        p = UDensity(grid, nxt / float(w @ nxt))
+        total = float(w @ nxt)
+        if not np.isfinite(total) or total <= 0.0:
+            raise ConvergenceError(f"Anderson step lost its mass (total={total})")
+        p = UDensity(grid, nxt / total)
     raise ConvergenceError(
         f"steady solve stalled at L1 residual {res:.3e} after {cfg.max_iters} iterations"
     )
@@ -469,17 +473,28 @@ class ResummedResidual:
 def _memory_integral(sol: TransientSolution, gt0: float, src: np.ndarray) -> np.ndarray:
     """Seeded Duhamel sums A_k = gt0 S_{tau_k} p_0 + sum_j wq_k[j]
     S_{tau_k - tau_j} src_j at every snapshot k, by the trapezoid recurrence
-    of the module docstring; the spacings must be whole cells."""
+    of the module docstring; the spacings must be whole cells. Raises
+    ConvergenceError once a sum is not finite."""
     grid = sol.grid
+
+    def finite(vals: np.ndarray, tau: float) -> np.ndarray:
+        if not np.all(np.isfinite(vals)):
+            raise ConvergenceError(f"the Duhamel sum of the resummed residual is not "
+                                   f"finite at tau={tau:g}")
+        return vals
+
     out = np.empty_like(src)
     out[0] = gt0 * sol.densities[0]
     for k in range(1, src.shape[0]):
         delta = sol.taus[k] - sol.taus[k - 1]
-        carried = UDensity(grid, out[k - 1] + 0.5 * delta * src[k - 1])
+        carried = UDensity(grid, finite(out[k - 1] + 0.5 * delta * src[k - 1], sol.taus[k - 1]))
         out[k] = drift_shift(carried, delta)[0].values + 0.5 * delta * src[k]
+    finite(out[-1], sol.taus[-1])
     return out
 
 
+# e^B and the sums may overflow on a long run; _memory_integral raises then
+@np.errstate(over="ignore", invalid="ignore")
 def residual_resummed(sol: TransientSolution, g, m_max: int = _HIERARCHY_LIMIT) -> ResummedResidual:
     """Measure how well the transient snapshots satisfy the resummed identity.
 
@@ -488,7 +503,8 @@ def residual_resummed(sol: TransientSolution, g, m_max: int = _HIERARCHY_LIMIT) 
     time quadrature, spacing at most 10 * dtau, and spaced by 1 or more whole
     grid cells, as every ``evolve_transient`` output is. The footnote and each
     depth are one ``_memory_integral`` of their own source, which takes
-    nsnap * m_max kernel calls in all.
+    nsnap * m_max kernel calls in all. Raises ConvergenceError when a
+    Duhamel sum is not finite, as when e^B overflows on a long run.
     """
     if not 1 <= m_max <= _HIERARCHY_LIMIT:
         raise ValueError(f"m_max must lie in 1..{_HIERARCHY_LIMIT}, got {m_max}")

@@ -20,10 +20,12 @@ Core physics operations:
   The "node" scheme evaluates K[p, p] at the nodes by a fourth-order
   quadrature of its integral form. It is not mass-exact; the steady solver
   and the steady residual use it. Its cached tables hold one row of pairs
-  per node u_i <= u_max / 2 (20 bytes a pair, under N^2 / 4 pairs): each
-  pair keeps its cubic stencil's offset, and a call forms the stencil in
-  Newton form from forward differences of p. They are built row block by
-  row block, without pair-sized temporaries.
+  per node u_i <= u_max / 2 (18 bytes a pair, under N^2 / 4 pairs): each
+  pair keeps its cubic stencil's start and offset, and a call forms the
+  stencil in Newton form from forward differences of p. A row's partner
+  nodes are consecutive, so they are not stored: a call reads them as
+  slices of p. The tables are built row block by row block, in per-thread
+  scratch, without pair-sized temporaries.
   Both schemes store node indices as uint16, so ``UGrid`` refuses more
   than 65536 nodes on every grid, a histogram's too. Both walk their pairs
   in fixed blocks of about 64k, cut at segment starts (a target bin, a
@@ -184,14 +186,15 @@ def _table_bytes(kind: str, grid: UGrid) -> int:
         # starts, diag and the blocks' segment and diagonal starts (intp),
         # each at most one a node
         return 12 * (n * (n + 1) // 2) + 40 * n
-    # j, b (uint16) and the stencil offset and folded weight (float64) of
-    # each of at most half * (n_bins - half) pairs; rows, starts and the
-    # blocks' segment starts (intp) of each row; and the Gauss part's
-    # points, 88 bytes each: 8 ceil(4 log(m / i)) for each row i < m, fewer
-    # than 40 m in all
+    # b (uint16) and the stencil offset and folded weight (float64) of each
+    # of at most half * (n_bins - half) pairs; rows, starts and the blocks'
+    # segment starts (intp) of each row, and the blocks' first node of each
+    # row (a Python int, 36 bytes with its tuple slot); and the Gauss
+    # part's points, 88 bytes each: 8 ceil(4 log(m / i)) for each row
+    # i < m, fewer than 40 m in all
     half = grid.n_bins // 2
     m = _near_cells(grid.u_max, grid.n_bins)
-    return 20 * half * (grid.n_bins - half) + 24 * half + 88 * 40 * m
+    return 18 * half * (grid.n_bins - half) + 60 * half + 88 * 40 * m
 
 
 def _check_table_bytes(kind: str, grid: UGrid) -> None:
@@ -363,7 +366,7 @@ def _scratch_rows(width: int):
     """This thread's scratch for a block of up to ``width`` pairs: three
     float64 rows and one intp row, the latter for the block's uint16 node
     indices widened once before their gathers; grown to the widest block
-    seen."""
+    seen. The node tables are built in the float rows too."""
     if getattr(_scratch, "width", 0) < width:
         _scratch.rows = np.empty((3, width))
         _scratch.idx = np.empty(width, dtype=np.intp)
@@ -446,17 +449,20 @@ def collision_kernel(p: UDensity, q: UDensity, *, scheme: str = "deposit") -> UD
       ``_node_kernel``. Fourth order in h for smooth p, but the output mass
       equals mass(p)^2 only to that order. Needs q equal to p. The cached
       tables of ``_node_tables`` hold one row of pairs per node with
-      u <= u_max / 2: a uint16 node, a uint16 stencil start, a float64
-      stencil offset and a float64 folded weight, 20 bytes a pair, under
-      N^2 / 4 pairs. Each row's value is a sum over its contiguous segment
-      of pairs.
+      u <= u_max / 2: a uint16 stencil start, a float64 stencil offset
+      and a float64 folded weight, 18 bytes a pair, under N^2 / 4 pairs
+      (40.7 MB at h = 0.01, u_max = 30). A row pairs its node with the
+      consecutive nodes from its first one on, so a call reads their
+      values as one slice of p a row. Each row's value is a sum over its
+      contiguous segment of pairs.
 
     Both schemes walk their pairs in fixed blocks of about 64k, cut at
     segment starts (a bin, a row) from the tables alone, on at most
     min(2, usable CPUs) threads; a grid of fewer than 16 blocks (about a
     million pairs: deposit N below about 1450, node N below about 2000)
     runs in the calling thread. Each block widens its uint16 node indices
-    once into per-thread scratch before gathering. No segment crosses a
+    (the node scheme: its stencil starts) once into per-thread scratch
+    before gathering. No segment crosses a
     block, so the floats do not depend on the block size or the thread
     count, and no call allocates a pair-sized array. Grids whose tables
     would exceed a fixed budget (1 GiB) raise ValueError before any table
@@ -589,16 +595,19 @@ def _node_tables(u_max: float, n_bins: int):
     from j = 2i. Gregory's end weights sit at each row's first node.
 
     Returns the node part (row numbers, each row's start in the flat pair
-    arrays, the node j of every pair (uint16), the start b (uint16) and
-    offset t = y_j / h - b (float64) of the 4-point stencil for p(y_j), and
-    the pair's quadrature weight with the Jacobian and 2h folded in
-    (float64); 20 bytes per pair, under n_bins^2 / 4 pairs) and the Gauss
-    part (row of every point, then stencil and weights for p(x) and for
-    p(y), the quadrature weight folded into the latter), then the row
-    blocks of ``_segment_blocks`` and the widest block's pair count. The
-    flat arrays are allocated once and filled block by block, so the build
-    allocates no pair-sized temporary; each pair's floats come from the
-    same operations whatever the blocks.
+    arrays, the start b (uint16) and offset t = y_j / h - b (float64) of
+    the 4-point stencil for p(y_j), and the pair's quadrature weight with
+    the Jacobian and 2h folded in (float64); 18 bytes per pair, under
+    n_bins^2 / 4 pairs) and the Gauss part (row of every point, then
+    stencil and weights for p(x) and for p(y), the quadrature weight folded
+    into the latter), then the row blocks of ``_segment_blocks``, each
+    extended by the first node of each of its rows, and the widest block's
+    pair count. Row i's pairs are the nodes first .. n_bins in order, so
+    no pair stores its node j: a block's x_j are the slices
+    nodes[first:] of its rows, one after another. The flat arrays are
+    allocated once and filled block by block in per-thread scratch, so the
+    build allocates no pair-sized temporary; each pair's floats come from
+    the same operations whatever the blocks.
     """
     n = n_bins
     m = _near_cells(u_max, n_bins)
@@ -606,32 +615,46 @@ def _node_tables(u_max: float, n_bins: int):
     first = np.where(rows < m, rows + m, 2 * rows)
     lens = n - first + 1
     starts = np.cumsum(lens) - lens
-    j = np.empty(int(lens.sum()), dtype=np.uint16)
-    b = np.empty(j.size, dtype=np.uint16)
-    t = np.empty(j.size)
-    fold = np.empty(j.size)
+    n_pairs = int(lens.sum())
+    b = np.empty(n_pairs, dtype=np.uint16)
+    t = np.empty(n_pairs)
+    fold = np.empty(n_pairs)
     scale = 2.0 * u_max / n
+    cells = np.arange(n + 1, dtype=np.float64)
 
     def fill(block):
-        s0, s1, r0, r1, seg = block
+        s0, s1, r0, r1, seg, firsts = block
         rl = lens[r0:r1]
-        i = np.repeat(rows[r0:r1], rl)
-        jb = np.arange(s1 - s0) - np.repeat(seg - first[r0:r1], rl)
-        r = jb / (jb - i)  # x / (x - u), so y_j / h = i r, in (i, 2i]
-        j[s0:s1] = jb
-        b[s0:s1], t[s0:s1] = _stencil(i * r, n)
+        x, d, r = _scratch_rows(width)[0][:, :s1 - s0]
+        np.concatenate([cells[f:] for f in firsts], out=x)  # x_j / h
+        np.concatenate([cells[f - i:n + 1 - i] for i, f in zip(rows[r0:r1].tolist(), firsts)],
+                       out=d)  # (x_j - u_i) / h
+        np.divide(x, d, out=r)  # x / (x - u), so y_j / h = i r, in (i, 2i]
+        x -= d  # i
+        x *= r  # y_j / h
+        # the stencil of _stencil: b = clip(floor(y_j / h) - 1, 0, n - 3)
+        np.floor(x, out=d)
+        d -= 1.0
+        np.clip(d, 0.0, n - 3, out=d)
+        b[s0:s1] = d
+        np.subtract(x, d, out=t[s0:s1])
         # Rows too short for Gregory's weights lie near u_max / 2, where
         # p(x) p(y) is negligible, and keep the plain trapezoid; a one-node
         # row spans no interval.
-        q = np.ones(s1 - s0)
+        q = x
+        q.fill(1.0)
         q[seg + rl - 1] = 0.5
         long_row = rl >= 8
         for k, g in enumerate(_GREGORY):
             q[seg[long_row] + k] = g
         q[seg[~long_row]] = np.where(rl[~long_row] == 1, 0.0, 0.5)
-        fold[s0:s1] = q * scale * r * r
+        fb = fold[s0:s1]
+        np.multiply(q, scale, out=fb)
+        fb *= r
+        fb *= r
 
-    blocks, width = _segment_blocks(starts, j.size, _BLOCK_PAIRS)
+    blocks, width = _segment_blocks(starts, n_pairs, _BLOCK_PAIRS)
+    blocks = [blk + (tuple(first[blk[2]:blk[3]].tolist()),) for blk in blocks]
     _run_blocks(blocks, fill)
     # Gauss part: x - u = u e^s for s in [0, log(m / i)], in panels of at
     # most _NEAR_PANEL.
@@ -647,7 +670,7 @@ def _node_tables(u_max: float, n_bins: int):
     by, wy = _lagrange4(ni + ni * ni / v, n)
     # dx = (x - u) ds, and x^2 / (x - u)^2 = (1 + u / (x - u))^2
     wy *= scale * (1.0 + ni / v) ** 2 * v * ws
-    arrays = (rows, starts, j, b, t, fold, ni.astype(np.int64), bx, wx, by, wy)
+    arrays = (rows, starts, b, t, fold, ni.astype(np.int64), bx, wx, by, wy)
     for arr in arrays:
         arr.setflags(write=False)
     return arrays + (tuple(blocks), width)
@@ -671,23 +694,24 @@ def _node_kernel(p: UDensity) -> UDensity:
 
     The node part interpolates p(y) in Newton form, from the forward
     differences d1 = Δv, d2 = Δ²v / 2 and d3 = Δ³v / 6 of the node values,
-    built once a call. It walks the row blocks of ``_node_tables`` (about
-    _BLOCK_PAIRS pairs each, cut at row starts) through
-    ``_run_blocks``, in per-thread scratch, so no call allocates a
-    pair-sized array. Every row's sum lies in one block, so the output does
-    not depend on the block size or the thread count.
+    built once a call, and takes p(x_j) of a row as the slice v[first:].
+    It walks the row blocks of ``_node_tables`` (about _BLOCK_PAIRS pairs
+    each, cut at row starts) through ``_run_blocks``, in per-thread
+    scratch, so no call allocates a pair-sized array. Every row's sum lies
+    in one block, so the output does not depend on the block size or the
+    thread count.
     """
     g = p.grid
     if g.n_bins < 3:
         raise ValueError(f"the node scheme needs at least 3 bins, got {g.n_bins}")
     _check_table_bytes("node", g)
-    rows, _, j, b, t, fold, ni, bx, wx, by, wy, blocks, width = _node_tables(g.u_max, g.n_bins)
+    rows, _, b, t, fold, ni, bx, wx, by, wy, blocks, width = _node_tables(g.u_max, g.n_bins)
     v = p.values
     d1 = np.diff(v)
     diffs = (v, d1, np.diff(d1) / 2.0, np.diff(d1, 2) / 6.0)
     out = np.zeros(g.n_nodes)
     row_out = out[rows[0]:rows[-1] + 1]
-    _run_blocks(blocks, lambda block: _node_block(block, width, j, b, t, fold, diffs, row_out))
+    _run_blocks(blocks, lambda block: _node_block(block, width, b, t, fold, diffs, row_out))
     out += np.bincount(ni, weights=_interp4(v, bx, wx) * _interp4(v, by, wy),
                        minlength=g.n_nodes)
     wq = g.quad_weights().copy()
@@ -698,11 +722,11 @@ def _node_kernel(p: UDensity) -> UDensity:
     return UDensity(g, np.maximum(out, 0.0, out=out))
 
 
-def _node_block(block, width, j, b, t, fold, diffs, row_out) -> None:
+def _node_block(block, width, b, t, fold, diffs, row_out) -> None:
     """One row block's sums of fold (v[b] + t (d1[b] + (t - 1) (d2[b] +
     (t - 2) d3[b]))) v[j], into its slice of the row outputs, in this
-    thread's scratch."""
-    s0, s1, r0, r1, seg = block
+    thread's scratch; v[j] of a row is the slice v[first:]."""
+    s0, s1, r0, r1, seg, firsts = block
     v, d1, d2, d3 = diffs
     buf, idx = _scratch_rows(width)
     n = s1 - s0
@@ -721,8 +745,7 @@ def _node_block(block, width, j, b, t, fold, diffs, row_out) -> None:
     np.take(v, idx, out=x, mode="clip")
     acc += x
     acc *= fold[s0:s1]
-    idx[:] = j[s0:s1]
-    np.take(v, idx, out=x, mode="clip")
+    np.concatenate([v[f:] for f in firsts], out=x)
     acc *= x
     np.add.reduceat(acc, seg, out=row_out[r0:r1])
 

@@ -4,9 +4,11 @@ They build the quadrature tables of every row at once and evaluate the
 kernel with pair-sized temporaries.
 
 * ``thin_node_tables`` and ``thin_node_kernel`` store, as the scheme does,
-  each pair's stencil offset and folded weight and interpolate in Newton
-  form from forward differences. The blocked tables and kernel do the same
-  float operations on the same values, so the two agree bit for bit.
+  each pair's stencil start, offset and folded weight and interpolate in
+  Newton form from forward differences. The blocked tables and kernel do
+  the same float operations on the same values, so the two agree bit for
+  bit. The scheme reads p at each row's partner nodes as a slice; the
+  reference gathers it from its own list of every pair's node j.
 * ``node_tables`` and ``node_kernel`` store four folded Lagrange weights a
   pair, as the scheme did before its tables were thinned. They interpolate
   the same cubic, so the two forms agree to rounding.
@@ -60,13 +62,18 @@ def _gauss_part(u_max: float, n: int, m: int):
     return ni.astype(np.int64), bx, wx, by, wy
 
 
-def thin_node_tables(u_max: float, n_bins: int):
-    """The tables of ``udist._node_tables``, built in one shot."""
+def _thin_tables(u_max: float, n_bins: int):
+    """The tables of ``udist._node_tables``, built in one shot, and the
+    node j of every pair."""
     m, rows, starts, i, j, r, q = _pairs(u_max, n_bins)
     b, t = _stencil(i * r, n_bins)
     fold = q * (2.0 * u_max / n_bins) * r * r
-    return (rows, starts, j.astype(np.uint16), b.astype(np.uint16), t, fold,
-            *_gauss_part(u_max, n_bins, m))
+    return (rows, starts, b.astype(np.uint16), t, fold, *_gauss_part(u_max, n_bins, m)), j
+
+
+def thin_node_tables(u_max: float, n_bins: int):
+    """The tables of ``udist._node_tables``, built in one shot."""
+    return _thin_tables(u_max, n_bins)[0]
 
 
 def node_tables(u_max: float, n_bins: int):
@@ -96,7 +103,7 @@ def _finish(p: UDensity, rows, starts, pair_terms, ni, bx, wx, by, wy) -> np.nda
 def thin_node_kernel(p: UDensity) -> np.ndarray:
     """Node values of the node scheme's K[p, p], from ``thin_node_tables``."""
     g = p.grid
-    rows, starts, j, b, t, fold, *gauss = thin_node_tables(g.u_max, g.n_bins)
+    (rows, starts, b, t, fold, *gauss), j = _thin_tables(g.u_max, g.n_bins)
     v = p.values
     d1 = np.diff(v)
     d2 = np.diff(d1) / 2.0

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from randloc import gaussoracle
 from randloc.errors import ConvergenceError, QuadratureError
 from randloc.gaussoracle import (
     GaussPair,
+    PosteriorMoments,
     contraction_limit,
     convergence_study,
     posterior_moments,
@@ -146,6 +148,23 @@ def test_exhausted_doublings_raise_quadrature_error():
     pair = GaussPair(1.0, 1.0, 0.5, quad_points=16, halfwidth_sigmas=8.0, max_doublings=1)
     with pytest.raises(QuadratureError, match="doubling"):
         posterior_moments(pair)
+
+
+@pytest.mark.parametrize("pair", [GaussPair(1.0, 1.0, 0.1, halfwidth_sigmas=1e5),
+                                  GaussPair(1.0, 1e-12, 1e-7)])
+def test_doubling_stops_at_the_resolution_limit(monkeypatch, pair):
+    # both pairs start at 2^21 points per axis, so a pair that never
+    # settles stops after one doubling instead of running out of memory
+    seen = []
+
+    def moments_at(pair, n):
+        seen.append(n)  # allocates no grid, and never settles
+        return PosteriorMoments(float(n), 1.0, 1.0, 1.0, 0.0, 0.0)
+
+    monkeypatch.setattr(gaussoracle, "_moments_at", moments_at)
+    with pytest.raises(QuadratureError, match="would pass the limit of 4194304 points per axis"):
+        posterior_moments(pair)
+    assert seen == [1 << 21, 1 << 22]
 
 
 def test_quadrature_error_is_a_convergence_error():

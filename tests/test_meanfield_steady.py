@@ -146,6 +146,17 @@ def test_non_convergence_raises():
         solve_steady(cfg)
 
 
+def test_non_finite_anderson_step_raises(monkeypatch):
+    # a NaN least-squares solution is a numerical failure (exit 2), not
+    # UDensity's finite-value ValueError (exit 1)
+    def lstsq(a, b, rcond=None):
+        return np.full(a.shape[1], np.nan), None, None, None
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    with pytest.raises(ConvergenceError, match="Anderson step lost its mass"):
+        solve_steady(COARSE)
+
+
 def test_residual_shrinks_with_resolution(steady):
     # the kernel and the derivative are fourth order, so halving h cuts the
     # defect ~16x

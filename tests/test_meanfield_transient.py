@@ -5,7 +5,7 @@ import pytest
 from resummed_reference import dense_resummed
 
 from randloc import meanfield
-from randloc.errors import MassLossError, StepInstabilityError
+from randloc.errors import ConvergenceError, MassLossError, StepInstabilityError
 from randloc.gamma import GammaTrajectory, closed_trajectory
 from randloc.meanfield import (
     SolverConfig,
@@ -159,6 +159,17 @@ def test_resummed_guards(seeded_run):
     for g in (1.0, -0.1):
         with pytest.raises(ValueError, match="0 <= g\\(0\\) < 1"):
             residual_resummed(dense, g)
+
+
+def test_resummed_overflow_is_a_convergence_error():
+    # at g = 0.9, e^B = e^(0.9 tau) passes the float range before tau = 800:
+    # a numerical failure (exit 2), not UDensity's ValueError (exit 1)
+    grid = UGrid.from_spacing(10.0, 0.5)
+    taus = np.arange(0.0, 801.0, 5.0)
+    dens = np.tile(default_init_density(grid).values, (taus.size, 1))
+    sol = TransientSolution(grid, taus, dens, 0.5)
+    with pytest.raises(ConvergenceError, match="Duhamel sum .* not finite"):
+        residual_resummed(sol, 0.9)
 
 
 @pytest.fixture(scope="module")

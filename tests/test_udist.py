@@ -457,9 +457,9 @@ def test_predicted_table_bytes_bound_the_built_tables(n_bins, u_max):
     assert deposit <= udist._table_bytes("deposit", g)
     node = _nbytes(udist._node_tables(u_max, n_bins))
     assert node <= udist._table_bytes("node", g)
-    # 20 bytes a pair, plus row and block starts and the Gauss part, O(N)
+    # 18 bytes a pair, plus row and block starts and the Gauss part, O(N)
     half = n_bins // 2
-    assert node <= 20 * half * (n_bins - half) + 1800 * g.n_nodes
+    assert node <= 18 * half * (n_bins - half) + 1800 * g.n_nodes
 
 
 @pytest.mark.parametrize("scheme", ["deposit", "node"])
@@ -510,7 +510,7 @@ def test_blocked_node_scheme_matches_one_shot_reference(p, block_pairs):
             mp.setattr(udist, "_kernel_threads", lambda: threads)
             udist._node_tables.cache_clear()  # build the tables in these blocks
             got_tables = udist._node_tables(g.u_max, g.n_bins)
-            for a, b in zip(want_tables, got_tables):
+            for a, b in zip(want_tables, got_tables[:-2], strict=True):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
             assert np.array_equal(collision_kernel(p, p, scheme="node").values, want)
 
