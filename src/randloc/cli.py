@@ -16,15 +16,14 @@ work too large for memory), 2 solver or quadrature non-convergence
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfgmod
-from .csvio import atomic_writer, format_value, write_density, write_table, write_trajectory
-from .errors import ConfigError, ConvergenceError, MassLossError, StepInstabilityError
+from .csvio import atomic_writer, write_density, write_table, write_trajectory
+from .errors import ConfigError, ConvergenceError
 from .gamma import closed_trajectory, gamma_ode
 from .gaussoracle import GaussPair, convergence_study, posterior_moments
 from .meanfield import (
@@ -36,18 +35,10 @@ from .meanfield import (
     resolve_init,
     solve_steady,
 )
-from .popmc import empirical_density, run_steady, run_transient
-from .udist import UGrid, moment
+from .popmc import _COUNTERS, empirical_density, run_steady, run_transient
+from .udist import UGrid, _usable_cpus, moment
 
 __all__ = ["main"]
-
-
-def _meta(cfg: dict, **extra) -> dict:
-    out = {}
-    for k, v in cfg.items():
-        out[k] = ",".join(format_value(x) for x in v) if isinstance(v, tuple) else v
-    out.update(extra)
-    return out
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
@@ -64,7 +55,7 @@ def cmd_gamma(cfg: dict, run_dir: Path) -> None:
         traj = closed_trajectory(cfg["g0"], cfg["tau_end"], cfg["dtau"])
     else:
         traj = gamma_ode(cfg["g0"], cfg["tau_end"], cfg["dtau"])
-    write_trajectory(run_dir / "gamma.csv", traj.taus, traj.values, _meta(cfg))
+    write_trajectory(run_dir / "gamma.csv", traj.taus, traj.values, cfg)
 
 
 def cmd_steady(cfg: dict, run_dir: Path) -> None:
@@ -74,7 +65,7 @@ def cmd_steady(cfg: dict, run_dir: Path) -> None:
     write_density(
         run_dir / "steady.csv",
         p,
-        _meta(cfg, residual_l1=resid.l1, residual_sup=resid.sup, mean_u=moment(p, 1)),
+        dict(cfg, residual_l1=resid.l1, residual_sup=resid.sup, mean_u=moment(p, 1)),
     )
 
 
@@ -101,18 +92,14 @@ def cmd_transient(cfg: dict, run_dir: Path) -> None:
     write_table(
         run_dir / "transient.csv",
         {"tau": sol.taus, "u": grid.nodes(), "p": sol.densities},
-        _meta(cfg, max_renorm_drift=sol.max_renorm_drift, lost_mass=sol.lost_mass),
+        dict(cfg, max_renorm_drift=sol.max_renorm_drift, lost_mass=sol.lost_mass),
     )
     if m_max > 0:
         res = residual_resummed(sol, g, m_max)
         cols = {"tau": res.taus, "residual_l1": res.footnote}
         for m, row in enumerate(res.truncated, 1):
             cols[f"truncated_m{m}"] = row
-        write_table(run_dir / "residual.csv", cols, _meta(cfg))
-
-
-def _hist_grid(cfg: dict) -> UGrid:
-    return UGrid.from_spacing(cfg["hist_u_max"], cfg["hist_h"])
+        write_table(run_dir / "residual.csv", cols, cfg)
 
 
 def _write_mc_outputs(run_dir: Path, cfg: dict, seed: int, snaps, final_pop, grid: UGrid) -> None:
@@ -120,10 +107,7 @@ def _write_mc_outputs(run_dir: Path, cfg: dict, seed: int, snaps, final_pop, gri
     gs = [s.g_empirical for s in snaps] + [final_pop.g_empirical]
     write_trajectory(
         run_dir / f"g_seed{seed}.csv", np.asarray(taus), np.asarray(gs),
-        _meta(cfg, seed=seed, overflow_count=final_pop.overflow_count,
-              events_loc_loc=final_pop.events_loc_loc,
-              events_loc_deloc=final_pop.events_loc_deloc,
-              events_deloc_deloc=final_pop.events_deloc_deloc),
+        dict(cfg, seed=seed, **{name: getattr(final_pop, name) for name in _COUNTERS}),
         names=("tau", "g_empirical"),
     )
     # one histogram block per snapshot and the final state, if any is localized
@@ -136,7 +120,7 @@ def _write_mc_outputs(run_dir: Path, cfg: dict, seed: int, snaps, final_pop, gri
             "u_bin": grid.nodes(),
             "p_hat": np.reshape([p for _, p in hists], (len(hists), grid.n_nodes)),
         },
-        _meta(cfg, seed=seed),
+        dict(cfg, seed=seed),
     )
 
 
@@ -159,15 +143,16 @@ def _mc_one(subcommand: str, cfg: dict, run_dir_s: str, seed: int, grid: UGrid) 
 
 def _worker_count(jobs: int, n_seeds: int) -> int:
     """Worker processes for a seed sweep: at most jobs, one per seed and one
-    per CPU; 1 means the seeds run in this process."""
-    return max(1, min(jobs, n_seeds, os.cpu_count() or 1))
+    per usable CPU; 1 means the seeds run in this process."""
+    return max(1, min(jobs, n_seeds, _usable_cpus()))
 
 
 def cmd_mc(subcommand: str, cfg: dict, run_dir: Path, jobs: int) -> None:
     seeds = cfg["seeds"]
     if not seeds:
         raise ConfigError("seeds must list at least one integer")
-    grid = _hist_grid(cfg)  # a bad histogram grid fails before any event is drawn
+    # a bad histogram grid fails before any event is drawn
+    grid = UGrid.from_spacing(cfg["hist_u_max"], cfg["hist_h"])
     workers = _worker_count(jobs, len(seeds))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # its import costs every run ~13 ms
@@ -212,7 +197,7 @@ def cmd_oracle(cfg: dict, run_dir: Path) -> None:
             "var_rel": np.array([m.var_rel for m in moments]),
             "norm": np.array([m.norm for m in moments]),
         },
-        _meta(cfg, **extra),
+        dict(cfg, **extra),
     )
 
 
@@ -220,10 +205,10 @@ def cmd_fig1(cfg: dict, run_dir: Path) -> None:
     for g0 in cfg["g0_list"]:
         traj = closed_trajectory(g0, cfg["tau_end"], cfg["dtau"])
         write_trajectory(
-            run_dir / f"curve_{g0!r}.csv", traj.taus, traj.values, _meta(cfg, g0=g0)
+            run_dir / f"curve_{g0!r}.csv", traj.taus, traj.values, dict(cfg, g0=g0)
         )
     p = solve_steady(_solver_config(cfg))
-    write_density(run_dir / "inset_steady.csv", p, _meta(cfg, mean_u=moment(p, 1)))
+    write_density(run_dir / "inset_steady.csv", p, dict(cfg, mean_u=moment(p, 1)))
 
 
 _DISPATCH = {
@@ -235,18 +220,15 @@ _DISPATCH = {
 }
 
 
-def _parse_sets(pairs: list[str]) -> dict[str, str]:
-    out = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"--set expects key=value, got {pair!r}")
-        key, _, val = pair.partition("=")
-        out[key.strip()] = val.strip()
-    return out
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are ConfigErrors, exit code 1."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="randloc",
         description="Mean-field kinetics of measurement-induced random localization.",
     )
@@ -267,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        overrides = _parse_sets(args.set)
+        overrides = dict(cfgmod.split_pair(pair, "--set") for pair in args.set)  # last wins
         cfg = cfgmod.resolve(args.subcommand, args.config, overrides)
         if args.seed is not None:
             if "seeds" not in cfg:
@@ -280,7 +262,7 @@ def main(argv=None) -> int:
             _DISPATCH[args.subcommand](cfg, run_dir)
         # written last, so that a refused run leaves no run directory
         with atomic_writer(run_dir / "config.echo") as fh:
-            fh.write("\n".join(cfgmod.echo_lines(cfg)) + "\n")
+            fh.write(("\n".join(cfgmod.echo_lines(cfg)) + "\n").encode("utf-8"))
         print(run_dir)
         return 0
     except (ConfigError, ValueError) as exc:
@@ -289,7 +271,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # numpy's names the allocation; a bare one says nothing
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
-    except (ConvergenceError, MassLossError, StepInstabilityError) as exc:
+    except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -17,9 +17,11 @@ from pathlib import Path
 
 from .csvio import format_value
 from .errors import ConfigError
-from .meanfield import _INIT_GUESSES
+from .gaussoracle import _BOX_CONVENTIONS, GaussPair
+from .meanfield import _INIT_GUESSES, SolverConfig
+from .popmc import _ENTRANT_RULES, Population
 
-__all__ = ["Field", "SCHEMAS", "parse_file", "resolve", "echo_lines", "run_name"]
+__all__ = ["Field", "SCHEMAS", "split_pair", "parse_file", "resolve", "echo_lines", "run_name"]
 
 
 @dataclass(frozen=True)
@@ -48,29 +50,36 @@ def _parse_scalar(key: str, raw: str, field: Field):
     return value
 
 
+# Defaults read from a class are the library's own; the literals are the CLI's.
 _STEADY_SOLVE = {
-    "tol_fixed_point": Field("float", 1e-8),
-    "max_iters": Field("int", 500),
+    "tol_fixed_point": Field("float", SolverConfig.tol_fixed_point),
+    "max_iters": Field("int", SolverConfig.max_iters),
 }
 _INIT = {"init": Field("str", "ue", tuple(_INIT_GUESSES))}
+_MC = {
+    "m_particles": Field("int", 20000),
+    "seeds": Field("ints", (1,)),
+    "snapshot_taus": Field("floats", ()),
+    "hist_u_max": Field("float", 30.0),
+    "hist_h": Field("float", 0.1),
+    "u_ceiling": Field("float", Population.u_ceiling),
+}
 
-SCHEMAS: dict[str, dict[str, Field]] = {
+_KEYS: dict[str, dict[str, Field]] = {
     "gamma": {
         "g0": Field("float", 0.01),
         "tau_end": Field("float", 20.0),
         "dtau": Field("float", 0.01),
         "method": Field("str", "ode", ("ode", "closed")),
-        "name": Field("str", ""),
     },
     "steady": {
-        "u_max": Field("float", 30.0),
-        "h": Field("float", 0.01),
+        "u_max": Field("float", SolverConfig.u_max),
+        "h": Field("float", SolverConfig.h),
         **_STEADY_SOLVE,
         **_INIT,
-        "name": Field("str", ""),
     },
     "transient": {
-        "u_max": Field("float", 30.0),
+        "u_max": Field("float", SolverConfig.u_max),
         "h": Field("float", 0.02),
         **_INIT,
         "dtau": Field("float", 0.0),  # 0 means: use h
@@ -79,56 +88,50 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "g_mode": Field("str", "closed", ("closed", "const")),
         "snapshot_stride": Field("int", 25),
         "residual_m_max": Field("int", 0),  # 0 skips the residual file
-        "name": Field("str", ""),
     },
-    "mc-steady": {
-        "m_particles": Field("int", 20000),
-        "tau_end": Field("float", 30.0),
-        "seeds": Field("ints", (1,)),
-        "snapshot_taus": Field("floats", ()),
-        "hist_u_max": Field("float", 30.0),
-        "hist_h": Field("float", 0.1),
-        "u_ceiling": Field("float", 1e9),
-        "name": Field("str", ""),
-    },
+    "mc-steady": {**_MC, "tau_end": Field("float", 30.0)},
     "mc-transient": {
-        "m_particles": Field("int", 20000),
+        **_MC,
         "g0": Field("float", 0.01),
         "tau_end": Field("float", 10.0),
-        "seeds": Field("ints", (1,)),
-        "snapshot_taus": Field("floats", ()),
-        "entrant_rule": Field("str", "adopt", ("adopt", "capped")),
-        "entrant_cap": Field("float", 100.0),
-        "hist_u_max": Field("float", 30.0),
-        "hist_h": Field("float", 0.1),
-        "u_ceiling": Field("float", 1e9),
-        "name": Field("str", ""),
+        "entrant_rule": Field("str", Population.entrant_rule, _ENTRANT_RULES),
+        "entrant_cap": Field("float", Population.entrant_cap),
     },
     "oracle": {
         "xi1_sq": Field("float", 1.0),
         "xi2_sq": Field("float", 1.0),
         "boxes": Field("floats", (0.4, 0.2, 0.1, 0.05)),
-        "box_convention": Field("str", "diameter", ("diameter", "radius")),
-        "quad_points": Field("int", 256),
-        "halfwidth_sigmas": Field("float", 10.0),
-        "max_doublings": Field("int", 12),
+        "box_convention": Field("str", GaussPair.box_convention, _BOX_CONVENTIONS),
+        "quad_points": Field("int", GaussPair.quad_points),
+        "halfwidth_sigmas": Field("float", GaussPair.halfwidth_sigmas),
+        "max_doublings": Field("int", GaussPair.max_doublings),
         "fit_order": Field("str", "yes", ("yes", "no")),
-        "name": Field("str", ""),
     },
     "fig1": {
         "g0_list": Field("floats", (0.01, 0.005, 0.0025, 0.0008, 0.0)),
         "tau_end": Field("float", 20.0),
         "dtau": Field("float", 0.01),
-        "u_max": Field("float", 30.0),
+        "u_max": Field("float", SolverConfig.u_max),
         "h": Field("float", 0.05),
         **_STEADY_SOLVE,
-        "name": Field("str", ""),
     },
 }
+SCHEMAS = {sub: {**keys, "name": Field("str", "")} for sub, keys in _KEYS.items()}
+
+
+def split_pair(text: str, where: str) -> tuple[str, str]:
+    """The stripped key and value of one `key = value` pair; where names
+    the pair's source in the ConfigError that refuses a malformed one."""
+    key, eq, value = text.partition("=")
+    if not eq:
+        raise ConfigError(f"{where}: expected 'key = value' (or key=value), got {text!r}")
+    if not key.strip():
+        raise ConfigError(f"{where}: empty key")
+    return key.strip(), value.strip()
 
 
 def parse_file(path) -> dict[str, str]:
-    """Raw key -> string mapping from a config file."""
+    """Raw key -> string mapping from a config file; a key may appear once."""
     out: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -138,15 +141,10 @@ def parse_file(path) -> dict[str, str]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"{path}:{lineno}: empty key")
+        key, value = split_pair(raw, f"{path}:{lineno}")
         if key in out:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        out[key] = val.strip()
+        out[key] = value
     return out
 
 
@@ -169,16 +167,8 @@ def resolve(subcommand: str, file_path=None, overrides: dict[str, str] | None = 
 
 
 def echo_lines(cfg: dict) -> list[str]:
-    """Sorted `key = value` lines; tuples render as comma lists."""
-    lines = []
-    for key in sorted(cfg):
-        v = cfg[key]
-        if isinstance(v, tuple):
-            text = ",".join(format_value(x) for x in v)
-        else:
-            text = format_value(v)
-        lines.append(f"{key} = {text}")
-    return lines
+    """Sorted `key = value` lines, each value as ``format_value`` writes it."""
+    return [f"{key} = {format_value(cfg[key])}" for key in sorted(cfg)]
 
 
 def run_name(cfg: dict) -> str:

@@ -70,12 +70,16 @@ _FLOAT_FORMAT = "%.17g"
 
 
 def format_value(v) -> str:
+    """The text of one value: a float as '%.17g', a tuple as the comma list
+    of its items' texts."""
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return _FLOAT_FORMAT % float(v)
+    if isinstance(v, tuple):
+        return ",".join(map(format_value, v))
     return str(v)
 
 
@@ -96,7 +100,7 @@ def write_table(path, columns: dict[str, np.ndarray], meta: dict | None = None) 
     lines.append(",".join(cols))
     n = flat[0].size if flat else 0
     axis_cells = [_compact(_column_cells(a)) for a in axes]
-    with atomic_writer(path, binary=True) as fh:
+    with atomic_writer(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
         # one buffer for every block: a fresh one each block would have its
         # pages faulted in anew
@@ -396,9 +400,9 @@ def _slow_cells(x: np.ndarray) -> np.ndarray:
 
 
 @contextmanager
-def atomic_writer(path, binary: bool = False):
-    """Open a file (UTF-8 text, or bytes when binary) that replaces path
-    only once the with-block completes, making path's directory if need be.
+def atomic_writer(path):
+    """Open a binary file that replaces path only once the with-block
+    completes, making path's directory if need be.
 
     The output goes to a temporary file beside path, which then replaces
     path in one step: a write that fails part way leaves any earlier file
@@ -408,7 +412,7 @@ def atomic_writer(path, binary: bool = False):
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with (open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="\n")) as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

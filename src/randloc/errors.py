@@ -1,8 +1,9 @@
 """Exception types shared across the toolkit, and the one check of a
 positive, finite value.
 
-ConfigError, ConvergenceError and IO failures map onto distinct CLI exit
-codes, so solver code must not collapse them into a generic RuntimeError.
+ConfigError, ConvergenceError (with its subclasses) and IO failures map
+onto distinct CLI exit codes, so solver code must not collapse them into a
+generic RuntimeError.
 """
 
 from __future__ import annotations
@@ -30,12 +31,14 @@ class ConvergenceError(RandlocError):
     """An iterative solver failed to reach its tolerance (CLI exit code 2)."""
 
 
-class MassLossError(RandlocError):
-    """Cumulative drift leakage past the grid edge exceeded the configured cap."""
+class MassLossError(ConvergenceError):
+    """Cumulative drift leakage past the grid edge exceeded
+    meanfield._LOST_MASS_CAP."""
 
 
-class StepInstabilityError(RandlocError):
-    """A transient step produced values outside the tolerated negative band."""
+class StepInstabilityError(ConvergenceError):
+    """A transient step produced values outside the tolerated negative band,
+    a non-finite value or a mass defect beyond meanfield._TOL_MASS."""
 
 
 class QuadratureError(ConvergenceError):

@@ -43,9 +43,10 @@ class GammaTrajectory:
         vals = np.asarray(self.values, dtype=float)
         if taus.ndim != 1 or taus.shape != vals.shape or taus.size < 2:
             raise ValueError("need matching 1-d tau and value arrays, >= 2 nodes")
-        if taus[0] != 0.0 or np.any(np.diff(taus) <= 0.0):
+        # written as not (in range), so that NaN fails them
+        if taus[0] != 0.0 or not np.all(np.diff(taus) > 0.0):
             raise ValueError("taus must start at 0 and strictly increase")
-        if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
+        if not np.all((vals >= -1e-12) & (vals <= 1.0 + 1e-12)):
             raise ValueError("fraction values must lie in [0, 1]")
         if np.any(np.diff(vals) < -1e-12):
             raise ValueError("fraction values must be nondecreasing")

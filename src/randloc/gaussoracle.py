@@ -40,6 +40,7 @@ __all__ = [
     "convergence_study",
 ]
 
+_BOX_CONVENTIONS = ("diameter", "radius")
 _NORM_FLOOR = 1e-300
 _REL_TOL = 1e-6
 _MIN_HALFWIDTH_SIGMAS = 8.0
@@ -64,8 +65,9 @@ class GaussPair:
     doubles it until the variances stabilize. halfwidth_sigmas fixes each
     axis's integration window as a multiple of that marginal's width and
     must cover at least 8 sigma. The widths and the box must be positive
-    and finite, halfwidth_sigmas finite, and quad_points doubled
-    max_doublings times at most 2^22.
+    and finite, and halfwidth_sigmas finite and small enough that the
+    4 halfwidth_sigmas + 1 points per axis the window needs at least stay
+    within 2^22, as must quad_points doubled max_doublings times.
     """
 
     xi1_sq: float
@@ -78,11 +80,15 @@ class GaussPair:
 
     def __post_init__(self) -> None:
         check_positive_finite(xi1_sq=self.xi1_sq, xi2_sq=self.xi2_sq, box=self.box)
-        if self.box_convention not in ("diameter", "radius"):
+        if self.box_convention not in _BOX_CONVENTIONS:
             raise ValueError(f"unknown box convention {self.box_convention!r}")
         if not _MIN_HALFWIDTH_SIGMAS <= self.halfwidth_sigmas < np.inf:
             raise ValueError(f"halfwidth_sigmas must lie in [{_MIN_HALFWIDTH_SIGMAS:g}, inf), "
                              f"got {self.halfwidth_sigmas}")
+        # _start_points asks for at least this many points an axis
+        if 4.0 * self.halfwidth_sigmas + 1.0 > _MAX_POINTS:
+            raise ValueError(f"halfwidth_sigmas={self.halfwidth_sigmas} needs more than "
+                             f"{_MAX_POINTS} points per axis")
         if self.quad_points < 16:
             raise ValueError("need at least 16 quadrature points per axis")
         if self.max_doublings < 1:
@@ -276,6 +282,7 @@ def convergence_study(xi1_sq: float, xi2_sq: float, box_list, **pair_kwargs) -> 
     error sequence means the quadrature does not resolve the boxes and
     raises QuadratureError.
     """
+    limit = contraction_limit(xi1_sq, xi2_sq)  # checks the widths
     boxes = np.asarray(sorted((float(b) for b in box_list), reverse=True))
     if boxes.size < 3:
         raise ValueError("need at least three box sizes to fit an order")
@@ -290,7 +297,6 @@ def convergence_study(xi1_sq: float, xi2_sq: float, box_list, **pair_kwargs) -> 
             f"largest box {np.max(boxes):g} is not small next to the narrower "
             f"width {small:g}"
         )
-    limit = contraction_limit(xi1_sq, xi2_sq)
     moments = tuple(
         posterior_moments(GaussPair(xi1_sq, xi2_sq, b, **pair_kwargs)) for b in boxes
     )

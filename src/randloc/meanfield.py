@@ -98,6 +98,10 @@ __all__ = [
 # e^u scaling inside the integrating-factor sweep bounds the usable domain.
 _U_MAX_LIMIT = 500.0
 _HIERARCHY_LIMIT = 3
+# Bounds of a transient run: the per-step mass defect before renormalization,
+# and the cumulative drift leakage past u_max, relative to unit mass.
+_TOL_MASS = 1e-8
+_LOST_MASS_CAP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -105,28 +109,24 @@ class SolverConfig:
     """Grid and iteration controls shared by the mean-field solvers.
 
     tol_fixed_point bounds the trapezoid L1 residual w @ |G(p) - p| at
-    which the Anderson-accelerated steady solve stops.
+    which the Anderson-accelerated steady solve stops; it must be positive
+    and finite.
     dtau defaults to the grid spacing h so that the transient drift is an
     exact one-cell shift; dtau_resolved returns any whole multiple of h as is.
-    tol_mass bounds the tolerated per-step mass defect before the transient
-    renormalization; lost_mass_cap bounds the cumulative drift leakage past
-    u_max (relative to unit mass) before the run aborts. The three bounds
-    must be positive and finite.
+    The transient's mass bounds are the module constants _TOL_MASS and
+    _LOST_MASS_CAP, see evolve_transient.
     """
 
     u_max: float = 30.0
     h: float = 0.01
     tol_fixed_point: float = 1e-8
-    tol_mass: float = 1e-8
     max_iters: int = 500
     dtau: float | None = None
-    lost_mass_cap: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.u_max > _U_MAX_LIMIT:
             raise ValueError(f"u_max above {_U_MAX_LIMIT} overflows the e^u sweep")
-        check_positive_finite(tol_fixed_point=self.tol_fixed_point, tol_mass=self.tol_mass,
-                              lost_mass_cap=self.lost_mass_cap)
+        check_positive_finite(tol_fixed_point=self.tol_fixed_point)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         self.grid  # validates u_max, h
@@ -350,7 +350,7 @@ class TransientSolution:
 
     def index_of(self, tau: float) -> int:
         i = int(np.argmin(np.abs(self.taus - tau)))
-        if abs(self.taus[i] - tau) > 0.5 * self.dtau + 1e-12:
+        if not abs(self.taus[i] - tau) <= 0.5 * self.dtau + 1e-12:  # NaN too
             raise ValueError(f"no stored snapshot near tau={tau}")
         return i
 
@@ -382,9 +382,9 @@ def evolve_transient(
 
     Raises StepInstabilityError when a step produces values below -1e-12
     (rounding-level negatives are clipped), a non-finite value (seen as a
-    non-finite mass) or a pre-renormalization mass defect beyond
-    cfg.tol_mass, and MassLossError when cumulative leakage past u_max
-    exceeds cfg.lost_mass_cap.
+    non-finite mass) or a pre-renormalization mass defect beyond _TOL_MASS
+    (1e-8), and MassLossError when cumulative leakage past u_max exceeds
+    _LOST_MASS_CAP (1e-10 of unit mass).
 
     Each step's density is checked by the step itself, so it is handed to
     drift_shift and collision_kernel without being validated again.
@@ -412,10 +412,10 @@ def evolve_transient(
         tau_here = step * dtau
         shifted, lost = drift_shift(UDensity._unchecked(grid, vals), dtau)
         cum_lost += abs(lost)
-        if cum_lost > cfg.lost_mass_cap:
+        if cum_lost > _LOST_MASS_CAP:
             raise MassLossError(
                 f"cumulative drift leakage {cum_lost:.3e} exceeded cap "
-                f"{cfg.lost_mass_cap:.3e} at tau={tau_here + dtau:.6g}"
+                f"{_LOST_MASS_CAP:.3e} at tau={tau_here + dtau:.6g}"
             )
         gval = _g_of(g, tau_here)
         k = collision_kernel(shifted, shifted)
@@ -436,9 +436,9 @@ def evolve_transient(
             )
         drift = abs(total - 1.0)
         max_drift = max(max_drift, drift)
-        if drift > cfg.tol_mass:
+        if drift > _TOL_MASS:
             raise StepInstabilityError(
-                f"per-step mass defect {drift:.3e} exceeds tol_mass={cfg.tol_mass:.1e} "
+                f"per-step mass defect {drift:.3e} exceeds tol_mass={_TOL_MASS:.1e} "
                 f"at tau={tau_here + dtau:.6g}"
             )
         vals = vals / total

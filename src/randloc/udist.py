@@ -374,14 +374,19 @@ def _scratch_rows(width: int):
     return _scratch.rows, _scratch.idx
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else os.cpu_count(), and 1 when neither is known."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def _kernel_threads() -> int:
     """Threads of the deposit kernel, the calling one included: one per
     usable CPU, at most _MAX_KERNEL_THREADS."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # no affinity masks on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(_MAX_KERNEL_THREADS, cpus))
+    return max(1, min(_MAX_KERNEL_THREADS, _usable_cpus()))
 
 
 _pool: ThreadPoolExecutor | None = None

@@ -85,13 +85,12 @@ def validate_regime(
     """Check that the measurement box is small against the localization length.
 
     The mean-field kinetics assumes box_diameter << typical localization
-    length. An exact tie with the threshold counts as a warning. Advisory
-    only; nothing is raised.
+    length. An exact tie with the threshold counts as a warning. The three
+    inputs must be positive and finite; beyond that the check is advisory,
+    and nothing is raised.
     """
-    if box_diameter <= 0.0 or typical_xi2 <= 0.0:
-        raise ValueError("box_diameter and typical_xi2 must be positive")
-    if threshold <= 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    check_positive_finite(box_diameter=box_diameter, typical_xi2=typical_xi2,
+                          threshold=threshold)
     ratio = box_diameter / float(np.sqrt(typical_xi2))
     status = "pass" if ratio < threshold else "warn"
     return RegimeReport(ratio=ratio, threshold=threshold, status=status)

@@ -5,6 +5,7 @@ import os
 import runpy
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 import randloc
 from randloc import cli, csvio, meanfield, popmc, udist
 from randloc.cli import main
+from randloc.config import SCHEMAS
 from randloc.csvio import read_density, read_table, read_trajectory
 
 
@@ -267,12 +269,16 @@ def _fail(what):
         ("gamma", ["dtau=nan"], "dtau must be positive and finite, got nan"),
         ("mc-steady", ["m_particles=1000", "tau_end=1e300"],
          "tau_end=1e+300 with m_particles=1000 expects 5e+302 events, more than 1e+10"),
+        ("oracle", ["xi1_sq=-1"], "xi1_sq must be positive and finite, got -1.0"),
+        ("oracle", ["halfwidth_sigmas=1e300"],
+         "halfwidth_sigmas=1e+300 needs more than 4194304 points per axis"),
     ],
 )
 def test_out_of_range_key_is_exit_code_one_naming_the_key(tmp_path, capsys, monkeypatch,
                                                           subcommand, sets, message):
     # each of these once ran (a stalled steady solve, a transient that silently
-    # used h, an endless event loop) or ended in a message that named no key
+    # used h, an endless event loop) or ended in a message that named no key or
+    # came after numpy warnings
     monkeypatch.setattr(cli, "solve_steady", _fail("the steady solve"))
     monkeypatch.setattr(cli, "evolve_transient", _fail("the transient evolution"))
     monkeypatch.setattr(popmc, "_apply_events", _fail("the Monte Carlo event loop"))
@@ -556,6 +562,88 @@ def test_failed_echo_write_keeps_old_file(tmp_path, capsys, monkeypatch):
     [(1, 5, 8, 1), (4, 2, 8, 2), (8, 10, 2, 2), (4, 10, None, 1), (0, 3, 4, 1), (3, 1, 4, 1)],
 )
 def test_mc_worker_count_is_capped(monkeypatch, jobs, n_seeds, cpus, workers):
-    # at most --jobs, one worker per seed and one per CPU; no pool is started
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    # at most --jobs, one worker per seed and one per usable CPU, counted from
+    # the affinity mask or else cpu_count; no pool is started
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert cli._worker_count(jobs, n_seeds) == workers
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert cli._worker_count(jobs, n_seeds) == workers
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["steady", "--bogus"], "unrecognized arguments: --bogus"),
+     (["steady", "--jobs", "x"], "argument --jobs: invalid int value: 'x'"),
+     (["nosuch"], "argument subcommand: invalid choice: 'nosuch'")],
+    ids=["unknown-flag", "bad-jobs", "unknown-subcommand"],
+)
+def test_argument_error_is_exit_code_one(tmp_path, capsys, argv, message):
+    # argparse once printed its usage and exited 2, the numerical-failure code
+    rc = main(argv + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not tmp_path.joinpath("steady").exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["steady", "-h"])
+    assert stop.value.code == 0
+    assert "--set KEY=VALUE" in capsys.readouterr().out
+
+
+def test_later_set_of_a_key_wins(tmp_path, capsys):
+    d = run_ok(capsys, ["gamma", "--out", str(tmp_path), "--set", "tau_end=2",
+                        "--set", "tau_end=1"])
+    taus, _, _ = read_trajectory(f"{d}/gamma.csv")
+    assert taus[-1] == 1.0
+
+
+# A small base config per subcommand; each fuzz case sets one numeric key
+# on top of it, and the later --set wins.
+_FUZZ_BASE = {
+    "gamma": ["tau_end=1", "dtau=0.1"],
+    "steady": ["u_max=6", "h=0.5", "max_iters=50"],
+    "transient": ["u_max=30", "h=0.5", "tau_end=1"],
+    "mc-steady": ["m_particles=1000", "tau_end=1", "hist_u_max=5", "hist_h=0.5"],
+    "mc-transient": ["m_particles=100", "g0=0.1", "tau_end=1", "hist_u_max=5", "hist_h=0.5"],
+    "oracle": ["boxes=0.2,0.1,0.05"],
+    "fig1": ["g0_list=0.01", "tau_end=1", "dtau=0.1", "u_max=6", "h=0.5", "max_iters=50"],
+}
+_FUZZ_FLOATS = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300")
+_FUZZ_INTS = ("0", "-1", str(2**63))
+_FUZZ_CASES = [
+    (subcommand, key, value)
+    for subcommand, schema in SCHEMAS.items()
+    for key, field in schema.items()
+    if field.kind != "str"
+    for value in (_FUZZ_INTS if field.kind in ("int", "ints") else _FUZZ_FLOATS)
+]
+
+
+@pytest.mark.parametrize("subcommand", sorted(_FUZZ_BASE))
+def test_fuzz_base_config_succeeds(tmp_path, capsys, subcommand):
+    # a failing base would stop every fuzz case of its subcommand at one check
+    sets = [x for kv in _FUZZ_BASE[subcommand] for x in ("--set", kv)]
+    run_ok(capsys, [subcommand, "--jobs", "1", "--out", str(tmp_path)] + sets)
+
+
+@pytest.mark.parametrize("subcommand, key, value", _FUZZ_CASES)
+def test_every_numeric_key_ends_in_an_exit_code(tmp_path, capsys, subcommand, key, value):
+    # a run succeeds, or prints one error line and no warning
+    sets = [*_FUZZ_BASE[subcommand], f"{key}={value}"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([subcommand, "--jobs", "1", "--out", str(tmp_path)]
+                  + [x for kv in sets for x in ("--set", kv)])
+    err = capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
+    assert rc in (0, 1, 2)
+    if rc:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""

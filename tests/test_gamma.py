@@ -161,3 +161,15 @@ def test_residual_flags_non_solutions():
     taus = np.linspace(0.0, 5.0, 200)
     fake = GammaTrajectory(taus, np.clip(0.1 + 0.17 * taus, 0.0, 1.0))
     assert gamma_residual(fake).max_residual > 0.05
+
+
+@pytest.mark.parametrize(
+    "taus, values, message",
+    [([0.0, 1.0], [np.nan, np.nan], r"\[0, 1\]"),
+     ([0.0, 1.0], [0.1, np.nan], r"\[0, 1\]"),
+     ([0.0, np.nan], [0.1, 0.2], "increase")],
+)
+def test_nan_trajectory_is_refused(taus, values, message):
+    # a NaN fraction once passed every range check
+    with pytest.raises(ValueError, match=message):
+        GammaTrajectory(np.array(taus), np.array(values))

@@ -1,5 +1,7 @@
 """First-principles check of the harmonic contraction against Gaussian quadrature."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -204,3 +206,22 @@ def test_pair_beyond_the_resolution_limit_is_refused_by_key(quad_points, max_dou
 def test_pair_at_the_resolution_limit_is_accepted():
     assert GaussPair(1.0, 1.0, 0.1, quad_points=2**10, max_doublings=12).quad_points == 2**10
     assert GaussPair(1.0, 1.0, 0.1, quad_points=16, max_doublings=18).max_doublings == 18
+
+
+def test_halfwidth_beyond_the_resolution_limit_is_refused_by_key():
+    # 1e300 once ran the quadrature on overflowing nodes and ended in an error
+    # that named no key; the window needs 4 halfwidth_sigmas + 1 points an axis
+    with pytest.raises(ValueError, match="^halfwidth_sigmas=1e[+]300 needs more than 4194304"):
+        GaussPair(1.0, 1.0, 0.1, halfwidth_sigmas=1e300)
+    with pytest.raises(ValueError, match="^halfwidth_sigmas=1048576.0 needs more than"):
+        GaussPair(1.0, 1.0, 0.1, halfwidth_sigmas=2.0**20)
+    assert GaussPair(1.0, 1.0, 0.1, halfwidth_sigmas=(2**22 - 1) / 4).halfwidth_sigmas > 1e6
+
+
+@pytest.mark.parametrize("widths", [(-1.0, 1.0), (1.0, -np.inf)])
+def test_convergence_study_checks_the_widths_first(widths):
+    # a negative width once reached np.sqrt, whose RuntimeWarning came first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            convergence_study(*widths, [0.2, 0.1, 0.05])

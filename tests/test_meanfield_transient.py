@@ -116,7 +116,7 @@ def test_input_validation():
 
 def test_negative_step_is_instability_error():
     # a step far beyond the reaction scale drives the density negative
-    cfg = SolverConfig(u_max=30.0, h=0.5, dtau=1.5, tol_mass=1.0)
+    cfg = SolverConfig(u_max=30.0, h=0.5, dtau=1.5)
     with pytest.raises(StepInstabilityError, match="negative density"):
         evolve_transient(point_mass(cfg.grid, 5.0), 1.0, 3.0, cfg)
 
@@ -225,3 +225,12 @@ def test_oversized_grid_is_refused_before_any_grid_array(no_grid_beyond_uint16):
     # h = 1e-9 would take about 224 GiB of node and weight arrays alone
     with pytest.raises(ValueError, match="30000000001 nodes"):
         evolve_transient(ue_init(), 0.5, 1.0, SolverConfig(u_max=30.0, h=1e-9))
+
+
+def test_index_of_nan_finds_no_snapshot():
+    # index_of(nan) once returned the first snapshot
+    grid = UGrid.from_spacing(2.0, 0.5)
+    sol = TransientSolution(grid, np.array([0.0, 0.5]), np.zeros((2, grid.n_nodes)), 0.5)
+    assert sol.index_of(0.5) == 1
+    with pytest.raises(ValueError, match="no stored snapshot near tau=nan"):
+        sol.index_of(np.nan)

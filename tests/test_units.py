@@ -89,3 +89,15 @@ def test_regime_rejects_nonpositive(units):
         validate_regime(units, box_diameter=0.1, typical_xi2=-1.0)
     with pytest.raises(ValueError):
         validate_regime(units, box_diameter=0.1, typical_xi2=1.0, threshold=0.0)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("box_diameter", np.nan), ("typical_xi2", np.nan), ("typical_xi2", np.inf),
+     ("threshold", np.nan)],
+)
+def test_regime_rejects_non_finite(units, key, value):
+    # these once read "warn" (a NaN box or threshold) and "pass" (typical_xi2=inf)
+    args = {"box_diameter": 0.01, "typical_xi2": 4.0, key: value}
+    with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+        validate_regime(units, **args)
