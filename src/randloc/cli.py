@@ -169,23 +169,18 @@ def cmd_mc(subcommand: str, cfg: dict, run_dir: Path, jobs: int) -> None:
 
 
 def cmd_oracle(cfg: dict, run_dir: Path) -> None:
-    kw = dict(
-        box_convention=cfg["box_convention"],
-        halfwidth_sigmas=cfg["halfwidth_sigmas"],
-        quad_points=cfg["quad_points"],
-        max_doublings=cfg["max_doublings"],
-    )
+    convention = cfg["box_convention"]
     boxes = cfg["boxes"]
     extra = {}
     if cfg["fit_order"] == "yes":
-        study = convergence_study(cfg["xi1_sq"], cfg["xi2_sq"], boxes, **kw)
+        study = convergence_study(cfg["xi1_sq"], cfg["xi2_sq"], boxes, convention)
         boxes_out = study.boxes
         moments = study.moments
         extra["fitted_order"] = study.order
     else:
         boxes_out = np.asarray(sorted((float(b) for b in boxes), reverse=True))
         moments = tuple(
-            posterior_moments(GaussPair(cfg["xi1_sq"], cfg["xi2_sq"], b, **kw))
+            posterior_moments(GaussPair(cfg["xi1_sq"], cfg["xi2_sq"], b, convention))
             for b in boxes_out
         )
     write_table(

@@ -102,9 +102,6 @@ _KEYS: dict[str, dict[str, Field]] = {
         "xi2_sq": Field("float", 1.0),
         "boxes": Field("floats", (0.4, 0.2, 0.1, 0.05)),
         "box_convention": Field("str", GaussPair.box_convention, _BOX_CONVENTIONS),
-        "quad_points": Field("int", GaussPair.quad_points),
-        "halfwidth_sigmas": Field("float", GaussPair.halfwidth_sigmas),
-        "max_doublings": Field("int", GaussPair.max_doublings),
         "fit_order": Field("str", "yes", ("yes", "no")),
     },
     "fig1": {

@@ -43,11 +43,12 @@ __all__ = [
 _BOX_CONVENTIONS = ("diameter", "radius")
 _NORM_FLOOR = 1e-300
 _REL_TOL = 1e-6
-_MIN_HALFWIDTH_SIGMAS = 8.0
-# No quadrature runs at more than this many points per axis: quad_points
-# doubled max_doublings times stays within it, and posterior_moments stops
-# doubling here whatever resolution _start_points chose. _moments_at holds
-# about 270 bytes a point, 1.1 GB here.
+# Each axis spans this many of its marginal's sigmas either side of the
+# origin; the tails beyond hold e^-50 of the mass, far below _REL_TOL.
+_HALFWIDTH_SIGMAS = 10.0
+_MIN_POINTS = 256  # the first resolution tried per axis
+# The one work bound: no quadrature runs at more than this many points per
+# axis. _moments_at holds about 270 bytes a point, 1.1 GB here.
 _MAX_POINTS = 1 << 22
 
 
@@ -59,43 +60,26 @@ def contraction_limit(xi1_sq: float, xi2_sq: float) -> float:
 
 @dataclass(frozen=True)
 class GaussPair:
-    """One measurement setup: two squared widths and a box window.
+    """One proximity measurement: two squared widths and a box window.
 
-    quad_points is the starting per-axis resolution; posterior_moments
-    doubles it until the variances stabilize. halfwidth_sigmas fixes each
-    axis's integration window as a multiple of that marginal's width and
-    must cover at least 8 sigma. The widths and the box must be positive
-    and finite, and halfwidth_sigmas finite and small enough that the
-    4 halfwidth_sigmas + 1 points per axis the window needs at least stay
-    within 2^22, as must quad_points doubled max_doublings times.
+    The widths and the box must be positive and finite, and the widths
+    close enough that the quadrature starts within _MAX_POINTS (2^22)
+    points per axis: xi1_sq at most about 1.1e10 times xi2_sq, since the
+    r1 axis needs cells of half the narrower width.
     """
 
     xi1_sq: float
     xi2_sq: float
     box: float
     box_convention: str = "diameter"
-    halfwidth_sigmas: float = 10.0
-    quad_points: int = 256
-    max_doublings: int = 12
 
     def __post_init__(self) -> None:
         check_positive_finite(xi1_sq=self.xi1_sq, xi2_sq=self.xi2_sq, box=self.box)
         if self.box_convention not in _BOX_CONVENTIONS:
             raise ValueError(f"unknown box convention {self.box_convention!r}")
-        if not _MIN_HALFWIDTH_SIGMAS <= self.halfwidth_sigmas < np.inf:
-            raise ValueError(f"halfwidth_sigmas must lie in [{_MIN_HALFWIDTH_SIGMAS:g}, inf), "
-                             f"got {self.halfwidth_sigmas}")
-        # _start_points asks for at least this many points an axis
-        if 4.0 * self.halfwidth_sigmas + 1.0 > _MAX_POINTS:
-            raise ValueError(f"halfwidth_sigmas={self.halfwidth_sigmas} needs more than "
-                             f"{_MAX_POINTS} points per axis")
-        if self.quad_points < 16:
-            raise ValueError("need at least 16 quadrature points per axis")
-        if self.max_doublings < 1:
-            raise ValueError("max_doublings must be >= 1")
-        if self.quad_points > _MAX_POINTS >> self.max_doublings:
-            raise ValueError(f"quad_points={self.quad_points} doubled max_doublings="
-                             f"{self.max_doublings} times passes {_MAX_POINTS} points per axis")
+        if _start_points(self) > _MAX_POINTS:
+            raise ValueError(f"xi1_sq={self.xi1_sq} and xi2_sq={self.xi2_sq} need more than "
+                             f"{_MAX_POINTS} quadrature points per axis")
 
     @property
     def accept_halfwidth(self) -> float:
@@ -129,8 +113,8 @@ def _moments_at(pair: GaussPair, n: int) -> PosteriorMoments:
     s1 = float(np.sqrt(pair.xi1_sq))
     s2 = float(np.sqrt(pair.xi2_sq))
     half = pair.accept_halfwidth
-    x = np.linspace(-pair.halfwidth_sigmas * s1, pair.halfwidth_sigmas * s1, n)
-    y = np.linspace(-pair.halfwidth_sigmas * s2, pair.halfwidth_sigmas * s2, n)
+    x = np.linspace(-_HALFWIDTH_SIGMAS * s1, _HALFWIDTH_SIGMAS * s1, n)
+    y = np.linspace(-_HALFWIDTH_SIGMAS * s2, _HALFWIDTH_SIGMAS * s2, n)
     g2 = _gauss(y, pair.xi2_sq)
 
     def piece_moments(a, b, ga, gb):
@@ -204,26 +188,25 @@ def _moments_at(pair: GaussPair, n: int) -> PosteriorMoments:
 
 
 def _start_points(pair: GaussPair) -> int:
-    """Smallest doubling of quad_points that resolves every feature.
+    """Smallest doubling of 256 points per axis that resolves every feature,
+    or the first doubling past _MAX_POINTS when none within it does.
 
     The acceptance window must span at least two r2 cells, otherwise the
     single-cell branch in _moments_at returns the same value at every
     resolution and the doubling test would stop on a false plateau. Both
     axes also need a few nodes per accepted-marginal width so the first
-    doubling already sits in the asymptotic regime.
+    doubling already sits in the asymptotic regime. The box can only
+    lower the need, so the widths alone bound it.
     """
     s1 = float(np.sqrt(pair.xi1_sq))
     s2 = float(np.sqrt(pair.xi2_sq))
     narrow = min(s1, s2)
     res1 = 0.5 * narrow
     res2 = max(0.5 * pair.accept_halfwidth, s2 / 512.0, narrow / 512.0)
-    need = max(
-        pair.quad_points,
-        int(np.ceil(2.0 * pair.halfwidth_sigmas * s1 / res1)) + 1,
-        int(np.ceil(2.0 * pair.halfwidth_sigmas * s2 / res2)) + 1,
-    )
-    n = pair.quad_points
-    while n < need and n < 2**21:
+    # cells each axis needs; n points give n - 1 cells
+    cells = max(2.0 * _HALFWIDTH_SIGMAS * s1 / res1, 2.0 * _HALFWIDTH_SIGMAS * s2 / res2)
+    n = _MIN_POINTS
+    while n - 1 < cells and n <= _MAX_POINTS:
         n *= 2
     return n
 
@@ -231,21 +214,15 @@ def _start_points(pair: GaussPair) -> int:
 def posterior_moments(pair: GaussPair) -> PosteriorMoments:
     """Post-selected variances, relative variance, and acceptance norm.
 
-    Starts at the first doubling of pair.quad_points that resolves the
+    Starts at the first doubling of 256 points per axis that resolves the
     acceptance window and both marginals, then doubles the resolution
     until var1, var2, and var_rel all change by less than 1e-6 relative;
-    raises QuadratureError when max_doublings is exhausted first, or when
-    the next doubling would pass _MAX_POINTS points per axis.
+    raises QuadratureError when the next doubling would pass _MAX_POINTS
+    points per axis first.
     """
     n = _start_points(pair)
     prev = _moments_at(pair, n)
-    for _ in range(pair.max_doublings):
-        if 2 * n > _MAX_POINTS:
-            raise QuadratureError(
-                f"posterior variances did not stabilize to {_REL_TOL:g} relative at "
-                f"n={n} points per axis; doubling again would pass the limit of "
-                f"{_MAX_POINTS} points per axis"
-            )
+    while 2 * n <= _MAX_POINTS:
         n *= 2
         cur = _moments_at(pair, n)
         scale = max(abs(cur.var1), abs(cur.var2), abs(cur.var_rel))
@@ -258,8 +235,9 @@ def posterior_moments(pair: GaussPair) -> PosteriorMoments:
             return cur
         prev = cur
     raise QuadratureError(
-        f"posterior variances did not stabilize to {_REL_TOL:g} relative within "
-        f"{pair.max_doublings} resolution doublings (last n={n})"
+        f"posterior variances did not stabilize to {_REL_TOL:g} relative at "
+        f"n={n} points per axis; doubling again would pass the limit of "
+        f"{_MAX_POINTS} points per axis"
     )
 
 
@@ -273,14 +251,15 @@ class ConvergenceStudy:
     order: float
 
 
-def convergence_study(xi1_sq: float, xi2_sq: float, box_list, **pair_kwargs) -> ConvergenceStudy:
+def convergence_study(xi1_sq: float, xi2_sq: float, box_list,
+                      box_convention: str = GaussPair.box_convention) -> ConvergenceStudy:
     """Fit the order at which var1 approaches the harmonic combination.
 
     box_list must be geometrically spaced, in decreasing order, and small
     next to the narrower marginal width. Returns the least-squares slope
-    of log|var1(box) - contraction_limit| against log box; a non-monotone
-    error sequence means the quadrature does not resolve the boxes and
-    raises QuadratureError.
+    of log|var1(box) - contraction_limit| against log box, each box read
+    by box_convention; a non-monotone error sequence means the quadrature
+    does not resolve the boxes and raises QuadratureError.
     """
     limit = contraction_limit(xi1_sq, xi2_sq)  # checks the widths
     boxes = np.asarray(sorted((float(b) for b in box_list), reverse=True))
@@ -298,13 +277,13 @@ def convergence_study(xi1_sq: float, xi2_sq: float, box_list, **pair_kwargs) -> 
             f"width {small:g}"
         )
     moments = tuple(
-        posterior_moments(GaussPair(xi1_sq, xi2_sq, b, **pair_kwargs)) for b in boxes
+        posterior_moments(GaussPair(xi1_sq, xi2_sq, b, box_convention)) for b in boxes
     )
     errors = np.array([abs(m.var1 - limit) for m in moments])
     if np.any(errors <= 0.0) or np.any(np.diff(errors) >= 0.0):
         raise QuadratureError(
-            "contraction error is not strictly decreasing with box size; "
-            "raise quad_points or shrink the box list"
+            "contraction error is not strictly decreasing with box size: the "
+            "quadrature does not resolve the smallest boxes, use larger ones"
         )
     order, _ = np.polyfit(np.log(boxes), np.log(errors), 1)
     return ConvergenceStudy(boxes=boxes, moments=moments, errors=errors, order=float(order))

@@ -609,20 +609,13 @@ def save_checkpoint(pop: Population, path) -> None:
     pickle could hold, such as a seed beyond 64 bits, raises ValueError."""
     if pop.rng is None:
         raise ValueError("population carries no generator state to save")
-    state = json.dumps(pop.rng.bit_generator.state, default=_json_np)
+    # a Philox state holds ndarrays, ints and a str; only the arrays need help
+    state = json.dumps(pop.rng.bit_generator.state, default=lambda a: a.tolist())
     entries = {key: np.asarray(getattr(pop, name)) for name, key in _CHECKPOINT_FIELDS}
     for key, a in entries.items():
         if a.dtype.hasobject:  # np.savez would pickle it, and load_checkpoint refuses pickles
             raise ValueError(f"a checkpoint cannot hold {key} {a}")
     np.savez(path, version=np.int64(_CHECKPOINT_VERSION), rng_state=np.str_(state), **entries)
-
-
-def _json_np(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.integer):
-        return int(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
 def load_checkpoint(path) -> Population:

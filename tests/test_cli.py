@@ -5,6 +5,7 @@ import os
 import runpy
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import randloc
-from randloc import cli, csvio, meanfield, popmc, udist
+from randloc import cli, csvio, gaussoracle, meanfield, popmc, udist
 from randloc.cli import main
 from randloc.config import SCHEMAS
 from randloc.csvio import read_density, read_table, read_trajectory
@@ -257,8 +258,10 @@ def _fail(what):
          "tol_fixed_point must be positive and finite, got nan"),
         ("steady", ["h=0.1", "tol_fixed_point=inf"],
          "tol_fixed_point must be positive and finite, got inf"),
-        ("oracle", ["halfwidth_sigmas=inf"], "halfwidth_sigmas must lie in [8, inf), got inf"),
-        ("oracle", ["halfwidth_sigmas=nan"], "halfwidth_sigmas must lie in [8, inf), got nan"),
+        ("oracle", ["xi1_sq=1e300"],
+         "xi1_sq=1e+300 and xi2_sq=1.0 need more than 4194304 quadrature points per axis"),
+        ("oracle", ["xi1_sq=1e12"],
+         "xi1_sq=1000000000000.0 and xi2_sq=1.0 need more than 4194304 quadrature points"),
         ("oracle", ["xi2_sq=inf"], "xi2_sq must be positive and finite, got inf"),
         ("oracle", ["boxes=nan,0.1,0.05"],
          "boxes must be positive and finite, got [nan, 0.1, 0.05]"),
@@ -270,16 +273,15 @@ def _fail(what):
         ("mc-steady", ["m_particles=1000", "tau_end=1e300"],
          "tau_end=1e+300 with m_particles=1000 expects 5e+302 events, more than 1e+10"),
         ("oracle", ["xi1_sq=-1"], "xi1_sq must be positive and finite, got -1.0"),
-        ("oracle", ["halfwidth_sigmas=1e300"],
-         "halfwidth_sigmas=1e+300 needs more than 4194304 points per axis"),
     ],
 )
 def test_out_of_range_key_is_exit_code_one_naming_the_key(tmp_path, capsys, monkeypatch,
                                                           subcommand, sets, message):
     # each of these once ran (a stalled steady solve, a transient that silently
-    # used h, an endless event loop) or ended in a message that named no key or
-    # came after numpy warnings
+    # used h, an endless event loop, quadratures at 2^21 points per axis) or
+    # ended in a message that named no key or came after numpy warnings
     monkeypatch.setattr(cli, "solve_steady", _fail("the steady solve"))
+    monkeypatch.setattr(gaussoracle, "_moments_at", _fail("the quadrature"))
     monkeypatch.setattr(cli, "evolve_transient", _fail("the transient evolution"))
     monkeypatch.setattr(popmc, "_apply_events", _fail("the Monte Carlo event loop"))
     rc = main([subcommand, "--jobs", "1", "--out", str(tmp_path)]
@@ -439,13 +441,13 @@ def test_blocked_output_root_is_exit_code_three(tmp_path, capsys):
         ("transient", ["dtau=-0.02"], "dtau=-0.02 is not an integer multiple of h=0.02"),
         ("mc-steady", ["m_particles=10000000000000"],
          "m_particles=10000000000000 is more than 2e+07"),
-        ("oracle", ["quad_points=100000000000"],
-         "quad_points=100000000000 doubled max_doublings=12 times passes 4194304 points"),
+        ("oracle", ["fit_order=no", "xi2_sq=1e-11"],
+         "xi1_sq=1.0 and xi2_sq=1e-11 need more than 4194304 quadrature points"),
     ],
 )
 def test_refused_run_leaves_no_run_directory(tmp_path, capsys, subcommand, sets, message):
-    # each of these once left <out>/<subcommand>/<name>/config.echo behind, and
-    # the last two ended in numpy's "Unable to allocate", which names no key
+    # each of these once left <out>/<subcommand>/<name>/config.echo behind; the
+    # m_particles run ended in numpy's "Unable to allocate", which names no key
     out = tmp_path / "out"
     rc = main([subcommand, "--jobs", "1", "--out", str(out)]
               + [x for kv in sets for x in ("--set", kv)])
@@ -557,6 +559,38 @@ def test_failed_echo_write_keeps_old_file(tmp_path, capsys, monkeypatch):
     assert [q.name for q in echo.parent.iterdir()] == ["config.echo"]
 
 
+def test_mc_seed_sweep_on_workers_writes_the_same_bytes(tmp_path, capsys, monkeypatch):
+    # the README promises results independent of --jobs; two workers take the
+    # three seeds in a process pool
+    pools = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    sets = [x for kv in ("seeds=3,4,5", "m_particles=2000", "tau_end=2", "g0=0.1")
+            for x in ("--set", kv)]
+    runs = [Path(run_ok(capsys, ["mc-transient", "--jobs", jobs, "--out", str(tmp_path / jobs)]
+                        + sets)) for jobs in ("1", "2")]
+    assert pools == [2]
+    assert runs[0].relative_to(tmp_path / "1") == runs[1].relative_to(tmp_path / "2")
+    names = sorted(q.name for q in runs[0].iterdir())
+    assert len(names) == 7  # a g and a density file per seed, and config.echo
+    assert names == sorted(q.name for q in runs[1].iterdir())
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+def test_empty_seed_list_is_exit_code_one(tmp_path, capsys):
+    rc = main(["mc-steady", "--out", str(tmp_path), "--set", "seeds="])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seeds must list at least one integer\n"
+    assert not tmp_path.joinpath("mc-steady").exists()
+
+
 @pytest.mark.parametrize(
     "jobs, n_seeds, cpus, workers",
     [(1, 5, 8, 1), (4, 2, 8, 2), (8, 10, 2, 2), (4, 10, None, 1), (0, 3, 4, 1), (3, 1, 4, 1)],
@@ -616,6 +650,7 @@ _FUZZ_BASE = {
 }
 _FUZZ_FLOATS = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300")
 _FUZZ_INTS = ("0", "-1", str(2**63))
+_FUZZ_PEAK_BYTES = 64 << 20
 _FUZZ_CASES = [
     (subcommand, key, value)
     for subcommand, schema in SCHEMAS.items()
@@ -634,14 +669,21 @@ def test_fuzz_base_config_succeeds(tmp_path, capsys, subcommand):
 
 @pytest.mark.parametrize("subcommand, key, value", _FUZZ_CASES)
 def test_every_numeric_key_ends_in_an_exit_code(tmp_path, capsys, subcommand, key, value):
-    # a run succeeds, or prints one error line and no warning
+    # a run succeeds, or prints one error line and no warning, within 64 MB of
+    # traced allocations (xi1_sq = 1e300 once took 514 MB before its error)
     sets = [*_FUZZ_BASE[subcommand], f"{key}={value}"]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = main([subcommand, "--jobs", "1", "--out", str(tmp_path)]
-                  + [x for kv in sets for x in ("--set", kv)])
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([subcommand, "--jobs", "1", "--out", str(tmp_path)]
+                      + [x for kv in sets for x in ("--set", kv)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     err = capsys.readouterr().err
     assert not caught, [str(w.message) for w in caught]
+    assert peak <= _FUZZ_PEAK_BYTES, f"{peak / 2**20:.1f} MB traced"
     assert rc in (0, 1, 2)
     if rc:
         assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -1,5 +1,6 @@
 """First-principles check of the harmonic contraction against Gaussian quadrature."""
 
+import re
 import warnings
 
 import numpy as np
@@ -37,8 +38,6 @@ def test_contraction_limit_rejects_nonpositive():
         (dict(xi2_sq=np.inf), "xi2_sq"),
         (dict(box=np.nan), "box"),
         (dict(box=np.inf), "box"),
-        (dict(halfwidth_sigmas=np.nan), "halfwidth_sigmas"),
-        (dict(halfwidth_sigmas=np.inf), "halfwidth_sigmas"),
     ],
 )
 def test_non_finite_setup_is_refused_by_name(kwargs, key):
@@ -146,17 +145,10 @@ def test_unresolvable_boxes_raise_quadrature_error():
         convergence_study(1.0, 1.0, [1e-7, 5e-8, 2.5e-8])
 
 
-def test_exhausted_doublings_raise_quadrature_error():
-    pair = GaussPair(1.0, 1.0, 0.5, quad_points=16, halfwidth_sigmas=8.0, max_doublings=1)
-    with pytest.raises(QuadratureError, match="doubling"):
-        posterior_moments(pair)
-
-
-@pytest.mark.parametrize("pair", [GaussPair(1.0, 1.0, 0.1, halfwidth_sigmas=1e5),
-                                  GaussPair(1.0, 1e-12, 1e-7)])
+@pytest.mark.parametrize("pair", [GaussPair(1.0, 1e-9, 1e-5), GaussPair(1.0, 1e-10, 1e-6)])
 def test_doubling_stops_at_the_resolution_limit(monkeypatch, pair):
-    # both pairs start at 2^21 points per axis, so a pair that never
-    # settles stops after one doubling instead of running out of memory
+    # the pairs start at 2^21 and 2^22 points per axis, so a pair that never
+    # settles stops at 2^22 instead of running out of memory
     seen = []
 
     def moments_at(pair, n):
@@ -166,7 +158,7 @@ def test_doubling_stops_at_the_resolution_limit(monkeypatch, pair):
     monkeypatch.setattr(gaussoracle, "_moments_at", moments_at)
     with pytest.raises(QuadratureError, match="would pass the limit of 4194304 points per axis"):
         posterior_moments(pair)
-    assert seen == [1 << 21, 1 << 22]
+    assert seen == [n for n in (1 << 21, 1 << 22) if n >= gaussoracle._start_points(pair)]
 
 
 def test_quadrature_error_is_a_convergence_error():
@@ -180,9 +172,6 @@ def test_quadrature_error_is_a_convergence_error():
         dict(xi2_sq=-1.0),
         dict(box=0.0),
         dict(box_convention="width"),
-        dict(halfwidth_sigmas=4.0),
-        dict(quad_points=8),
-        dict(max_doublings=0),
     ],
 )
 def test_pair_validation(kwargs):
@@ -193,29 +182,21 @@ def test_pair_validation(kwargs):
 
 
 @pytest.mark.parametrize(
-    "quad_points, max_doublings",
-    [(10**11, 12), (2**10 + 1, 12), (16, 19), (256, 10**18)],
+    "xi1_sq, xi2_sq", [(1e300, 1.0), (1e12, 1.0), (1.0, 1e-11), (1e308, 1e-308)]
 )
-def test_pair_beyond_the_resolution_limit_is_refused_by_key(quad_points, max_doublings):
-    # quad_points = 10^11 once ended in numpy's "Unable to allocate 745. GiB"
-    with pytest.raises(ValueError, match=f"quad_points={quad_points} doubled "
-                                         f"max_doublings={max_doublings} times passes 4194304"):
-        GaussPair(1.0, 1.0, 0.1, quad_points=quad_points, max_doublings=max_doublings)
+def test_pair_beyond_the_resolution_limit_is_refused_by_key(xi1_sq, xi2_sq):
+    # 1e300 once ran at 2^21 points per axis and ended in a false "check
+    # units" error, and 1e12 in a QuadratureError after two quadratures;
+    # the last pair needs an infinite number of cells
+    message = f"xi1_sq={xi1_sq} and xi2_sq={xi2_sq} need more than 4194304 quadrature points"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        GaussPair(xi1_sq, xi2_sq, 0.1)
 
 
 def test_pair_at_the_resolution_limit_is_accepted():
-    assert GaussPair(1.0, 1.0, 0.1, quad_points=2**10, max_doublings=12).quad_points == 2**10
-    assert GaussPair(1.0, 1.0, 0.1, quad_points=16, max_doublings=18).max_doublings == 18
-
-
-def test_halfwidth_beyond_the_resolution_limit_is_refused_by_key():
-    # 1e300 once ran the quadrature on overflowing nodes and ended in an error
-    # that named no key; the window needs 4 halfwidth_sigmas + 1 points an axis
-    with pytest.raises(ValueError, match="^halfwidth_sigmas=1e[+]300 needs more than 4194304"):
-        GaussPair(1.0, 1.0, 0.1, halfwidth_sigmas=1e300)
-    with pytest.raises(ValueError, match="^halfwidth_sigmas=1048576.0 needs more than"):
-        GaussPair(1.0, 1.0, 0.1, halfwidth_sigmas=2.0**20)
-    assert GaussPair(1.0, 1.0, 0.1, halfwidth_sigmas=(2**22 - 1) / 4).halfwidth_sigmas > 1e6
+    assert gaussoracle._start_points(GaussPair(1.0, 1.0, 0.4)) == 256
+    assert gaussoracle._start_points(GaussPair(1.0, 1e-9, 1e-5)) == 1 << 21
+    assert gaussoracle._start_points(GaussPair(1.0, 1e-10, 1e-6)) == 1 << 22
 
 
 @pytest.mark.parametrize("widths", [(-1.0, 1.0), (1.0, -np.inf)])
