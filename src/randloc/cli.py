@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -129,15 +130,9 @@ def _mc_one(subcommand: str, cfg: dict, run_dir_s: str, seed: int, grid: UGrid) 
     # Times at or past the end are the final state; a NaN time stays in, for popmc to refuse.
     inner = [t for t in cfg["snapshot_taus"] if not t >= cfg["tau_end"] - 1e-12]
     if subcommand == "mc-steady":
-        pop, snaps = run_steady(
-            cfg["m_particles"], cfg["tau_end"], seed, inner, u_ceiling=cfg["u_ceiling"]
-        )
+        pop, snaps = run_steady(cfg["m_particles"], cfg["tau_end"], seed, inner)
     else:
-        pop, snaps = run_transient(
-            cfg["m_particles"], cfg["g0"], cfg["tau_end"], seed,
-            cfg["entrant_rule"], inner,
-            entrant_cap=cfg["entrant_cap"], u_ceiling=cfg["u_ceiling"],
-        )
+        pop, snaps = run_transient(cfg["m_particles"], cfg["g0"], cfg["tau_end"], seed, inner)
     _write_mc_outputs(run_dir, cfg, seed, snaps, pop, grid)
 
 
@@ -151,6 +146,9 @@ def cmd_mc(subcommand: str, cfg: dict, run_dir: Path, jobs: int) -> None:
     seeds = cfg["seeds"]
     if not seeds:
         raise ConfigError("seeds must list at least one integer")
+    repeated = sorted(s for s, n in Counter(seeds).items() if n > 1)
+    if repeated:  # two runs of one seed would write the same files
+        raise ConfigError(f"seeds lists {', '.join(map(str, repeated))} more than once")
     # a bad histogram grid fails before any event is drawn
     grid = UGrid.from_spacing(cfg["hist_u_max"], cfg["hist_h"])
     workers = _worker_count(jobs, len(seeds))

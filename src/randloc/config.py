@@ -19,7 +19,6 @@ from .csvio import format_value
 from .errors import ConfigError
 from .gaussoracle import _BOX_CONVENTIONS, GaussPair
 from .meanfield import _INIT_GUESSES, SolverConfig
-from .popmc import _ENTRANT_RULES, Population
 
 __all__ = ["Field", "SCHEMAS", "split_pair", "parse_file", "resolve", "echo_lines", "run_name"]
 
@@ -62,7 +61,6 @@ _MC = {
     "snapshot_taus": Field("floats", ()),
     "hist_u_max": Field("float", 30.0),
     "hist_h": Field("float", 0.1),
-    "u_ceiling": Field("float", Population.u_ceiling),
 }
 
 _KEYS: dict[str, dict[str, Field]] = {
@@ -94,8 +92,6 @@ _KEYS: dict[str, dict[str, Field]] = {
         **_MC,
         "g0": Field("float", 0.01),
         "tau_end": Field("float", 10.0),
-        "entrant_rule": Field("str", Population.entrant_rule, _ENTRANT_RULES),
-        "entrant_cap": Field("float", Population.entrant_cap),
     },
     "oracle": {
         "xi1_sq": Field("float", 1.0),
@@ -169,8 +165,22 @@ def echo_lines(cfg: dict) -> list[str]:
 
 
 def run_name(cfg: dict) -> str:
-    """Explicit name key, or a stable 12-hex digest of the resolved config."""
-    if cfg.get("name"):
-        return str(cfg["name"])
+    """Explicit name key, or a stable 12-hex digest of the resolved config.
+
+    A name must be one path component, so that the run stays inside its
+    subcommand's directory: not . or .., no / or NUL, and UTF-8 text of at
+    most 255 bytes, the longest file name.
+    """
+    name = cfg.get("name")
+    if name:
+        if name in (".", "..") or "/" in name or "\0" in name:
+            raise ConfigError(f"name {name!r} is not one path component")
+        try:
+            size = len(name.encode("utf-8"))
+        except UnicodeEncodeError:  # undecodable argv bytes; the headers could not hold them
+            raise ConfigError(f"name {name!r} is not UTF-8 text") from None
+        if size > 255:
+            raise ConfigError(f"name is {size} bytes long, more than the 255 of a file name")
+        return name
     digest = hashlib.sha256("\n".join(echo_lines(cfg)).encode()).hexdigest()
     return digest[:12]

@@ -7,8 +7,8 @@ Poisson stream of total rate M/2 (so each particle is involved at rate
 1); at each event an unordered distinct pair is drawn uniformly and
 
     (localized, localized)    both members become combine(u_i, u_j),
-    (localized, delocalized)  the delocalized member localizes; by default
-                              it adopts the partner's current u, which is
+    (localized, delocalized)  the delocalized member localizes and adopts
+                              the partner's current u, which is
                               combine(u, infinity) under the extended-value
                               convention,
     (delocalized, delocalized) nothing happens.
@@ -36,7 +36,7 @@ therefore reproduce bit-identical trajectories on every platform that
 rounds doubles to IEEE 754 (see Gaps below). Checkpoints capture the
 stream state, the unconsumed tail of the current block, the pending
 interarrival gap and the event counters, so a resumed run continues
-bit-for-bit as if never interrupted. A checkpoint (version 4) holds the
+bit-for-bit as if never interrupted. A checkpoint (version 5) holds the
 version, the stream state and every other Population field, and nothing
 else.
 
@@ -68,7 +68,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import check_positive_finite
 from .udist import UDensity, UGrid
 
 __all__ = [
@@ -88,11 +87,10 @@ _MIN_STEADY = 1000
 _MIN_SEEDED = 10
 _BLOCK_EVENTS = 1 << 15
 _RUN_EVENTS = 1 << 13  # events per wavefront run; keeps a run's temporaries in cache
-_CHECKPOINT_VERSION = 4
+_CHECKPOINT_VERSION = 5
 _MAX_EVENTS = 10**10  # expected events of one run: 33-56 minutes at 3-5 M events a second
 _MAX_PARTICLES = 2 * 10**7  # a run holds about 45 bytes a particle: 0.9 GB
-_ENTRANT_RULES = ("adopt", "capped")
-_COUNTERS = ("overflow_count", "events_loc_loc", "events_loc_deloc", "events_deloc_deloc")
+_COUNTERS = ("events_loc_loc", "events_loc_deloc", "events_deloc_deloc")
 
 
 @dataclass(eq=False)
@@ -111,14 +109,12 @@ class Population:
     u_sync[i] is particle i's value at its private sync time t_sync[i];
     its current value is u_sync[i] + (tau - t_sync[i]). localized marks
     live entries; delocalized slots keep stale numbers that must never be
-    read. overflow_count records materialized values above u_ceiling
-    (counted, never dropped); events_loc_loc, events_loc_deloc and
-    events_deloc_deloc count the events of each kind. The private fields
-    carry the RNG block buffer and the already-drawn gap to the next event
-    so that resumed runs are bit-identical to uninterrupted ones. These
-    fields, rng aside, are what a checkpoint holds. Building one, and
-    ``resume``, check every field and raise ValueError naming a bad one;
-    entrant_cap must be finite, and positive under "capped".
+    read. events_loc_loc, events_loc_deloc and events_deloc_deloc count the
+    events of each kind. The private fields carry the RNG block buffer and
+    the already-drawn gap to the next event so that resumed runs are
+    bit-identical to uninterrupted ones. These fields, rng aside, are what a
+    checkpoint holds. Building one, and ``resume``, check every field and
+    raise ValueError naming a bad one.
     """
 
     seed: int
@@ -126,10 +122,6 @@ class Population:
     localized: np.ndarray
     u_sync: np.ndarray
     t_sync: np.ndarray
-    entrant_rule: str = "adopt"
-    entrant_cap: float = 100.0
-    u_ceiling: float = 1e9
-    overflow_count: int = 0
     events_loc_loc: int = 0
     events_loc_deloc: int = 0
     events_deloc_deloc: int = 0
@@ -157,14 +149,7 @@ class Population:
                                  f"localized has {loc.size}")
             if not np.all(np.isfinite(arrays[name][loc])):
                 raise ValueError(f"{name} holds a non-finite localized value")
-        if self.entrant_rule not in _ENTRANT_RULES:
-            raise ValueError(f"entrant_rule {self.entrant_rule!r} is unknown; the entrant "
-                             f"rules are {', '.join(map(repr, _ENTRANT_RULES))}")
-        if self.entrant_rule == "capped":
-            check_positive_finite(entrant_cap=self.entrant_cap)
-        check_positive_finite(u_ceiling=self.u_ceiling)
-        for name, value in (("tau", self.tau), ("pending_gap", self._pending_gap),
-                            ("entrant_cap", self.entrant_cap)):
+        for name, value in (("tau", self.tau), ("pending_gap", self._pending_gap)):
             if not np.isfinite(value):
                 raise ValueError(f"{name} is not finite")
         if not np.all((arrays["buffer"] >= 0.0) & (arrays["buffer"] < 1.0)):
@@ -260,8 +245,6 @@ def run_steady(
     tau_end: float,
     seed: int,
     snapshot_taus=(),
-    *,
-    u_ceiling: float = 1e9,
 ) -> tuple[Population, list[PopulationSnapshot]]:
     """Fully localized population (g = 1) advanced to tau_end.
 
@@ -272,7 +255,7 @@ def run_steady(
     """
     if M < _MIN_STEADY:
         raise ValueError(f"steady runs need at least {_MIN_STEADY} particles, got {M}")
-    return run_transient(M, 1.0, tau_end, seed, "adopt", snapshot_taus, u_ceiling=u_ceiling)
+    return run_transient(M, 1.0, tau_end, seed, snapshot_taus)
 
 
 def run_transient(
@@ -280,22 +263,16 @@ def run_transient(
     g0: float,
     tau_end: float,
     seed: int,
-    entrant_rule: str = "adopt",
     snapshot_taus=(),
-    *,
-    entrant_cap: float = 100.0,
-    u_ceiling: float = 1e9,
 ) -> tuple[Population, list[PopulationSnapshot]]:
     """Seeded population: ceil(g0*M) localized at the start, rest delocalized.
 
-    entrant_rule fixes the value a newly localized particle receives from
-    its localized partner u: "adopt" copies u; "capped" uses the harmonic
-    combination of u with entrant_cap. g0 = 1 reduces to run_steady
-    semantics, g0 = 0 stays identically delocalized. The Population
-    checks the rule, the cap and the ceiling before any event. A run of
-    more than 2 10^7 particles, or one that expects more than 10^10 events,
-    M (tau_end - tau) / 2, is refused before any array is made, and a
-    resume beyond that many events before its first event.
+    A newly localized particle adopts its localized partner's current u.
+    g0 = 1 reduces to run_steady semantics, g0 = 0 stays identically
+    delocalized. A run of more than 2 10^7 particles, or one that expects
+    more than 10^10 events, M (tau_end - tau) / 2, is refused before any
+    array is made, and a resume beyond that many events before its first
+    event.
     """
     if not 0.0 <= g0 <= 1.0:
         raise ValueError(f"g0 must lie in [0, 1], got {g0}")
@@ -319,9 +296,6 @@ def run_transient(
         localized=localized,
         u_sync=u_sync,
         t_sync=np.zeros(M),
-        entrant_rule=entrant_rule,
-        entrant_cap=entrant_cap,
-        u_ceiling=u_ceiling,
         rng=rng,
     )
     snaps = _advance(pop, tau_end, snapshot_taus)
@@ -376,7 +350,6 @@ def _advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationS
             ts = pending[snap_i]
             sel = pop.localized
             u = pop.u_sync[sel] + (ts - pop.t_sync[sel])
-            pop.overflow_count += int(np.count_nonzero(u > pop.u_ceiling))
             snaps.append(PopulationSnapshot(tau=ts, g_empirical=pop.n_localized / m, u_values=u))
             snap_i += 1
 
@@ -564,9 +537,7 @@ def _apply_events(pop: Population, i: np.ndarray, j: np.ndarray, t: np.ndarray) 
         return
     lev = _wavefront_levels(i, j)
     u_s, t_s, loc = pop.u_sync, pop.t_sync, pop.localized
-    ceiling, cap = pop.u_ceiling, pop.entrant_cap
-    adopt = pop.entrant_rule == "adopt"
-    overflow = n_ll = n_ld = 0
+    n_ll = n_ld = 0
     for level in range(1, int(lev.max()) + 1):
         sel = np.flatnonzero(lev == level)  # the order within a level does not matter
         x, y, tl = i[sel], j[sel], t[sel]
@@ -576,7 +547,6 @@ def _apply_events(pop: Population, i: np.ndarray, j: np.ndarray, t: np.ndarray) 
             bx, by, bt = x[both], y[both], tl[both]
             ux = u_s[bx] + (bt - t_s[bx])
             uy = u_s[by] + (bt - t_s[by])
-            overflow += int(np.count_nonzero(ux > ceiling)) + int(np.count_nonzero(uy > ceiling))
             s = ux + uy
             c = np.divide(ux * uy, s, out=np.zeros_like(s), where=s > 0.0)
             u_s[bx] = c
@@ -590,13 +560,10 @@ def _apply_events(pop: Population, i: np.ndarray, j: np.ndarray, t: np.ndarray) 
             src = np.where(from_x, x[one], y[one])
             dst = np.where(from_x, y[one], x[one])
             ot = tl[one]
-            us = u_s[src] + (ot - t_s[src])
-            overflow += int(np.count_nonzero(us > ceiling))
-            u_s[dst] = us if adopt else us * cap / (us + cap)
+            u_s[dst] = u_s[src] + (ot - t_s[src])
             t_s[dst] = ot
             loc[dst] = True
             n_ld += src.size
-    pop.overflow_count += overflow
     pop.events_loc_loc += n_ll
     pop.events_loc_deloc += n_ld
     pop.events_deloc_deloc += i.size - n_ll - n_ld

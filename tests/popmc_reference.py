@@ -37,10 +37,6 @@ def reference_advance(pop: Population, tau_end: float, snapshot_taus) -> list[Po
     loc = pop.localized.astype(np.uint8).tolist()
     n_loc = pop.n_localized
     rng = pop.rng
-    adopt = pop.entrant_rule == "adopt"
-    cap = pop.entrant_cap
-    ceiling = pop.u_ceiling
-    overflow = 0
     n_ll = n_ld = n_dd = 0
     snap_i = 0
     tau = pop.tau
@@ -49,12 +45,11 @@ def reference_advance(pop: Population, tau_end: float, snapshot_taus) -> list[Po
 
     def emit_until(limit: float) -> None:
         # Emit every pending snapshot at time <= limit without touching the stream.
-        nonlocal snap_i, overflow
+        nonlocal snap_i
         while snap_i < n_pending and pending[snap_i] <= limit + 1e-12:
             ts = pending[snap_i]
             sel = np.asarray(loc, dtype=bool)
             u = np.asarray(u_s)[sel] + (ts - np.asarray(t_s)[sel])
-            overflow += int(np.count_nonzero(u > ceiling))
             snaps.append(PopulationSnapshot(tau=ts, g_empirical=n_loc / m, u_values=u))
             snap_i += 1
 
@@ -101,10 +96,6 @@ def reference_advance(pop: Population, tau_end: float, snapshot_taus) -> list[Po
                 n_ll += 1
                 ui = u_s[i] + (tau - t_s[i])
                 uj = u_s[j] + (tau - t_s[j])
-                if ui > ceiling:
-                    overflow += 1
-                if uj > ceiling:
-                    overflow += 1
                 s = ui + uj
                 c = ui * uj / s if s > 0.0 else 0.0
                 u_s[i] = c
@@ -113,19 +104,13 @@ def reference_advance(pop: Population, tau_end: float, snapshot_taus) -> list[Po
                 t_s[j] = tau
             else:
                 n_ld += 1
-                ui = u_s[i] + (tau - t_s[i])
-                if ui > ceiling:
-                    overflow += 1
-                u_s[j] = ui if adopt else ui * cap / (ui + cap)
+                u_s[j] = u_s[i] + (tau - t_s[i])
                 t_s[j] = tau
                 loc[j] = 1
                 n_loc += 1
         elif lj:
             n_ld += 1
-            uj = u_s[j] + (tau - t_s[j])
-            if uj > ceiling:
-                overflow += 1
-            u_s[i] = uj if adopt else uj * cap / (uj + cap)
+            u_s[i] = u_s[j] + (tau - t_s[j])
             t_s[i] = tau
             loc[i] = 1
             n_loc += 1
@@ -145,7 +130,6 @@ def reference_advance(pop: Population, tau_end: float, snapshot_taus) -> list[Po
     pop.u_sync = np.asarray(u_s)
     pop.t_sync = np.asarray(t_s)
     pop.localized = np.asarray(loc, dtype=bool)
-    pop.overflow_count += overflow
     pop.events_loc_loc += n_ll
     pop.events_loc_deloc += n_ld
     pop.events_deloc_deloc += n_dd

@@ -143,7 +143,8 @@ def test_mc_transient_tracks_growth(tmp_path, capsys):
     taus, g, meta = read_trajectory(f"{d}/g_seed3.csv", names=("tau", "g_empirical"))
     assert list(taus) == [1.0, 2.0, 3.0]
     assert g[0] < g[1] < g[2]
-    assert "overflow_count" in meta
+    assert sorted(key for key in meta if key.startswith("events_")) == sorted(popmc._COUNTERS)
+    assert all(int(meta[key]) > 0 for key in popmc._COUNTERS)
 
 
 def test_mc_header_counts_events_by_type(tmp_path, capsys):
@@ -309,13 +310,19 @@ def test_histogram_grid_beyond_uint16_fails_before_any_event(tmp_path, capsys, m
     assert not list(tmp_path.glob(f"{subcommand}/*/*.csv"))
 
 
-def test_nan_entrant_cap_is_exit_code_one_under_the_adopt_rule(tmp_path, capsys):
-    # the adopt rule never reads the cap, but a checkpoint of the run must load
-    rc = main(["mc-transient", "--out", str(tmp_path), "--set", "m_particles=2000",
-               "--set", "tau_end=1", "--set", "g0=0.1", "--set", "entrant_cap=nan"])
+@pytest.mark.parametrize(
+    "subcommand, key",
+    [("mc-steady", "u_ceiling"), ("mc-transient", "u_ceiling"),
+     ("mc-transient", "entrant_rule"), ("mc-transient", "entrant_cap")],
+)
+def test_removed_mc_key_is_an_unknown_key(tmp_path, capsys, subcommand, key):
+    # the Monte Carlo runs only the adopt rule and keeps no overflow ceiling;
+    # a config that still sets one of these keys is refused like any typo
+    rc = main([subcommand, "--out", str(tmp_path), "--set", "m_particles=1000",
+               "--set", "tau_end=1", "--set", f"{key}=1"])
     assert rc == 1
-    assert capsys.readouterr().err == "error: entrant_cap is not finite\n"
-    assert not list(tmp_path.glob("mc-transient/*/*.csv"))
+    assert capsys.readouterr().err == f"error: unknown config keys for {subcommand}: {key}\n"
+    assert not tmp_path.joinpath(subcommand).exists()
 
 
 @pytest.mark.parametrize("m_particles", [0, 1])
@@ -494,29 +501,6 @@ def test_grid_far_beyond_uint16_fails_before_any_grid_array(tmp_path, capsys,
     assert "30000000001 nodes) index nodes as uint16" in err
 
 
-@pytest.mark.parametrize(
-    "subcommand, sets, message",
-    [
-        ("mc-transient", ["entrant_rule=capped", "entrant_cap=nan", "g0=0.1"],
-         "entrant_cap must be positive and finite, got nan"),
-        ("mc-transient", ["entrant_rule=capped", "entrant_cap=inf", "g0=0.1"],
-         "entrant_cap must be positive and finite, got inf"),
-        ("mc-transient", ["u_ceiling=nan", "g0=0.1"], "u_ceiling must be positive and finite, got nan"),
-        ("mc-steady", ["u_ceiling=nan"], "u_ceiling must be positive and finite, got nan"),
-        ("mc-steady", ["u_ceiling=-1"], "u_ceiling must be positive and finite, got -1.0"),
-    ],
-)
-def test_non_finite_mc_cap_or_ceiling_is_exit_code_one(tmp_path, capsys, subcommand, sets,
-                                                       message):
-    argv = [subcommand, "--jobs", "1", "--out", str(tmp_path),
-            "--set", "m_particles=2000", "--set", "tau_end=1"]
-    rc = main(argv + [x for kv in sets for x in ("--set", kv)])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err == f"error: {message}\n"
-    assert not list(tmp_path.glob(f"{subcommand}/*/*.csv"))
-
-
 def test_python_m_randloc_runs_the_cli(tmp_path, capsys, monkeypatch):
     # in process: the package's __main__ hands sys.argv to cli.main
     def refuse(*args, **kwargs):
@@ -589,6 +573,53 @@ def test_empty_seed_list_is_exit_code_one(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == "error: seeds must list at least one integer\n"
     assert not tmp_path.joinpath("mc-steady").exists()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_repeated_seed_is_exit_code_one_before_any_event(tmp_path, capsys, monkeypatch, jobs):
+    # seeds=3,3 once ran seed 3 twice, and on two workers both wrote g_seed3.csv
+    def advance(*args):
+        pytest.fail("the Monte Carlo event loop started")
+
+    monkeypatch.setattr(popmc, "_advance", advance)
+    rc = main(["mc-transient", "--jobs", jobs, "--out", str(tmp_path),
+               "--set", "seeds=3,1,3,1,2", "--set", "m_particles=1000"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seeds lists 1, 3 more than once\n"
+    assert not tmp_path.joinpath("mc-transient").exists()
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [("../../escape1", "name '../../escape1' is not one path component"),
+     (".", "name '.' is not one path component"),
+     ("..", "name '..' is not one path component"),
+     ("a/b", "name 'a/b' is not one path component"),
+     ("nul\0byte", "name 'nul\\x00byte' is not one path component"),
+     ("x" * 300, "name is 300 bytes long, more than the 255 of a file name"),
+     ("\u00e9" * 128, "name is 256 bytes long, more than the 255 of a file name"),
+     ("\udcff", "name '\\udcff' is not UTF-8 text")],
+    ids=["escape", "dot", "dotdot", "nested", "nul", "long", "long-utf8", "not-utf8"],
+)
+def test_name_that_is_not_one_path_component_is_exit_code_one(tmp_path, capsys, monkeypatch,
+                                                              name, message):
+    # each of these once wrote outside --out, among other runs, into a nested
+    # directory, or exited 3 (too long for a file name) or left an empty
+    # directory (not UTF-8, so no header could hold it)
+    cwd = tmp_path / "a" / "b"
+    cwd.mkdir(parents=True)
+    monkeypatch.chdir(cwd)
+    rc = main(["gamma", "--out", "out", "--set", f"name={name}"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.rglob("*.csv")) and not list(tmp_path.rglob("config.echo"))
+
+
+def test_name_of_255_bytes_is_one_run_directory(tmp_path, capsys):
+    name = "\u00e9" * 127 + "x"
+    d = run_ok(capsys, ["gamma", "--out", str(tmp_path), "--set", f"name={name}"])
+    assert Path(d) == tmp_path / "gamma" / name
+    assert (Path(d) / "gamma.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ from randloc.udist import UDensity, UGrid, exponential_density, mass, normalize
 
 def state_tuple(pop):
     return (pop.tau, pop.u_sync.copy(), pop.t_sync.copy(), pop.localized.copy(),
-            pop.overflow_count)
+            [getattr(pop, name) for name in popmc._COUNTERS])
 
 
 def assert_same_state(a, b):
@@ -84,8 +84,9 @@ def test_checkpoint_rejects_foreign_version(tmp_path):
     save_checkpoint(pop, path)
     with np.load(path) as z:
         payload = {k: z[k] for k in z.files}
-    # version 2 drew its gaps with the platform's log1p, version 3 held a rate field
-    for version in (2, 3, 99):
+    # version 2 drew its gaps with the platform's log1p, version 3 held a rate field,
+    # version 4 an entrant rule, its cap, a ceiling and an overflow count
+    for version in (2, 3, 4, 99):
         payload["version"] = np.int64(version)
         np.savez(path, **payload)
         with pytest.raises(ValueError, match=f"version {version}"):
@@ -141,20 +142,6 @@ def test_steady_population_matches_grid_solution():
     assert ks_distance(pop, p_star) < 0.03
 
 
-def test_capped_entrants_lower_the_mean():
-    adopt, _ = run_transient(5000, 0.5, 1.0, seed=4, entrant_rule="adopt")
-    capped, _ = run_transient(5000, 0.5, 1.0, seed=4,
-                              entrant_rule="capped", entrant_cap=0.01)
-    assert capped.current_u().mean() < adopt.current_u().mean()
-
-
-def test_overflow_counter_fires():
-    pop, _ = run_steady(1000, 1.0, seed=3, u_ceiling=0.5)
-    assert pop.overflow_count > 0
-    quiet, _ = run_steady(1000, 1.0, seed=3)
-    assert quiet.overflow_count == 0
-
-
 def test_sampler_scores_small_ks_against_its_source():
     rng = np.random.Generator(np.random.Philox(key=99))
     ref = exponential_density(UGrid.from_spacing(20.0, 0.01))
@@ -190,11 +177,6 @@ def test_population_size_guards():
     [
         (dict(g0=-0.1), "g0"),
         (dict(g0=1.5), "g0"),
-        (dict(entrant_rule="copy"), "entrant rule"),
-        (dict(entrant_rule="capped", entrant_cap=0.0), "entrant_cap"),
-        (dict(entrant_rule="capped", entrant_cap=np.nan), "entrant_cap must be positive and finite"),
-        (dict(entrant_rule="capped", entrant_cap=np.inf), "entrant_cap must be positive and finite"),
-        (dict(u_ceiling=np.nan), "u_ceiling must be positive and finite"),
     ],
 )
 def test_transient_argument_validation(kwargs, msg):
@@ -202,12 +184,6 @@ def test_transient_argument_validation(kwargs, msg):
     base.update(kwargs)
     with pytest.raises(ValueError, match=msg):
         run_transient(**base)
-
-
-@pytest.mark.parametrize("ceiling", [np.nan, np.inf, 0.0, -1.0])
-def test_steady_u_ceiling_must_be_positive_and_finite(ceiling):
-    with pytest.raises(ValueError, match="u_ceiling must be positive and finite"):
-        run_steady(2000, 1.0, seed=0, u_ceiling=ceiling)
 
 
 def test_run_beyond_the_event_limit_is_refused_before_any_event(monkeypatch):
@@ -346,18 +322,8 @@ def test_full_runs_at_small_population_have_many_levels():
 
 
 @pytest.mark.parametrize("g0", [0.1, 1.0])
-@pytest.mark.parametrize("rule", ["adopt", "capped"])
-def test_batched_transient_matches_reference(g0, rule):
-    assert_bit_identical(*both_loops(lambda: run_transient(
-        6000, g0, 4.0, 17, rule, (0.0, 1.0, 2.5), entrant_cap=0.5)))
-
-
-@pytest.mark.parametrize("rule", ["adopt", "capped"])
-def test_batched_overflow_matches_reference(rule):
-    batched, dense = both_loops(lambda: run_transient(
-        3000, 0.3, 3.0, 8, rule, (1.0, 2.0), entrant_cap=2.0, u_ceiling=0.7))
-    assert batched[0].overflow_count > 0
-    assert_bit_identical(batched, dense)
+def test_batched_transient_matches_reference(g0):
+    assert_bit_identical(*both_loops(lambda: run_transient(6000, g0, 4.0, 17, (0.0, 1.0, 2.5))))
 
 
 @pytest.mark.parametrize("block_events", [None, 1, 2, 5])
@@ -368,7 +334,7 @@ def test_batched_refills_match_reference(monkeypatch, block_events):
     tau_end = 1.5
     batched, dense = both_loops(lambda: run_transient(
         1000, 0.2, tau_end, 4, snapshot_taus=(0.3 * tau_end,)))
-    assert sum(getattr(batched[0], n) for n in popmc._COUNTERS[1:]) > 200
+    assert sum(getattr(batched[0], n) for n in popmc._COUNTERS) > 200
     assert_bit_identical(batched, dense)
 
 
@@ -387,7 +353,7 @@ def test_snapshots_at_event_times_match_reference():
 def test_resumed_buffer_tails_match_reference(tmp_path, drop, tau_stop):
     # A run stops with a tail of 2 mod 3 uniforms; dropping 0, 1 or 2 of
     # them gives a checkpoint with each residue.
-    pop, _ = run_transient(2000, 0.25, tau_stop, 12, "capped", entrant_cap=1.5)
+    pop, _ = run_transient(2000, 0.25, tau_stop, 12)
     pop._buffer = pop._buffer[drop:]
     path = tmp_path / "pop.npz"
     save_checkpoint(pop, path)
@@ -416,14 +382,12 @@ def test_short_buffer_tails_match_reference(tail):
     seed=st.integers(0, 2**32 - 1),
     M=st.integers(1000, 3000),
     g0=st.sampled_from([0.01, 0.1, 0.5, 1.0]),
-    rule=st.sampled_from(["adopt", "capped"]),
     tau_end=st.floats(0.0, 2.0),
     snaps=st.lists(st.floats(0.0, 1.0), max_size=3),
 )
-def test_batched_loop_matches_reference_property(seed, M, g0, rule, tau_end, snaps):
+def test_batched_loop_matches_reference_property(seed, M, g0, tau_end, snaps):
     taus = tuple(tau_end * f for f in snaps)
-    assert_bit_identical(*both_loops(lambda: run_transient(
-        M, g0, tau_end, seed, rule, taus, entrant_cap=1.0)))
+    assert_bit_identical(*both_loops(lambda: run_transient(M, g0, tau_end, seed, taus)))
 
 
 # Event gaps -------------------------------------------------------------------
@@ -509,15 +473,15 @@ def test_steady_runs_count_no_deloc_event():
 
 
 def test_checkpoint_keeps_event_counts(tmp_path):
-    one_shot, _ = run_transient(3000, 0.2, 2.0, 14, u_ceiling=3.0)
-    pop, _ = run_transient(3000, 0.2, 1.0, 14, u_ceiling=3.0)
+    one_shot, _ = run_transient(3000, 0.2, 2.0, 14)
+    pop, _ = run_transient(3000, 0.2, 1.0, 14)
     path = tmp_path / "pop.npz"
     save_checkpoint(pop, path)
     loaded = load_checkpoint(path)
     resume(loaded, 2.0)
     assert [getattr(loaded, n) for n in popmc._COUNTERS] == [
         getattr(one_shot, n) for n in popmc._COUNTERS]
-    assert pop.events_loc_loc > 0 and one_shot.overflow_count > pop.overflow_count
+    assert 0 < pop.events_loc_loc < one_shot.events_loc_loc
 
 
 def test_unseeded_runs_count_only_deloc_events():
@@ -560,11 +524,11 @@ def _with(index, value):
         (dict(buffer=lambda a: a.astype(np.float32)), "buffer must be"),
         (dict(tau=lambda a: np.float64(np.nan)), "tau is not finite"),
         (dict(pending_gap=lambda a: np.float64(np.inf)), "pending_gap is not finite"),
-        (dict(entrant_cap=lambda a: np.float64(-np.inf)), "entrant_cap is not finite"),
+        (dict(events_deloc_deloc=lambda a: np.int64(-3)), "events_deloc_deloc is negative"),
         (dict(rng_state=None), "lacks rng_state"),
         (dict(u_sync=_with(0, np.nan)), "u_sync holds a non-finite"),
         (dict(t_sync=_with(1, np.inf)), "t_sync holds a non-finite"),
-        (dict(entrant_rule=lambda a: np.str_("copy")), "entrant_rule 'copy'"),
+        (dict(localized=None), "lacks localized"),
         (dict(buffer=_with(0, 1.0)), "buffer holds a value outside"),
         (dict(buffer=_with(-1, -0.25)), "buffer holds a value outside"),
         (dict(events_loc_loc=lambda a: np.int64(-1)), "events_loc_loc is negative"),
@@ -581,8 +545,7 @@ def test_checkpoint_rejects_corrupted_field(tmp_path, changes, msg):
 
 
 def test_checkpoint_holds_exactly_the_population_fields(tmp_path):
-    pop, _ = run_transient(2000, 0.5, 0.5, seed=1, entrant_rule="capped", entrant_cap=2.0,
-                           u_ceiling=3.0)
+    pop, _ = run_transient(2000, 0.5, 0.5, seed=1)
     path = tmp_path / "pop.npz"
     save_checkpoint(pop, path)
     names = [f.name for f in dataclasses.fields(Population) if f.name != "rng"]
@@ -610,53 +573,6 @@ def test_checkpoint_saves_only_what_it_can_load(tmp_path):
     assert load_checkpoint(path).seed == 2**64 - 1
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
-@pytest.mark.parametrize("field, rule", [("u_ceiling", "adopt"), ("u_ceiling", "capped"),
-                                         ("entrant_cap", "capped")])
-def test_checkpoint_rejects_a_ceiling_or_cap_the_runs_refuse(tmp_path, field, rule, bad):
-    pop, _ = run_transient(2000, 0.5, 0.5, seed=1, entrant_rule=rule)
-    path = tmp_path / "pop.npz"
-    save_checkpoint(pop, path)
-    _corrupt(path, **{field: lambda a: np.float64(bad)})
-    with pytest.raises(ValueError, match=f"checkpoint {field} "):
-        load_checkpoint(path)
-
-
-def test_checkpoint_of_an_adopt_run_loads_with_its_unused_cap(tmp_path):
-    # the adopt rule never reads entrant_cap, and run_transient accepts any
-    # value of it there, so the checkpoint of such a run loads
-    pop, _ = run_transient(2000, 0.5, 0.5, seed=1, entrant_cap=-1.0)
-    path = tmp_path / "pop.npz"
-    save_checkpoint(pop, path)
-    assert load_checkpoint(path).entrant_cap == -1.0
-
-
-def test_every_accepted_cap_and_ceiling_saves_and_loads(tmp_path):
-    # what run_transient accepts, its checkpoint holds: the cap must be
-    # finite under both rules and positive under capped, the ceiling
-    # positive and finite
-    path = tmp_path / "pop.npz"
-    accepted = set()
-    for rule in ("adopt", "capped"):
-        for cap in (np.nan, np.inf, -np.inf, -1.0, 0.0, 0.5, 100.0):
-            for ceiling in (np.nan, np.inf, -1.0, 0.0, 3.0, 1e9):
-                try:
-                    pop, _ = run_transient(2000, 0.5, 0.2, seed=1, entrant_rule=rule,
-                                           entrant_cap=cap, u_ceiling=ceiling)
-                except ValueError:
-                    continue
-                accepted.add((rule, cap, ceiling))
-                save_checkpoint(pop, path)
-                loaded = load_checkpoint(path)
-                assert (loaded.entrant_rule, loaded.entrant_cap, loaded.u_ceiling) == (
-                    rule, cap, ceiling)
-                assert_same_state(state_tuple(loaded), state_tuple(pop))
-    assert accepted == {(rule, cap, ceiling)
-                        for rule, caps in (("adopt", (-1.0, 0.0, 0.5, 100.0)),
-                                           ("capped", (0.5, 100.0)))
-                        for cap in caps for ceiling in (3.0, 1e9)}
-
-
 def _bare(**changes):
     fields = dict(seed=0, tau=0.0, localized=np.ones(5, dtype=bool), u_sync=np.ones(5),
                   t_sync=np.zeros(5))
@@ -675,30 +591,24 @@ def _bare(**changes):
         (dict(u_sync=np.ones(4)), "u_sync"),
         (dict(u_sync=np.array([1.0, np.nan, 1.0, 1.0, 1.0])), "u_sync"),
         (dict(t_sync=np.full(5, -np.inf)), "t_sync"),
-        (dict(entrant_rule="bogus"), "entrant_rule"),
-        (dict(entrant_cap=np.nan), "entrant_cap"),
-        (dict(entrant_rule="capped", entrant_cap=0.0), "entrant_cap"),
-        (dict(u_ceiling=-5.0), "u_ceiling"),
-        (dict(u_ceiling=np.inf), "u_ceiling"),
+        (dict(t_sync=np.zeros(6)), "t_sync"),
+        (dict(localized=np.ones((5, 1), dtype=bool)), "localized"),
+        (dict(u_sync=np.full(5, np.inf)), "u_sync"),
+        (dict(tau=np.nan), "tau"),
+        (dict(_buffer=np.array([-0.5])), "buffer"),
         (dict(events_loc_loc=-1), "events_loc_loc"),
         (dict(events_loc_deloc=-1), "events_loc_deloc"),
         (dict(tau=np.inf), "tau"),
         (dict(_pending_gap=np.nan), "pending_gap"),
         (dict(_buffer=np.ones(3, dtype=np.float32)), "buffer"),
         (dict(_buffer=np.array([0.5, 1.0])), "buffer"),
-        (dict(overflow_count=-1), "overflow_count"),
+        (dict(_pending_gap=-np.inf), "pending_gap"),
         (dict(events_deloc_deloc=-2), "events_deloc_deloc"),
     ],
 )
 def test_population_refuses_a_bad_field(changes, name):
     with pytest.raises(ValueError, match=name):
         _bare(**changes)
-
-
-def test_population_refuses_an_unknown_rule_with_a_negative_ceiling():
-    # this population once resumed and counted more overflows than particles
-    with pytest.raises(ValueError, match="entrant_rule 'bogus' is unknown"):
-        _bare(u_ceiling=-5.0, entrant_rule="bogus", rng=np.random.Generator(np.random.Philox()))
 
 
 @pytest.mark.parametrize("M", [0, 1])
@@ -711,10 +621,13 @@ def test_population_of_fewer_than_two_is_refused(M):
 
 def test_resume_refuses_a_field_set_after_construction():
     pop, _ = run_transient(2000, 0.5, 0.5, seed=1)
-    pop.u_ceiling = np.nan
-    with pytest.raises(ValueError, match="u_ceiling must be positive and finite, got nan"):
+    kept = [pop.u_sync.copy(), pop._buffer.copy(), [getattr(pop, n) for n in popmc._COUNTERS]]
+    pop.tau = np.nan
+    with pytest.raises(ValueError, match="tau is not finite"):
         resume(pop, 1.0)
-    assert pop.tau == 0.5
+    assert np.isnan(pop.tau)
+    assert np.array_equal(pop.u_sync, kept[0]) and np.array_equal(pop._buffer, kept[1])
+    assert [getattr(pop, n) for n in popmc._COUNTERS] == kept[2]
 
 
 def test_checkpoint_ignores_stale_delocalized_values(tmp_path):
