@@ -2,9 +2,11 @@
 
 Every subcommand reads an optional `key = value` config file, applies
 `--set` overrides, resolves against its typed schema, and writes CSV
-files plus a `config.echo` into `<out>/<subcommand>/<name-or-hash>/`. The
-directory is made by the first file written, so a run refused before its
-first file leaves none behind; `config.echo` is written once the run is done.
+files plus a `config.echo` into `<out>/<subcommand>/<name-or-hash>/`. Every
+file is first written into a hidden stage beside it, `config.echo` last, and
+the stage replaces the run directory only once the run is done: a rerun
+leaves exactly its own files, and a failed run leaves no stage and any
+earlier run directory as it was.
 Outputs carry the resolved config in `#` header lines and contain no
 timestamps, so re-running an identical config rewrites identical bytes.
 
@@ -16,6 +18,8 @@ work too large for memory), 2 solver or quadrature non-convergence
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
 from collections import Counter
 from pathlib import Path
@@ -42,15 +46,6 @@ from .udist import UGrid, _usable_cpus, moment
 __all__ = ["main"]
 
 
-def _solver_config(cfg: dict) -> SolverConfig:
-    return SolverConfig(
-        u_max=cfg["u_max"],
-        h=cfg["h"],
-        tol_fixed_point=cfg["tol_fixed_point"],
-        max_iters=cfg["max_iters"],
-    )
-
-
 def cmd_gamma(cfg: dict, run_dir: Path) -> None:
     if cfg["method"] == "closed":
         traj = closed_trajectory(cfg["g0"], cfg["tau_end"], cfg["dtau"])
@@ -60,8 +55,7 @@ def cmd_gamma(cfg: dict, run_dir: Path) -> None:
 
 
 def cmd_steady(cfg: dict, run_dir: Path) -> None:
-    sc = _solver_config(cfg)
-    p = solve_steady(sc, cfg["init"])
+    p = solve_steady(SolverConfig(u_max=cfg["u_max"], h=cfg["h"]))
     resid = residual_steady(p)
     write_density(
         run_dir / "steady.csv",
@@ -146,9 +140,12 @@ def cmd_mc(subcommand: str, cfg: dict, run_dir: Path, jobs: int) -> None:
     seeds = cfg["seeds"]
     if not seeds:
         raise ConfigError("seeds must list at least one integer")
-    repeated = sorted(s for s, n in Counter(seeds).items() if n > 1)
-    if repeated:  # two runs of one seed would write the same files
-        raise ConfigError(f"seeds lists {', '.join(map(str, repeated))} more than once")
+    # two runs of one seed would write the same files, two snapshots at one
+    # time two blocks of one density
+    for key in ("seeds", "snapshot_taus"):
+        repeated = sorted(v for v, n in Counter(cfg[key]).items() if n > 1)
+        if repeated:
+            raise ConfigError(f"{key} lists {', '.join(map(str, repeated))} more than once")
     # a bad histogram grid fails before any event is drawn
     grid = UGrid.from_spacing(cfg["hist_u_max"], cfg["hist_h"])
     workers = _worker_count(jobs, len(seeds))
@@ -167,19 +164,17 @@ def cmd_mc(subcommand: str, cfg: dict, run_dir: Path, jobs: int) -> None:
 
 
 def cmd_oracle(cfg: dict, run_dir: Path) -> None:
-    convention = cfg["box_convention"]
     boxes = cfg["boxes"]
     extra = {}
     if cfg["fit_order"] == "yes":
-        study = convergence_study(cfg["xi1_sq"], cfg["xi2_sq"], boxes, convention)
+        study = convergence_study(cfg["xi1_sq"], cfg["xi2_sq"], boxes)
         boxes_out = study.boxes
         moments = study.moments
         extra["fitted_order"] = study.order
     else:
         boxes_out = np.asarray(sorted((float(b) for b in boxes), reverse=True))
         moments = tuple(
-            posterior_moments(GaussPair(cfg["xi1_sq"], cfg["xi2_sq"], b, convention))
-            for b in boxes_out
+            posterior_moments(GaussPair(cfg["xi1_sq"], cfg["xi2_sq"], b)) for b in boxes_out
         )
     write_table(
         run_dir / "oracle.csv",
@@ -200,7 +195,7 @@ def cmd_fig1(cfg: dict, run_dir: Path) -> None:
         write_trajectory(
             run_dir / f"curve_{g0!r}.csv", traj.taus, traj.values, dict(cfg, g0=g0)
         )
-    p = solve_steady(_solver_config(cfg))
+    p = solve_steady(SolverConfig(u_max=cfg["u_max"], h=cfg["h"]))
     write_density(run_dir / "inset_steady.csv", p, dict(cfg, mean_u=moment(p, 1)))
 
 
@@ -211,6 +206,22 @@ _DISPATCH = {
     "oracle": cmd_oracle,
     "fig1": cmd_fig1,
 }
+
+
+def _publish(stage: Path, run_dir: Path) -> None:
+    """Put the finished stage in place of run_dir. An earlier run_dir is
+    moved aside first, put back if the rename fails, and deleted after."""
+    old = stage.with_name(f".replaced-{os.getpid()}")
+    shutil.rmtree(old, ignore_errors=True)
+    if run_dir.exists():
+        run_dir.rename(old)
+    try:
+        stage.rename(run_dir)
+    except OSError:
+        if old.exists():
+            old.rename(run_dir)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -249,13 +260,19 @@ def main(argv=None) -> int:
                 raise ConfigError(f"subcommand {args.subcommand} takes no --seed")
             cfg["seeds"] = (args.seed,)
         run_dir = Path(args.out) / args.subcommand / cfgmod.run_name(cfg)
-        if args.subcommand in ("mc-steady", "mc-transient"):
-            cmd_mc(args.subcommand, cfg, run_dir, args.jobs)
-        else:
-            _DISPATCH[args.subcommand](cfg, run_dir)
-        # written last, so that a refused run leaves no run directory
-        with atomic_writer(run_dir / "config.echo") as fh:
-            fh.write(("\n".join(cfgmod.echo_lines(cfg)) + "\n").encode("utf-8"))
+        # one stage per process, and a name of fixed length whatever the run's name
+        stage = run_dir.with_name(f".partial-{os.getpid()}")
+        shutil.rmtree(stage, ignore_errors=True)  # left by a killed run
+        try:
+            if args.subcommand in ("mc-steady", "mc-transient"):
+                cmd_mc(args.subcommand, cfg, stage, args.jobs)
+            else:
+                _DISPATCH[args.subcommand](cfg, stage)
+            with atomic_writer(stage / "config.echo") as fh:
+                fh.write(("\n".join(cfgmod.echo_lines(cfg)) + "\n").encode("utf-8"))
+            _publish(stage, run_dir)
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
         print(run_dir)
         return 0
     except (ConfigError, ValueError) as exc:

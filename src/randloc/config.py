@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .csvio import format_value
 from .errors import ConfigError
-from .gaussoracle import _BOX_CONVENTIONS, GaussPair
 from .meanfield import _INIT_GUESSES, SolverConfig
 
 __all__ = ["Field", "SCHEMAS", "split_pair", "parse_file", "resolve", "echo_lines", "run_name"]
@@ -50,11 +49,6 @@ def _parse_scalar(key: str, raw: str, field: Field):
 
 
 # Defaults read from a class are the library's own; the literals are the CLI's.
-_STEADY_SOLVE = {
-    "tol_fixed_point": Field("float", SolverConfig.tol_fixed_point),
-    "max_iters": Field("int", SolverConfig.max_iters),
-}
-_INIT = {"init": Field("str", "ue", tuple(_INIT_GUESSES))}
 _MC = {
     "m_particles": Field("int", 20000),
     "seeds": Field("ints", (1,)),
@@ -73,13 +67,11 @@ _KEYS: dict[str, dict[str, Field]] = {
     "steady": {
         "u_max": Field("float", SolverConfig.u_max),
         "h": Field("float", SolverConfig.h),
-        **_STEADY_SOLVE,
-        **_INIT,
     },
     "transient": {
         "u_max": Field("float", SolverConfig.u_max),
         "h": Field("float", 0.02),
-        **_INIT,
+        "init": Field("str", "ue", tuple(_INIT_GUESSES)),
         "dtau": Field("float", 0.0),  # 0 means: use h
         "tau_end": Field("float", 5.0),
         "g0": Field("float", 0.1),
@@ -97,7 +89,6 @@ _KEYS: dict[str, dict[str, Field]] = {
         "xi1_sq": Field("float", 1.0),
         "xi2_sq": Field("float", 1.0),
         "boxes": Field("floats", (0.4, 0.2, 0.1, 0.05)),
-        "box_convention": Field("str", GaussPair.box_convention, _BOX_CONVENTIONS),
         "fit_order": Field("str", "yes", ("yes", "no")),
     },
     "fig1": {
@@ -106,7 +97,6 @@ _KEYS: dict[str, dict[str, Field]] = {
         "dtau": Field("float", 0.01),
         "u_max": Field("float", SolverConfig.u_max),
         "h": Field("float", 0.05),
-        **_STEADY_SOLVE,
     },
 }
 SCHEMAS = {sub: {**keys, "name": Field("str", "")} for sub, keys in _KEYS.items()}

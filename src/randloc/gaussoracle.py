@@ -15,11 +15,9 @@ box^2/12. Everything here is brute-force tensor quadrature on purpose:
 the module exists to verify the contraction rule from first principles,
 not to assume it.
 
-Box convention: the box parameter is the full width (diameter) of the
-acceptance window, i.e. accept iff |r1 - r2| < box/2, which is what makes
-the narrow-box relative variance equal box^2/12. Pass
-box_convention="radius" for the alternative reading |r1 - r2| < box.
-The narrow-box contraction limit is insensitive to the choice.
+The box is the full width of the acceptance window: accept iff
+|r1 - r2| < box/2, which is what makes the narrow-box relative variance
+equal box^2/12. A window read as |r1 - r2| < b is the box 2b.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ __all__ = [
     "convergence_study",
 ]
 
-_BOX_CONVENTIONS = ("diameter", "radius")
 _NORM_FLOOR = 1e-300
 _REL_TOL = 1e-6
 # Each axis spans this many of its marginal's sigmas either side of the
@@ -71,19 +68,16 @@ class GaussPair:
     xi1_sq: float
     xi2_sq: float
     box: float
-    box_convention: str = "diameter"
 
     def __post_init__(self) -> None:
         check_positive_finite(xi1_sq=self.xi1_sq, xi2_sq=self.xi2_sq, box=self.box)
-        if self.box_convention not in _BOX_CONVENTIONS:
-            raise ValueError(f"unknown box convention {self.box_convention!r}")
         if _start_points(self) > _MAX_POINTS:
             raise ValueError(f"xi1_sq={self.xi1_sq} and xi2_sq={self.xi2_sq} need more than "
                              f"{_MAX_POINTS} quadrature points per axis")
 
     @property
     def accept_halfwidth(self) -> float:
-        return 0.5 * self.box if self.box_convention == "diameter" else self.box
+        return 0.5 * self.box
 
 
 class PosteriorMoments(NamedTuple):
@@ -251,15 +245,14 @@ class ConvergenceStudy:
     order: float
 
 
-def convergence_study(xi1_sq: float, xi2_sq: float, box_list,
-                      box_convention: str = GaussPair.box_convention) -> ConvergenceStudy:
+def convergence_study(xi1_sq: float, xi2_sq: float, box_list) -> ConvergenceStudy:
     """Fit the order at which var1 approaches the harmonic combination.
 
-    box_list must be geometrically spaced, in decreasing order, and small
-    next to the narrower marginal width. Returns the least-squares slope
-    of log|var1(box) - contraction_limit| against log box, each box read
-    by box_convention; a non-monotone error sequence means the quadrature
-    does not resolve the boxes and raises QuadratureError.
+    box_list must hold three or more distinct boxes, geometrically spaced
+    in any order and small next to the narrower marginal width. Returns the
+    least-squares slope of log|var1(box) - contraction_limit| against
+    log box; a non-monotone error sequence means the quadrature does not
+    resolve the boxes and raises QuadratureError.
     """
     limit = contraction_limit(xi1_sq, xi2_sq)  # checks the widths
     boxes = np.asarray(sorted((float(b) for b in box_list), reverse=True))
@@ -267,6 +260,10 @@ def convergence_study(xi1_sq: float, xi2_sq: float, box_list,
         raise ValueError("need at least three box sizes to fit an order")
     if not np.all((boxes > 0.0) & (boxes < np.inf)):
         raise ValueError(f"boxes must be positive and finite, got {boxes.tolist()}")
+    values, counts = np.unique(boxes, return_counts=True)
+    if np.any(counts > 1):  # a ratio of 1 would pass as geometric spacing
+        repeated = ", ".join(f"{b:g}" for b in values[counts > 1][::-1])
+        raise ValueError(f"boxes lists {repeated} more than once")
     ratios = boxes[1:] / boxes[:-1]
     if np.max(np.abs(ratios - ratios[0])) > 1e-9:
         raise ValueError("box sizes must be geometrically spaced")
@@ -276,9 +273,7 @@ def convergence_study(xi1_sq: float, xi2_sq: float, box_list,
             f"largest box {np.max(boxes):g} is not small next to the narrower "
             f"width {small:g}"
         )
-    moments = tuple(
-        posterior_moments(GaussPair(xi1_sq, xi2_sq, b, box_convention)) for b in boxes
-    )
+    moments = tuple(posterior_moments(GaussPair(xi1_sq, xi2_sq, b)) for b in boxes)
     errors = np.array([abs(m.var1 - limit) for m in moments])
     if np.any(errors <= 0.0) or np.any(np.diff(errors) >= 0.0):
         raise QuadratureError(

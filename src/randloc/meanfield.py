@@ -67,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, MassLossError, StepInstabilityError, check_positive_finite
+from .errors import ConvergenceError, MassLossError, StepInstabilityError
 from .gamma import GammaTrajectory, _check_time_steps
 from .udist import (
     UDensity,
@@ -106,29 +106,21 @@ _LOST_MASS_CAP = 1e-10
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid and iteration controls shared by the mean-field solvers.
+    """Grid and time step shared by the mean-field solvers.
 
-    tol_fixed_point bounds the trapezoid L1 residual w @ |G(p) - p| at
-    which the Anderson-accelerated steady solve stops; it must be positive
-    and finite.
     dtau defaults to the grid spacing h so that the transient drift is an
     exact one-cell shift; dtau_resolved returns any whole multiple of h as is.
-    The transient's mass bounds are the module constants _TOL_MASS and
-    _LOST_MASS_CAP, see evolve_transient.
+    The solvers' tolerances are module constants, see solve_steady and
+    evolve_transient.
     """
 
     u_max: float = 30.0
     h: float = 0.01
-    tol_fixed_point: float = 1e-8
-    max_iters: int = 500
     dtau: float | None = None
 
     def __post_init__(self) -> None:
         if self.u_max > _U_MAX_LIMIT:
             raise ValueError(f"u_max above {_U_MAX_LIMIT} overflows the e^u sweep")
-        check_positive_finite(tol_fixed_point=self.tol_fixed_point)
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         self.grid  # validates u_max, h
         self.dtau_resolved  # validates dtau
 
@@ -151,6 +143,9 @@ _CELL_STENCILS = ((0, 1, 2, 3), (-1, 0, 1, 2), (-2, -1, 0, 1))
 _STEADY_MIN_BINS = 4
 # Number of past iterate and residual differences the Anderson step fits.
 _ANDERSON_DEPTH = 5
+# The steady solve's stopping rule, see solve_steady.
+_TOL_FIXED_POINT = 1e-8
+_MAX_ITERS = 500
 
 
 @lru_cache(maxsize=8)
@@ -200,7 +195,7 @@ def _check_steady_grid(grid: UGrid) -> None:
 
 
 # Initial densities by name, the choices of resolve_init and of the "init"
-# key of the steady and transient configs.
+# key of the transient config.
 _INIT_GUESSES = {
     "ue": default_init_density,
     "exp": exponential_density,
@@ -238,11 +233,11 @@ def solve_steady(cfg: SolverConfig, init="ue") -> UDensity:
     init selects the starting guess: "ue" (u e^-u, default), "exp", "point",
     or any normalized UDensity on the config grid. Each iteration makes one
     kernel call. At the first iterate p whose L1 residual w @ |G(p) - p|
-    falls below tol_fixed_point, returns G(p), which is within that
+    falls below _TOL_FIXED_POINT (1e-8), returns G(p), which is within that
     tolerance of p and, unlike the extrapolated p, is a sweep output, so it
     keeps the sweep's p(0) = 0 and nonnegativity. Raises ConvergenceError
-    if no iterate does within max_iters iterations, or if a sweep or an
-    Anderson step gives a non-finite or massless iterate.
+    if no iterate does within _MAX_ITERS (500) iterations, or if a sweep or
+    an Anderson step gives a non-finite or massless iterate.
     """
     grid = cfg.grid
     _check_steady_grid(grid)
@@ -253,7 +248,7 @@ def solve_steady(cfg: SolverConfig, init="ue") -> UDensity:
     d_f: list[np.ndarray] = []
     prev = None  # (iterate, residual) of the previous iteration
     res = np.inf
-    for _ in range(cfg.max_iters):
+    for _ in range(_MAX_ITERS):
         swept = _cubic_sweep(grid, collision_kernel(p, p, scheme="node").values)
         total = float(w @ swept)
         if not np.isfinite(total) or total <= 0.0:
@@ -261,7 +256,7 @@ def solve_steady(cfg: SolverConfig, init="ue") -> UDensity:
         swept /= total
         f = swept - p.values
         res_prev, res = res, float(w @ np.abs(f))
-        if res < cfg.tol_fixed_point:
+        if res < _TOL_FIXED_POINT:
             return UDensity(grid, swept)
         if res > res_prev:
             d_p.clear()
@@ -283,7 +278,7 @@ def solve_steady(cfg: SolverConfig, init="ue") -> UDensity:
             raise ConvergenceError(f"Anderson step lost its mass (total={total})")
         p = UDensity(grid, nxt / total)
     raise ConvergenceError(
-        f"steady solve stalled at L1 residual {res:.3e} after {cfg.max_iters} iterations"
+        f"steady solve stalled at L1 residual {res:.3e} after {_MAX_ITERS} iterations"
     )
 
 

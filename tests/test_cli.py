@@ -65,7 +65,7 @@ def test_steady_outputs_density_and_diagnostics(tmp_path, capsys):
     assert float(w @ p.values) == pytest.approx(1.0, abs=1e-9)
     assert float(meta["mean_u"]) == pytest.approx(1.763, abs=0.01)
     assert float(meta["residual_l1"]) < 5e-2
-    assert meta["init"] == "ue"
+    assert not {"init", "tol_fixed_point", "max_iters"} & set(meta)
 
 
 def test_transient_with_residual_file(tmp_path, capsys):
@@ -255,10 +255,8 @@ def _fail(what):
 @pytest.mark.parametrize(
     "subcommand, sets, message",
     [
-        ("steady", ["h=0.1", "tol_fixed_point=nan"],
-         "tol_fixed_point must be positive and finite, got nan"),
-        ("steady", ["h=0.1", "tol_fixed_point=inf"],
-         "tol_fixed_point must be positive and finite, got inf"),
+        ("steady", ["h=0.1", "u_max=nan"], "u_max must be positive and finite, got nan"),
+        ("steady", ["h=0.1", "u_max=inf"], "u_max above 500.0 overflows the e^u sweep"),
         ("oracle", ["xi1_sq=1e300"],
          "xi1_sq=1e+300 and xi2_sq=1.0 need more than 4194304 quadrature points per axis"),
         ("oracle", ["xi1_sq=1e12"],
@@ -274,6 +272,11 @@ def _fail(what):
         ("mc-steady", ["m_particles=1000", "tau_end=1e300"],
          "tau_end=1e+300 with m_particles=1000 expects 5e+302 events, more than 1e+10"),
         ("oracle", ["xi1_sq=-1"], "xi1_sq must be positive and finite, got -1.0"),
+        # a ratio of 1 passed as geometric spacing, and the run exited 2 blaming
+        # the quadrature; two snapshots at one time wrote two blocks of one density
+        ("oracle", ["boxes=0.1,0.1,0.1"], "boxes lists 0.1 more than once"),
+        ("mc-steady", ["m_particles=1000", "snapshot_taus=0.5,0.5"],
+         "snapshot_taus lists 0.5 more than once"),
     ],
 )
 def test_out_of_range_key_is_exit_code_one_naming_the_key(tmp_path, capsys, monkeypatch,
@@ -313,13 +316,16 @@ def test_histogram_grid_beyond_uint16_fails_before_any_event(tmp_path, capsys, m
 @pytest.mark.parametrize(
     "subcommand, key",
     [("mc-steady", "u_ceiling"), ("mc-transient", "u_ceiling"),
-     ("mc-transient", "entrant_rule"), ("mc-transient", "entrant_cap")],
+     ("mc-transient", "entrant_rule"), ("mc-transient", "entrant_cap"),
+     ("steady", "tol_fixed_point"), ("steady", "max_iters"), ("steady", "init"),
+     ("fig1", "tol_fixed_point"), ("fig1", "max_iters"), ("oracle", "box_convention")],
 )
 def test_removed_mc_key_is_an_unknown_key(tmp_path, capsys, subcommand, key):
-    # the Monte Carlo runs only the adopt rule and keeps no overflow ceiling;
+    # the Monte Carlo runs only the adopt rule and keeps no overflow ceiling,
+    # the steady solve stops on the library's own tolerance and iteration cap
+    # from its default start, and the oracle's box is the window's full width;
     # a config that still sets one of these keys is refused like any typo
-    rc = main([subcommand, "--out", str(tmp_path), "--set", "m_particles=1000",
-               "--set", "tau_end=1", "--set", f"{key}=1"])
+    rc = main([subcommand, "--out", str(tmp_path), "--set", f"{key}=1"])
     assert rc == 1
     assert capsys.readouterr().err == f"error: unknown config keys for {subcommand}: {key}\n"
     assert not tmp_path.joinpath(subcommand).exists()
@@ -411,9 +417,10 @@ def test_seed_flag_rejected_off_mc(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
-def test_nonconvergence_is_exit_code_two(tmp_path, capsys):
+def test_nonconvergence_is_exit_code_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(meanfield, "_MAX_ITERS", 2)
     rc = main(["steady", "--out", str(tmp_path),
-               "--set", "u_max=15", "--set", "h=0.05", "--set", "max_iters=2"])
+               "--set", "u_max=15", "--set", "h=0.05"])
     assert rc == 2
     assert "iterations" in capsys.readouterr().err
 
@@ -541,6 +548,38 @@ def test_failed_echo_write_keeps_old_file(tmp_path, capsys, monkeypatch):
     assert "disk full" in capsys.readouterr().err
     assert echo.read_text() == "old\n"
     assert [q.name for q in echo.parent.iterdir()] == ["config.echo"]
+
+
+def test_failed_run_leaves_any_earlier_run_as_it_was(tmp_path, capsys, monkeypatch):
+    # a stalled rerun once wrote its curve_0.5.csv next to the first run's
+    # config.echo; a stalled first run left a run directory without one
+    argv = ["fig1", "--out", str(tmp_path), "--set", "name=f", "--set", "tau_end=1",
+            "--set", "dtau=0.1", "--set", "u_max=6", "--set", "h=0.5"]
+    with monkeypatch.context() as m:
+        m.setattr(meanfield, "_MAX_ITERS", 1)
+        assert main(argv) == 2
+    assert list(tmp_path.joinpath("fig1").iterdir()) == []
+    d = Path(run_ok(capsys, argv))
+    before = {q.name: q.read_bytes() for q in d.iterdir()}
+    monkeypatch.setattr(meanfield, "_MAX_ITERS", 1)
+    rc = main(argv + ["--set", "g0_list=0.5"])
+    assert rc == 2
+    assert capsys.readouterr().err.endswith("after 1 iterations\n")
+    assert {q.name: q.read_bytes() for q in d.iterdir()} == before
+    assert [q.name for q in tmp_path.joinpath("fig1").iterdir()] == ["f"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_rerun_leaves_exactly_its_own_files(tmp_path, capsys, monkeypatch, jobs):
+    # a rerun with fewer seeds once kept the first run's g_seed2.csv
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    argv = ["mc-steady", "--jobs", jobs, "--out", str(tmp_path), "--set", "name=s",
+            "--set", "m_particles=1000", "--set", "tau_end=1"]
+    run_ok(capsys, argv + ["--set", "seeds=1,2"])
+    d = Path(run_ok(capsys, argv + ["--set", "seeds=1"]))
+    assert sorted(q.name for q in d.iterdir()) == [
+        "config.echo", "density_seed1.csv", "g_seed1.csv"]
+    assert [q.name for q in tmp_path.joinpath("mc-steady").iterdir()] == ["s"]
 
 
 def test_mc_seed_sweep_on_workers_writes_the_same_bytes(tmp_path, capsys, monkeypatch):
@@ -672,12 +711,12 @@ def test_later_set_of_a_key_wins(tmp_path, capsys):
 # on top of it, and the later --set wins.
 _FUZZ_BASE = {
     "gamma": ["tau_end=1", "dtau=0.1"],
-    "steady": ["u_max=6", "h=0.5", "max_iters=50"],
+    "steady": ["u_max=6", "h=0.5"],
     "transient": ["u_max=30", "h=0.5", "tau_end=1"],
     "mc-steady": ["m_particles=1000", "tau_end=1", "hist_u_max=5", "hist_h=0.5"],
     "mc-transient": ["m_particles=100", "g0=0.1", "tau_end=1", "hist_u_max=5", "hist_h=0.5"],
     "oracle": ["boxes=0.2,0.1,0.05"],
-    "fig1": ["g0_list=0.01", "tau_end=1", "dtau=0.1", "u_max=6", "h=0.5", "max_iters=50"],
+    "fig1": ["g0_list=0.01", "tau_end=1", "dtau=0.1", "u_max=6", "h=0.5"],
 }
 _FUZZ_FLOATS = ("nan", "inf", "-inf", "0", "-1", "1e-300", "1e300")
 _FUZZ_INTS = ("0", "-1", str(2**63))

@@ -346,9 +346,9 @@ def test_resolve_rejects_unknown_and_untyped():
         resolve("gamma", None, {"method": "euler"})
 
 
-@pytest.mark.parametrize("subcommand", ["steady", "transient"])
+@pytest.mark.parametrize("subcommand", ["transient"])
 def test_init_choices_are_the_initial_guesses(subcommand):
-    # the configs take their choices from the one table resolve_init reads
+    # the config takes its choices from the one table resolve_init reads
     assert SCHEMAS[subcommand]["init"].choices == tuple(_INIT_GUESSES) == ("ue", "exp", "point")
     assert resolve(subcommand)["init"] == "ue"
     grid = UGrid.from_spacing(5.0, 0.05)

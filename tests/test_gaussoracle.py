@@ -100,12 +100,6 @@ def test_swap_symmetry():
     assert a.norm == pytest.approx(b.norm, rel=1e-6)
 
 
-def test_radius_convention_is_doubled_diameter():
-    d = posterior_moments(GaussPair(1.0, 2.0, 0.4, box_convention="diameter"))
-    r = posterior_moments(GaussPair(1.0, 2.0, 0.2, box_convention="radius"))
-    assert d == r  # identical acceptance half-width, identical quadrature
-
-
 def test_norm_grows_with_box():
     norms = [posterior_moments(GaussPair(1.0, 1.0, b)).norm for b in (0.1, 0.5, 2.0)]
     assert norms[0] < norms[1] < norms[2]
@@ -132,6 +126,10 @@ def test_convergence_study_accepts_unordered_input():
         ([0.2, 0.1, 0.04], "geometrically spaced"),
         ([0.2, -0.1, 0.05], "positive"),
         ([2.0, 1.0, 0.5], "not small"),
+        # a ratio of 1 once passed as geometric spacing and ended in a
+        # QuadratureError that blamed the quadrature
+        ([0.1, 0.1, 0.1], r"^boxes lists 0\.1 more than once$"),
+        ([0.2, 0.1, 0.2, 0.1, 0.05], r"^boxes lists 0\.2, 0\.1 more than once$"),
     ],
 )
 def test_convergence_study_input_guards(boxes, msg):
@@ -171,7 +169,7 @@ def test_quadrature_error_is_a_convergence_error():
         dict(xi1_sq=0.0),
         dict(xi2_sq=-1.0),
         dict(box=0.0),
-        dict(box_convention="width"),
+        dict(box=np.nan),
     ],
 )
 def test_pair_validation(kwargs):
