@@ -38,19 +38,27 @@ stream state, the unconsumed tail of the current block, the pending
 interarrival gap and the event counters, so a resumed run continues
 bit-for-bit as if never interrupted. A checkpoint (version 5) holds the
 version, the stream state and every other Population field, and nothing
-else.
+else. The thread count never changes the bits: runs are drawn and
+prepared one after another in stream order, whichever thread prepares
+them, and applied in that order.
 
 Wavefront schedule. The loop takes a block's triples as arrays, at most
-_RUN_EVENTS at a time (a run), and gets the event times from one
-cumulative sum seeded with the current time, which performs the same
-left-to-right additions as stepping event by event. It cuts the run at the
-first event past tau_end and at each pending snapshot. Within a run every
-event gets a wavefront level, one more than the highest level of the
-earlier events that touched either of its particles. Events of one level
-touch disjoint particles and depend only on lower levels, so each level is
-applied with numpy gathers and scatters and yields the floats and counts
-of the one-event-at-a-time rule (kept as the dense reference in the
-tests).
+_RUN_EVENTS at a time (a run; twice that with the look-ahead below), and
+gets the event times from one cumulative sum seeded with the current
+time, which performs the same left-to-right additions as stepping event
+by event. It cuts the run at the first event past tau_end and at each
+pending snapshot. Within a run every event gets a wavefront level, one
+more than the highest level of the earlier events that touched either of
+its particles, and one stable sort puts each cut in level order. Events
+of one level touch disjoint particles and depend only on lower levels, so
+each level is applied with numpy gathers and scatters and yields the
+floats and counts of the one-event-at-a-time rule (kept as the dense
+reference in the tests); in a fully localized population every event is
+loc-loc and no flag is read. Preparing a run (its draws, gaps, times,
+cuts and levels) never reads the particles, so while the caller applies
+one run the kernel's helper thread prepares the next: a look-ahead of one
+run. With one usable CPU, or in a population of fewer than
+_MIN_LOOKAHEAD_PARTICLES, the same preparation runs inline.
 
 Gaps. A gap is -log1p(-u) / rate, and a last-bit change in one gap moves
 every later event time. Neither math.log1p nor np.log1p fixes those bits:
@@ -64,11 +72,14 @@ every platform, and a whole run's gaps cost a few dozen array passes.
 from __future__ import annotations
 
 import json
+from concurrent.futures import wait
 from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
-from .udist import UDensity, UGrid
+from .udist import UDensity, UGrid, _kernel_pool, _kernel_threads
 
 __all__ = [
     "Population",
@@ -87,8 +98,14 @@ _MIN_STEADY = 1000
 _MIN_SEEDED = 10
 _BLOCK_EVENTS = 1 << 15
 _RUN_EVENTS = 1 << 13  # events per wavefront run; keeps a run's temporaries in cache
+# Smaller populations prepare every run inline: their runs have many small
+# levels, whose numpy calls hold the interpreter lock. On two cores the
+# helper thread made runs of 2000-20000 particles 1.10-1.16 times slower,
+# was even at 32768-50000 and made runs of 65536-200000 particles 1.1-1.2
+# times faster.
+_MIN_LOOKAHEAD_PARTICLES = 1 << 16
 _CHECKPOINT_VERSION = 5
-_MAX_EVENTS = 10**10  # expected events of one run: 33-56 minutes at 3-5 M events a second
+_MAX_EVENTS = 10**10  # expected events of one run: 28-42 minutes at 4-6 M events a second
 _MAX_PARTICLES = 2 * 10**7  # a run holds about 45 bytes a particle: 0.9 GB
 _COUNTERS = ("events_loc_loc", "events_loc_deloc", "events_deloc_deloc")
 
@@ -327,7 +344,12 @@ def _check_span(m: int, tau: float, tau_end: float) -> None:
 
 def _advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationSnapshot]:
     """Event loop core, for a run that _check_span accepts. Mutates pop in
-    place and returns the snapshots."""
+    place and returns the snapshots.
+
+    While this thread applies one run, the kernel's helper thread prepares
+    the next (see _prepare_run); with one usable CPU, or fewer than
+    _MIN_LOOKAHEAD_PARTICLES particles, both run here.
+    """
     pending = sorted(float(t) for t in snapshot_taus)
     for t in pending:
         if not pop.tau - 1e-12 <= t <= tau_end + 1e-12:  # also refuses NaN
@@ -341,68 +363,110 @@ def _advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationS
     pop.t_sync = np.array(pop.t_sync, dtype=float)
     pop.localized = np.array(pop.localized, dtype=bool)
     snap_i = 0
-    n_pending = len(pending)
 
-    def emit_until(limit: float) -> None:
-        # Emit every pending snapshot at time <= limit without touching the stream.
+    def emit(until: int) -> None:
+        # Emit the pending snapshots before index until without touching the stream.
         nonlocal snap_i
-        while snap_i < n_pending and pending[snap_i] <= limit + 1e-12:
-            ts = pending[snap_i]
-            sel = pop.localized
+        sel = pop.localized
+        for ts in pending[snap_i:until]:
             u = pop.u_sync[sel] + (ts - pop.t_sync[sel])
             snaps.append(PopulationSnapshot(tau=ts, g_empirical=pop.n_localized / m, u_values=u))
-            snap_i += 1
+        snap_i = until
 
     rng = pop.rng
-    block = 3 * _BLOCK_EVENTS
     buf = pop._buffer
     pos = 0
     gap = pop._pending_gap
     if gap < 0.0:  # a fresh population's first gap
         if buf.size == 0:
-            buf = rng.random(block)
+            buf = rng.random(3 * _BLOCK_EVENTS)
         gap = float(_neg_log1p(buf[:1])[0]) / rate
         pos = 1
-    inv_rate = 1.0 / rate
-    tau = pop.tau
-    while True:
-        t_next = tau + gap
-        if t_next > tau_end:
-            break
-        if buf.size - pos < 3:
-            # A refill drops a tail too short for the indices; a tail of two
-            # holds the indices of the event whose gap opens the new block.
-            tail = buf[pos:] if buf.size - pos == 2 else buf[:0]
-            buf = np.concatenate((tail, rng.random(block)))
-            pos = 0
-        k = min((buf.size - pos) // 3, _RUN_EVENTS)
-        draws = buf[pos : pos + 3 * k].reshape(k, 3)
-        i = (draws[:, 0] * m).astype(np.int64)
-        j = (draws[:, 1] * (m - 1)).astype(np.int64)
-        j += j >= i
-        gaps = _neg_log1p(draws[:, 2])
-        gaps *= inv_rate
-        # The same left-to-right additions as stepping tau += gap event by event.
-        times = np.cumsum(np.concatenate(([tau, gap], gaps[:-1])))[1:]
-        n = int(np.searchsorted(times, tau_end, side="right"))
-        a = 0
-        while True:  # a snapshot within 1e-12 of an event sees the state before it
-            c = n
-            if snap_i < n_pending:
-                c = a + int(np.searchsorted(times[a:n] + 1e-12, pending[snap_i]))
-            _apply_events(pop, i[a:c], j[a:c], times[a:c])
-            if c == n:
-                break
-            emit_until(times[c])
-            a = c
-        tau = float(times[n - 1])
-        gap = float(gaps[n - 1])
-        pos += 3 * n
-    pop._buffer = buf[pos:].copy()
-    pop._pending_gap = float(t_next - tau_end)
-    emit_until(tau_end)
+    threaded = m >= _MIN_LOOKAHEAD_PARTICLES and _kernel_threads() > 1
+    # Handed between threads, runs of twice the length overlap better; on one
+    # thread the length makes no difference at these sizes.
+    run_events = 2 * _RUN_EVENTS if threaded else _RUN_EVENTS
+    prepare = partial(_prepare_run, rng, m, tau_end, pending, run_events)
+    parts, cur = prepare(_Cursor(buf, pos, pop.tau, gap, 0))
+    n_loc = pop.n_localized
+    ahead = None
+    try:
+        while parts:
+            # a run of events ahead goes to the helper, the empty last one need not
+            ahead = (_kernel_pool(1).submit(prepare, cur)
+                     if threaded and cur.tau + cur.gap <= tau_end else None)
+            for i, j, t, lev, snap_end in parts:
+                n_loc += _apply_events(pop, i, j, t, lev, n_loc == m)
+                emit(snap_end)
+            parts, cur = prepare(cur) if ahead is None else ahead.result()
+    finally:
+        if ahead is not None:  # a failed apply leaves no run preparing
+            wait((ahead,))
+    pop._buffer = cur.buffer[cur.pos:].copy()
+    pop._pending_gap = float(cur.tau + cur.gap - tau_end)
+    emit(len(pending))
     pop.tau = tau_end
     return snaps
+
+
+class _Cursor(NamedTuple):
+    """Where the event loop stands: the uniforms buffer and the position of
+    the next unread one, the time of the last event, the gap to the next
+    one and the index of the next pending snapshot."""
+
+    buffer: np.ndarray
+    pos: int
+    tau: float
+    gap: float
+    snap_i: int
+
+
+def _prepare_run(rng: np.random.Generator, m: int, tau_end: float, pending: list,
+                 run_events: int, cur: _Cursor) -> tuple[list, _Cursor]:
+    """The next run of at most run_events events from cur, cut into parts,
+    and the cursor after it: everything the event loop does but touch the
+    Population.
+
+    Once the next event falls past tau_end no part is returned and cur is
+    returned as it is, so nothing is drawn. Otherwise the run's last part
+    ends at the first event past tau_end, and another part ends at each
+    pending snapshot: a snapshot within 1e-12 of an event sees the state
+    before it. A part is (i, j, t, lev, snapshot index): its events in
+    stream order with their wavefront levels, and the index of the first
+    snapshot still pending after it.
+    """
+    buf, pos, tau, gap, snap_i = cur
+    if tau + gap > tau_end:
+        return [], cur
+    if buf.size - pos < 3:
+        # A refill drops a tail too short for the indices; a tail of two
+        # holds the indices of the event whose gap opens the new block.
+        block = rng.random(3 * _BLOCK_EVENTS)
+        buf = np.concatenate((buf[pos:], block)) if buf.size - pos == 2 else block
+        pos = 0
+    k = min((buf.size - pos) // 3, run_events)
+    draws = buf[pos : pos + 3 * k].reshape(k, 3)
+    i = (draws[:, 0] * m).astype(np.int64)
+    j = (draws[:, 1] * (m - 1)).astype(np.int64)
+    j += j >= i
+    gaps = _neg_log1p(draws[:, 2].copy())  # a contiguous copy first saves it time
+    gaps *= 1.0 / (m / 2.0)
+    # The same left-to-right additions as stepping tau += gap event by event.
+    times = np.cumsum(np.concatenate(([tau, gap], gaps[:-1])))[1:]
+    n = int(np.searchsorted(times, tau_end, side="right"))
+    parts = []
+    a = 0
+    while True:
+        c = n
+        if snap_i < len(pending):
+            c = a + int(np.searchsorted(times[a:n] + 1e-12, pending[snap_i]))
+            while snap_i < len(pending) and c < n and pending[snap_i] <= times[c] + 1e-12:
+                snap_i += 1
+        parts.append((i[a:c], j[a:c], times[a:c], _wavefront_levels(i[a:c], j[a:c]), snap_i))
+        if c == n:
+            break
+        a = c
+    return parts, _Cursor(buf, pos + 3 * n, float(times[n - 1]), float(gaps[n - 1]), snap_i)
 
 
 # fdlibm's log1p constants (Sun Microsystems, 1993), as in glibc 2.36
@@ -509,8 +573,13 @@ def _wavefront_levels(i: np.ndarray, j: np.ndarray) -> np.ndarray:
     touched = np.empty(2 * n, dtype=np.int64)
     touched[0::2] = i
     touched[1::2] = j
-    # Sorting (particle, slot) keys lists each particle's slots in stream order.
-    keys = np.sort((touched << bits) | np.arange(2 * n))
+    # Sorting (particle, slot) keys lists each particle's slots in stream order;
+    # keys that fit 32 bits (particles times slots below 2^32) sort and compare
+    # in half the time.
+    keys = (touched << bits) | np.arange(2 * n)
+    if n and keys.max() < 1 << 32:
+        keys = keys.astype(np.uint32)
+    keys.sort()
     slot = keys & ((1 << bits) - 1)
     same = (keys[1:] >> bits) == (keys[:-1] >> bits)
     prev = np.full(2 * n, n)  # event n is a level-0 sentinel
@@ -527,46 +596,54 @@ def _wavefront_levels(i: np.ndarray, j: np.ndarray) -> np.ndarray:
         lev[dep] = nxt
 
 
-def _apply_events(pop: Population, i: np.ndarray, j: np.ndarray, t: np.ndarray) -> None:
-    """Apply the events (i[k], j[k]) at times t[k], in stream order, to pop.
+def _apply_events(pop: Population, i: np.ndarray, j: np.ndarray, t: np.ndarray, lev: np.ndarray,
+                  full: bool) -> int:
+    """Apply the events (i[k], j[k]) at times t[k], of wavefront levels
+    lev[k], to pop and return the number that localized a particle.
 
-    Levels run in order and each is applied with gathers and scatters; the
-    arithmetic is the scalar rule's, so the floats are the same.
+    One stable sort puts the events in level order, and the levels run in
+    order, each applied with gathers and scatters on its slice; the
+    arithmetic is the scalar rule's, so the floats are the same. full says
+    that every particle is localized, so that every event is loc-loc and no
+    flag is read.
     """
-    if i.size == 0:
-        return
-    lev = _wavefront_levels(i, j)
+    # levels are at most the run length, 2 _RUN_EVENTS < 2^16, and on 16-bit
+    # keys a stable sort is a radix sort
+    order = np.argsort(lev.astype(np.uint16), kind="stable")
+    i, j, t = i[order], j[order], t[order]
+    bounds = np.cumsum(np.bincount(lev)).tolist()
     u_s, t_s, loc = pop.u_sync, pop.t_sync, pop.localized
     n_ll = n_ld = 0
-    for level in range(1, int(lev.max()) + 1):
-        sel = np.flatnonzero(lev == level)  # the order within a level does not matter
-        x, y, tl = i[sel], j[sel], t[sel]
-        lx, ly = loc[x], loc[y]
-        both = lx & ly
-        if both.any():
-            bx, by, bt = x[both], y[both], tl[both]
-            ux = u_s[bx] + (bt - t_s[bx])
-            uy = u_s[by] + (bt - t_s[by])
+    for b0, b1 in zip(bounds, bounds[1:]):
+        x, y, tl = i[b0:b1], j[b0:b1], t[b0:b1]
+        if not full:
+            lx, ly = loc[x], loc[y]
+            one = lx != ly
+            if one.any():
+                from_x = lx[one]
+                src = np.where(from_x, x[one], y[one])
+                dst = np.where(from_x, y[one], x[one])
+                ot = tl[one]
+                u_s[dst] = u_s[src] + (ot - t_s[src])
+                t_s[dst] = ot
+                loc[dst] = True
+                n_ld += src.size
+            both = lx & ly
+            x, y, tl = x[both], y[both], tl[both]
+        if x.size:
+            ux = u_s[x] + (tl - t_s[x])
+            uy = u_s[y] + (tl - t_s[y])
             s = ux + uy
             c = np.divide(ux * uy, s, out=np.zeros_like(s), where=s > 0.0)
-            u_s[bx] = c
-            u_s[by] = c
-            t_s[bx] = bt
-            t_s[by] = bt
-            n_ll += bx.size
-        one = lx != ly
-        if one.any():
-            from_x = lx[one]
-            src = np.where(from_x, x[one], y[one])
-            dst = np.where(from_x, y[one], x[one])
-            ot = tl[one]
-            u_s[dst] = u_s[src] + (ot - t_s[src])
-            t_s[dst] = ot
-            loc[dst] = True
-            n_ld += src.size
+            u_s[x] = c
+            u_s[y] = c
+            t_s[x] = tl
+            t_s[y] = tl
+            n_ll += x.size
     pop.events_loc_loc += n_ll
     pop.events_loc_deloc += n_ld
     pop.events_deloc_deloc += i.size - n_ll - n_ld
+    return n_ld
 
 
 def save_checkpoint(pop: Population, path) -> None:

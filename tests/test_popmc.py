@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from popmc_reference import reference_advance
 
-from randloc import popmc
+from randloc import popmc, udist
 from randloc.gamma import gamma_closed
 from randloc.meanfield import SolverConfig, solve_steady
 from randloc.popmc import (
@@ -25,6 +26,16 @@ from randloc.popmc import (
     save_checkpoint,
 )
 from randloc.udist import UDensity, UGrid, exponential_density, mass, normalize
+
+
+@pytest.fixture(scope="module", autouse=True)
+def lookahead_at_every_size():
+    """Runs of any size prepare their next run on the kernel's helper thread,
+    so that with two usable CPUs the tests below take the helper path, and
+    with one the inline path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(popmc, "_MIN_LOOKAHEAD_PARTICLES", 2)
+        yield
 
 
 def state_tuple(pop):
@@ -321,6 +332,21 @@ def test_full_runs_at_small_population_have_many_levels():
     assert popmc._wavefront_levels(i, j).max() >= 10
 
 
+@pytest.mark.parametrize("m", [2, 3000, 2**17, 2**40])
+def test_wavefront_levels_follow_the_scalar_rule(m):
+    # 1 + the level of the last earlier event on either particle; sorted as
+    # 32-bit keys up to m = 2^17 and as 64-bit ones at 2^40
+    rng = np.random.default_rng(m)
+    for n in (0, 1, 7, popmc._RUN_EVENTS):
+        i = rng.integers(0, m, n)
+        j = (i + rng.integers(1, m, n)) % m
+        last, want = {}, []
+        for a, b in zip(i.tolist(), j.tolist()):
+            last[a] = last[b] = 1 + max(last.get(a, 0), last.get(b, 0))
+            want.append(last[a])
+        assert popmc._wavefront_levels(i, j).tolist() == want
+
+
 @pytest.mark.parametrize("g0", [0.1, 1.0])
 def test_batched_transient_matches_reference(g0):
     assert_bit_identical(*both_loops(lambda: run_transient(6000, g0, 4.0, 17, (0.0, 1.0, 2.5))))
@@ -388,6 +414,108 @@ def test_short_buffer_tails_match_reference(tail):
 def test_batched_loop_matches_reference_property(seed, M, g0, tau_end, snaps):
     taus = tuple(tau_end * f for f in snaps)
     assert_bit_identical(*both_loops(lambda: run_transient(M, g0, tau_end, seed, taus)))
+
+
+# Look-ahead: runs prepared on the kernel's helper thread or inline ------------
+
+
+class _RecordingPool:
+    """The kernel's pool, keeping every future the event loop submits."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.futures = []
+
+    def submit(self, *args):
+        future = self.pool.submit(*args)
+        self.futures.append(future)
+        return future
+
+
+def _recorded_helper(monkeypatch):
+    """Two usable CPUs, and the kernel's pool recording what the loop submits."""
+    monkeypatch.setattr(udist, "_usable_cpus", lambda: 2)
+    pool = _RecordingPool(udist._kernel_pool(1))
+    monkeypatch.setattr(popmc, "_kernel_pool", lambda helpers: pool)
+    return pool
+
+
+@pytest.fixture(params=["helper", "inline"])
+def lookahead(request, monkeypatch):
+    """The event loop in runs of 1000 events, the next prepared on the
+    kernel's helper thread (two usable CPUs), or inline (one usable CPU,
+    which must not ask for the helper). Yields the recording pool, or None."""
+    monkeypatch.setattr(popmc, "_RUN_EVENTS", 1000)
+    if request.param == "helper":
+        pool = _recorded_helper(monkeypatch)
+        yield pool
+        assert pool.futures and all(f.done() for f in pool.futures)
+    else:
+        def no_pool(helpers):
+            raise AssertionError("a run on one usable CPU asked for the helper thread")
+
+        monkeypatch.setattr(udist, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(popmc, "_kernel_pool", no_pool)
+        yield None
+
+
+# Reference comparisons from above, each run again on both paths in several runs.
+_REFERENCE_CASES = {
+    "steady": lambda mp, tmp: test_batched_steady_matches_reference(1, 4001),
+    "short-runs": lambda mp, tmp: test_batched_run_sizes_match_reference(mp, 7, 2, 2000),
+    "transient": lambda mp, tmp: test_batched_transient_matches_reference(0.1),
+    "refills": lambda mp, tmp: test_batched_refills_match_reference(mp, 2),
+    "snapshots-at-events": lambda mp, tmp: test_snapshots_at_event_times_match_reference(),
+    "resumed-tails": lambda mp, tmp: test_resumed_buffer_tails_match_reference(tmp, 1, 0.4),
+    "short-tails": lambda mp, tmp: test_short_buffer_tails_match_reference(3),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFERENCE_CASES))
+def test_both_lookahead_paths_match_reference(lookahead, monkeypatch, tmp_path, case):
+    _REFERENCE_CASES[case](monkeypatch, tmp_path)
+
+
+@pytest.mark.parametrize("name, failing_call, thread", [
+    ("_neg_log1p", 3, "randloc-kernel"),  # the first gap, run 1 here, run 2 on the helper
+    ("_apply_events", 1, "MainThread"),  # while the helper prepares run 2
+])
+def test_a_failure_on_either_thread_leaves_no_run_preparing(monkeypatch, name, failing_call,
+                                                            thread):
+    pool = _recorded_helper(monkeypatch)
+
+    class Injected(Exception):
+        pass
+
+    real = getattr(popmc, name)
+    threads = []
+
+    def failing(*args):
+        threads.append(threading.current_thread().name)
+        if len(threads) == failing_call:
+            raise Injected
+        return real(*args)
+
+    monkeypatch.setattr(popmc, name, failing)
+    with pytest.raises(Injected):
+        run_steady(70000, 0.5, seed=4)
+    assert threads[-1].startswith(thread)
+    assert pool.futures and all(f.done() for f in pool.futures)
+
+
+def test_only_runs_with_events_go_to_the_helper(monkeypatch):
+    pool = _recorded_helper(monkeypatch)
+    run_steady(70000, 0.05, seed=4)  # about 1750 events: one run, prepared here
+    assert pool.futures == []
+    run_steady(70000, 1.0, seed=4)  # about 35000 events: runs 2 and 3 on the helper
+    assert len(pool.futures) == 2
+
+
+def test_runs_hold_at_most_one_helper_thread(lookahead):
+    run_steady(20000, 3.0, seed=4, snapshot_taus=(1.0,))
+    run_transient(20000, 0.1, 3.0, seed=5)
+    helpers = [t for t in threading.enumerate() if t.name.startswith("randloc-kernel")]
+    assert len(helpers) == 1 if lookahead is not None else len(helpers) <= 1
 
 
 # Event gaps -------------------------------------------------------------------
