@@ -329,22 +329,29 @@ def test_full_runs_at_small_population_have_many_levels():
     rng = np.random.default_rng(0)
     i = rng.integers(0, 2000, popmc._RUN_EVENTS)
     j = (i + rng.integers(1, 2000, i.size)) % 2000
-    assert popmc._wavefront_levels(i, j).max() >= 10
+    assert popmc._wavefront_levels(i, j, 2000).max() >= 10
 
 
-@pytest.mark.parametrize("m", [2, 3000, 2**17, 2**40])
+@pytest.mark.parametrize("m", [2, 3000, 2**17, 2**18, 2**18 + 1, 2**40])
 def test_wavefront_levels_follow_the_scalar_rule(m):
-    # 1 + the level of the last earlier event on either particle; sorted as
-    # 32-bit keys up to m = 2^17 and as 64-bit ones at 2^40
+    # 1 + the level of the last earlier event on either particle. Runs of
+    # _RUN_EVENTS events sort 32-bit keys up to m = 2^19 and runs of twice
+    # that, the helper's, up to m = 2^18; m = 2^18 + 1 and 2^40 sort 64-bit
+    # ones. Particle m - 1 is in every run, so each run holds its largest key.
+    # At m = 2 the events form one chain, which the level loop takes one level
+    # a pass, so the helper's length there would take seconds for nothing new.
     rng = np.random.default_rng(m)
-    for n in (0, 1, 7, popmc._RUN_EVENTS):
+    lengths = (0, 1, 7, popmc._RUN_EVENTS) + ((2 * popmc._RUN_EVENTS,) if m > 2 else ())
+    for n in lengths:
         i = rng.integers(0, m, n)
+        if n:
+            i[n // 2] = m - 1
         j = (i + rng.integers(1, m, n)) % m
         last, want = {}, []
         for a, b in zip(i.tolist(), j.tolist()):
             last[a] = last[b] = 1 + max(last.get(a, 0), last.get(b, 0))
             want.append(last[a])
-        assert popmc._wavefront_levels(i, j).tolist() == want
+        assert popmc._wavefront_levels(i, j, m).tolist() == want
 
 
 @pytest.mark.parametrize("g0", [0.1, 1.0])
@@ -509,6 +516,15 @@ def test_only_runs_with_events_go_to_the_helper(monkeypatch):
     assert pool.futures == []
     run_steady(70000, 1.0, seed=4)  # about 35000 events: runs 2 and 3 on the helper
     assert len(pool.futures) == 2
+
+
+# At the default run lengths the helper's runs are 16384 events, whose wavefront
+# keys are 32 bits wide up to 2^18 particles and 64 bits wide above.
+@pytest.mark.parametrize("M, tau_end", [(200000, 0.3), (2**18 + 1, 0.25)])
+def test_helper_length_runs_match_reference(monkeypatch, M, tau_end):
+    pool = _recorded_helper(monkeypatch)
+    assert_bit_identical(*both_loops(lambda: run_steady(M, tau_end, 3, (0.1, tau_end))))
+    assert pool.futures
 
 
 def test_runs_hold_at_most_one_helper_thread(lookahead):
