@@ -13,7 +13,6 @@ Submodules:
     meanfield   steady-state fixed point, transient evolution, residuals
     popmc       event-driven stochastic population realization
     gaussoracle microscopic Gaussian check of the contraction rule
-    units       physical <-> dimensionless parameter conversions
     cli         command-line front end emitting reproducible CSV
 """
 
@@ -55,7 +54,6 @@ from .popmc import (
     resume,
     run_steady,
     run_transient,
-    sample_from_density,
     save_checkpoint,
 )
 from .udist import (
@@ -71,7 +69,6 @@ from .udist import (
     normalize,
     point_mass,
 )
-from .units import UnitsMap, units_convert, validate_regime
 
 __version__ = "0.1.0"
 
@@ -105,7 +102,6 @@ __all__ = [
     "resume",
     "run_steady",
     "run_transient",
-    "sample_from_density",
     "save_checkpoint",
     "UDensity",
     "UGrid",
@@ -118,8 +114,5 @@ __all__ = [
     "moment",
     "normalize",
     "point_mass",
-    "UnitsMap",
-    "units_convert",
-    "validate_regime",
     "__version__",
 ]

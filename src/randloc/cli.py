@@ -121,8 +121,8 @@ def _write_mc_outputs(run_dir: Path, cfg: dict, seed: int, snaps, final_pop, gri
 
 def _mc_one(subcommand: str, cfg: dict, run_dir_s: str, seed: int, grid: UGrid) -> None:
     run_dir = Path(run_dir_s)
-    # Times at or past the end are the final state; a NaN time stays in, for popmc to refuse.
-    inner = [t for t in cfg["snapshot_taus"] if not t >= cfg["tau_end"] - 1e-12]
+    # Times at the end are the final state; later or NaN times stay in, for popmc to refuse.
+    inner = [t for t in cfg["snapshot_taus"] if not abs(t - cfg["tau_end"]) <= 1e-12]
     if subcommand == "mc-steady":
         pop, snaps = run_steady(cfg["m_particles"], cfg["tau_end"], seed, inner)
     else:
@@ -253,6 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         overrides = dict(cfgmod.split_pair(pair, "--set") for pair in args.set)  # last wins
         cfg = cfgmod.resolve(args.subcommand, args.config, overrides)
         if args.seed is not None:

@@ -31,16 +31,19 @@ fresh population is one uniform (scaled by / rate); after it each event
 consumes a triple (first index, second index, next gap), the gap scaled
 by * (1 / rate). A refill before the indices drops a tail of fewer than
 two uniforms; a gap is drawn from a refill only once the block is used
-up, so nothing is dropped there. Identical (seed, config) runs
-therefore reproduce bit-identical trajectories on every platform that
-rounds doubles to IEEE 754 (see Gaps below). Checkpoints capture the
-stream state, the unconsumed tail of the current block, the pending
-interarrival gap and the event counters, so a resumed run continues
-bit-for-bit as if never interrupted. A checkpoint (version 5) holds the
-version, the stream state and every other Population field, and nothing
-else. The thread count never changes the bits: runs are drawn and
-prepared one after another in stream order, whichever thread prepares
-them, and applied in that order.
+up, so nothing is dropped there. Identical (seed, config) runs therefore
+reproduce bit-identical trajectories, and the event loop does so on
+every platform that rounds doubles to IEEE 754 (see Gaps below); the
+initial values come from numpy's gamma sampler, which reads the
+platform's log, log1p and exp, so across platforms one can rarely differ
+in its last bits. Checkpoints capture the stream state, the unconsumed
+tail of the current block, the pending interarrival gap and the event
+counters, so a resumed run continues bit-for-bit as if never
+interrupted. A checkpoint (version 5) holds the version, the stream
+state and every other Population field, and nothing else. The thread
+count never changes the bits: runs are drawn and prepared one after
+another in stream order, whichever thread prepares them, and applied in
+that order.
 
 Wavefront schedule. The loop takes a block's triples as arrays, at most
 _RUN_EVENTS at a time (a run; twice that with the look-ahead below), and
@@ -93,7 +96,6 @@ __all__ = [
     "resume",
     "empirical_density",
     "ks_distance",
-    "sample_from_density",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -201,21 +203,6 @@ class Population:
 # Population field as (attribute, npz key).
 _CHECKPOINT_FIELDS = tuple((f.name, f.name.lstrip("_"))
                            for f in fields(Population) if f.name != "rng")
-
-
-def sample_from_density(density: UDensity, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws from a grid density.
-
-    The cumulative is the same piecewise-linear interpolant of the
-    trapezoid prefix integrals that ks_distance uses for its reference,
-    so samples drawn here score KS ~ O(n^-1/2) against the density with
-    no discretization offset.
-    """
-    if n < 0:
-        raise ValueError("sample count must be nonnegative")
-    cdf = _reference_cdf_table(density)
-    u = rng.random(n)
-    return np.interp(u * cdf[-1], cdf, density.grid.nodes())
 
 
 def _reference_cdf_table(density: UDensity) -> np.ndarray:

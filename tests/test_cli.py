@@ -277,6 +277,9 @@ def _fail(what):
         ("oracle", ["boxes=0.1,0.1,0.1"], "boxes lists 0.1 more than once"),
         ("mc-steady", ["m_particles=1000", "snapshot_taus=0.5,0.5"],
          "snapshot_taus lists 0.5 more than once"),
+        # a snapshot past tau_end was once dropped, its time still in the header
+        ("mc-steady", ["m_particles=1000", "tau_end=1", "snapshot_taus=0.5,50"],
+         "snapshot time 50.0 outside [0.0, 1.0]"),
     ],
 )
 def test_out_of_range_key_is_exit_code_one_naming_the_key(tmp_path, capsys, monkeypatch,
@@ -681,11 +684,14 @@ def test_mc_worker_count_is_capped(monkeypatch, jobs, n_seeds, cpus, workers):
     "argv, message",
     [(["steady", "--bogus"], "unrecognized arguments: --bogus"),
      (["steady", "--jobs", "x"], "argument --jobs: invalid int value: 'x'"),
-     (["nosuch"], "argument subcommand: invalid choice: 'nosuch'")],
-    ids=["unknown-flag", "bad-jobs", "unknown-subcommand"],
+     (["nosuch"], "argument subcommand: invalid choice: 'nosuch'"),
+     (["steady", "--jobs", "0"], "--jobs must be at least 1, got 0"),
+     (["steady", "--jobs", "-3"], "--jobs must be at least 1, got -3")],
+    ids=["unknown-flag", "bad-jobs", "unknown-subcommand", "zero-jobs", "negative-jobs"],
 )
 def test_argument_error_is_exit_code_one(tmp_path, capsys, argv, message):
-    # argparse once printed its usage and exited 2, the numerical-failure code
+    # argparse once printed its usage and exited 2, the numerical-failure code;
+    # --jobs 0 and below once ran one worker without a word
     rc = main(argv + ["--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 1

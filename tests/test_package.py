@@ -12,5 +12,5 @@ def test_every_exported_name_resolves():
     for name in names:
         module = importlib.import_module(name)
         missing += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
-    assert len(names) == 12
+    assert len(names) == 11
     assert not missing

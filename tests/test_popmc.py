@@ -22,7 +22,6 @@ from randloc.popmc import (
     resume,
     run_steady,
     run_transient,
-    sample_from_density,
     save_checkpoint,
 )
 from randloc.udist import UDensity, UGrid, exponential_density, mass, normalize
@@ -153,17 +152,17 @@ def test_steady_population_matches_grid_solution():
     assert ks_distance(pop, p_star) < 0.03
 
 
-def test_sampler_scores_small_ks_against_its_source():
+def test_exponential_draws_score_small_ks_against_their_density():
     rng = np.random.Generator(np.random.Philox(key=99))
     ref = exponential_density(UGrid.from_spacing(20.0, 0.01))
-    draws = sample_from_density(ref, 50000, rng)
+    draws = rng.exponential(size=50000)
     assert ks_distance(draws, ref) < 4.0 / np.sqrt(50000)
 
 
 def test_ks_detects_a_wrong_reference():
     rng = np.random.Generator(np.random.Philox(key=99))
     grid = UGrid.from_spacing(8.0, 0.01)
-    draws = sample_from_density(exponential_density(grid), 30000, rng)
+    draws = rng.exponential(size=30000)
     slower = normalize(UDensity(grid, np.exp(-0.5 * grid.nodes())))
     assert ks_distance(draws, slower) > 0.1
 
@@ -263,11 +262,8 @@ def test_empty_sample_guards():
         empirical_density(np.array([]), grid)
     with pytest.raises(ValueError, match="no localized"):
         ks_distance(np.array([]), exponential_density(grid))
-    rng = np.random.Generator(np.random.Philox(key=0))
-    with pytest.raises(ValueError, match="nonnegative"):
-        sample_from_density(exponential_density(grid), -1, rng)
     with pytest.raises(ValueError, match="zero mass"):
-        sample_from_density(UDensity(grid, np.zeros(grid.n_nodes)), 5, rng)
+        ks_distance(np.array([1.0]), UDensity(grid, np.zeros(grid.n_nodes)))
 
 
 # Batched event loop against the scalar reference ------------------------------
