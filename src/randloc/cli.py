@@ -21,7 +21,6 @@ import argparse
 import os
 import shutil
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -140,12 +139,6 @@ def cmd_mc(subcommand: str, cfg: dict, run_dir: Path, jobs: int) -> None:
     seeds = cfg["seeds"]
     if not seeds:
         raise ConfigError("seeds must list at least one integer")
-    # two runs of one seed would write the same files, two snapshots at one
-    # time two blocks of one density
-    for key in ("seeds", "snapshot_taus"):
-        repeated = sorted(v for v, n in Counter(cfg[key]).items() if n > 1)
-        if repeated:
-            raise ConfigError(f"{key} lists {', '.join(map(str, repeated))} more than once")
     # a bad histogram grid fails before any event is drawn
     grid = UGrid.from_spacing(cfg["hist_u_max"], cfg["hist_h"])
     workers = _worker_count(jobs, len(seeds))

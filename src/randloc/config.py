@@ -12,6 +12,7 @@ with identical bytes.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -146,6 +147,12 @@ def resolve(subcommand: str, file_path=None, overrides: dict[str, str] | None = 
     cfg = {}
     for key, field in schema.items():
         cfg[key] = _parse_scalar(key, raw[key], field) if key in raw else field.default
+        if field.kind in ("floats", "ints"):
+            # two seeds would write the same files, two snapshot times two
+            # blocks of one density, two boxes or g0 values one row or file
+            repeated = sorted(v for v, n in Counter(cfg[key]).items() if n > 1)
+            if repeated:
+                raise ConfigError(f"{key} lists {', '.join(map(str, repeated))} more than once")
     return cfg
 
 

@@ -15,14 +15,17 @@ Core physics operations:
   deposition of all node pairs onto the bin of their combined value is
   mass-exact at rounding level but only second-order accurate at the nodes;
   the transient solver and the resummed residual use it. Its cached tables
-  hold each unordered pair once, sorted by target bin (12 bytes a pair,
-  6 N^2 bytes for N nodes).
+  hold each unordered pair i < j once, sorted by target bin (12 bytes a
+  pair, 6 N^2 bytes for N nodes).
+  The diagonal pairs (i, i) are not stored as pairs: each lands at u_i / 2
+  whatever the density, so two per-node arrays give its bin and fraction.
   The "node" scheme evaluates K[p, p] at the nodes by a fourth-order
   quadrature of its integral form. It is not mass-exact; the steady solver
   and the steady residual use it. Its cached tables hold one row of pairs
-  per node u_i <= u_max / 2 (18 bytes a pair, under N^2 / 4 pairs): each
-  pair keeps its cubic stencil's start and offset, and a call forms the
-  stencil in Newton form from forward differences of p. A row's partner
+  per node u_i <= u_max / 2 (18 bytes a pair, under N^2 / 4 pairs) and
+  the Gauss points of the rows near u = 0: each pair and point keeps its
+  cubic stencils' starts and offsets, and a call evaluates every stencil
+  in one Newton form from forward differences of p. A row's partner
   nodes are consecutive, so they are not stored: a call reads them as
   slices of p. The tables are built row block by row block, in per-thread
   scratch, without pair-sized temporaries.
@@ -182,19 +185,20 @@ def _table_bytes(kind: str, grid: UGrid) -> int:
     """Bytes of the cached tables of one kind on a grid, at most."""
     n = grid.n_nodes
     if kind == "deposit":
-        # i, j (uint16) and frac (float64) of each pair i <= j; bins,
-        # starts, diag and the blocks' segment and diagonal starts (intp),
-        # each at most one a node
-        return 12 * (n * (n + 1) // 2) + 40 * n
+        # i, j (uint16) and frac (float64) of each pair i < j; bins, starts
+        # and the blocks' segment starts (intp), each at most one a node;
+        # and the diagonal's bin (intp) and fraction (float64) of each node
+        return 12 * (n * (n - 1) // 2) + 40 * n
     # b (uint16) and the stencil offset and folded weight (float64) of each
     # of at most half * (n_bins - half) pairs; rows, starts and the blocks'
     # segment starts (intp) of each row, and the blocks' first node of each
     # row (a Python int, 36 bytes with its tuple slot); and the Gauss
-    # part's points, 88 bytes each: 8 ceil(4 log(m / i)) for each row
-    # i < m, fewer than 40 m in all
+    # part's points, 48 bytes each (row, two stencil starts, two offsets,
+    # folded weight): 8 ceil(4 log(m / i)) for each row i < m, fewer than
+    # 40 m in all
     half = grid.n_bins // 2
     m = _near_cells(grid.u_max, grid.n_bins)
-    return 18 * half * (grid.n_bins - half) + 60 * half + 88 * 40 * m
+    return 18 * half * (grid.n_bins - half) + 60 * half + 48 * 40 * m
 
 
 def _check_table_bytes(kind: str, grid: UGrid) -> None:
@@ -210,19 +214,18 @@ def _check_table_bytes(kind: str, grid: UGrid) -> None:
 def _deposit_tables(u_max: float, n_bins: int):
     """Pair-deposition tables of the deposit scheme, with its call blocks.
 
-    combine is symmetric, so only the node pairs i <= j are stored, sorted
+    combine is symmetric, so only the node pairs i < j are stored, sorted
     (stably, from row-major order) by the target bin k = floor(combine / h):
     the nodes i and j of every pair (uint16) and its linear split fraction
     toward node k + 1 (float64), 12 bytes a pair, 6 N^2 bytes for N nodes.
     ``bins`` lists the bins that receive pairs and ``starts`` the first pair
-    of each, so a bin's deposits are one contiguous segment. ``diag`` gives
-    the positions of the pairs (0, 0), (1, 1), ... in node order: the bin of
-    (i, i) grows with i, and the sort is stable. The (0, 0) pair is pinned
-    to u = 0, the limit of combine along any path. combine never exceeds
-    u_max / 2 on the grid, so k + 1 stays on it. The call blocks are those
-    of ``_segment_blocks`` over the bin segments, each extended by (first
-    diagonal node, end diagonal node, diagonal positions relative to the
-    first pair), and come with the widest block's pair count.
+    of each, so a bin's deposits are one contiguous segment. The diagonal
+    pair (i, i) lands at u_i / 2 whatever the density, so it is not stored
+    as a pair: two per-node arrays give its bin and split fraction, by the
+    pairs' own arithmetic, with (0, 0) pinned to u = 0, the limit of combine
+    along any path. combine never exceeds u_max / 2 on the grid, so k + 1
+    stays on it. The call blocks are those of ``_segment_blocks`` over the
+    bin segments, and come with the widest block's pair count.
 
     The flat arrays are allocated once and filled row block by row block of
     ``_segment_blocks``: one pass counts each block's pairs per bin, the next
@@ -234,25 +237,27 @@ def _deposit_tables(u_max: float, n_bins: int):
     """
     n = n_bins + 1
     nodes = _grid_tables(u_max, n_bins)[0]
-    lens = np.arange(n, 0, -1)  # row i holds the pairs (i, i) .. (i, n - 1)
+    lens = np.arange(n - 1, 0, -1)  # row i holds the pairs (i, i + 1) .. (i, n - 1)
     row_starts = np.cumsum(lens) - lens
-    n_pairs = n * (n + 1) // 2
+    n_pairs = n * (n - 1) // 2
     row_blocks = list(enumerate(_segment_blocks(row_starts, n_pairs, _BLOCK_PAIRS)[0]))
     scale = n_bins / u_max
 
-    def bins_of(r0, r1):
-        """The target bins and split fractions of the pairs of rows r0..r1."""
-        x = np.repeat(nodes[r0:r1], lens[r0:r1])
-        y = np.concatenate([nodes[r:] for r in range(r0, r1)])
+    def split(x, y):
+        """The target bins and split fractions of the pairs (x, y); x is
+        overwritten. (0, 0) keeps c = 0: bin 0, fraction 0."""
         c = x * y
         x += y
         np.divide(c, x, out=c, where=x > 0.0)
-        if r0 == 0:
-            c[0] = 0.0
         c *= scale
         k = c.astype(np.intp)  # floor, as c >= 0
         c -= k
         return k, c
+
+    def bins_of(r0, r1):
+        """The target bins and split fractions of the pairs of rows r0..r1."""
+        return split(np.repeat(nodes[r0:r1], lens[r0:r1]),
+                     np.concatenate([nodes[r + 1:] for r in range(r0, r1)]))
 
     counts = np.empty((len(row_blocks), n), dtype=np.intp)
 
@@ -269,7 +274,6 @@ def _deposit_tables(u_max: float, n_bins: int):
     i_out = np.empty(n_pairs, dtype=np.uint16)
     j_out = np.empty(n_pairs, dtype=np.uint16)
     frac = np.empty(n_pairs)
-    diag = np.empty(n, dtype=np.intp)
 
     def place(item):
         b, (s0, s1, r0, r1, seg) = item
@@ -281,25 +285,17 @@ def _deposit_tables(u_max: float, n_bins: int):
         to[order] = base[b][k[order]] + np.arange(order.size)
         rows = np.arange(r0, r1)
         i_out[to] = np.repeat(rows, lens[r0:r1])
-        j_out[to] = np.arange(s1 - s0) - np.repeat(seg - rows, lens[r0:r1])
+        j_out[to] = np.arange(s1 - s0) - np.repeat(seg - rows - 1, lens[r0:r1])
         frac[to] = c
-        diag[r0:r1] = to[seg]  # (r, r) opens row r
 
     _run_blocks(row_blocks, place)
     bins = np.flatnonzero(total)
     starts = (np.cumsum(total) - total)[bins]
-    diag.sort()
-    arrays = (i_out, j_out, frac, bins, starts, diag)
+    arrays = (i_out, j_out, frac, bins, starts, *split(nodes.copy(), nodes))
     for arr in arrays:
         arr.setflags(write=False)
     blocks, width = _segment_blocks(starts, n_pairs, _BLOCK_PAIRS)
-    call_blocks = []
-    for s0, s1, b0, b1, seg in blocks:
-        d0, d1 = (int(d) for d in np.searchsorted(diag, (s0, s1)))
-        dpos = diag[d0:d1] - s0
-        dpos.setflags(write=False)
-        call_blocks.append((s0, s1, b0, b1, seg, d0, d1, dpos))
-    return arrays + (tuple(call_blocks), width)
+    return arrays + (tuple(blocks), width)
 
 
 # Pairs per block of both kernel schemes; a block ends at the first segment
@@ -445,8 +441,9 @@ def collision_kernel(p: UDensity, q: UDensity, *, scheme: str = "deposit") -> UD
       between the two adjacent nodes. Deposition is mass-exact: the output
       trapezoid mass equals mass(p) * mass(q) up to rounding. combine is
       symmetric, so the cached tables of ``_deposit_tables`` hold only the
-      pairs i <= j, sorted by target bin: two uint16 node indices and one
-      float64 split fraction, 12 bytes a pair, 6 N^2 bytes for N nodes.
+      pairs i < j, sorted by target bin: two uint16 node indices and one
+      float64 split fraction, 12 bytes a pair, 6 N^2 bytes for N nodes;
+      the diagonal pairs (i, i) keep a bin and fraction a node.
       Each bin's shares are sums over one contiguous segment of pairs, in a
       fixed order, so results are bit-reproducible and K[p, q] equals
       K[q, p] bit for bit.
@@ -456,7 +453,7 @@ def collision_kernel(p: UDensity, q: UDensity, *, scheme: str = "deposit") -> UD
       tables of ``_node_tables`` hold one row of pairs per node with
       u <= u_max / 2: a uint16 stencil start, a float64 stencil offset
       and a float64 folded weight, 18 bytes a pair, under N^2 / 4 pairs
-      (40.7 MB at h = 0.01, u_max = 30). A row pairs its node with the
+      (40.6 MB at h = 0.01, u_max = 30). A row pairs its node with the
       consecutive nodes from its first one on, so a call reads their
       values as one slice of p a row. Each row's value is a sum over its
       contiguous segment of pairs.
@@ -492,14 +489,15 @@ def _deposit(p: UDensity, q: UDensity) -> np.ndarray:
     ``_deposit_tables``, walked in the call blocks cached with them.
 
     With a = w p and b = w q, the pair i < j carries a_i b_j + a_j b_i and
-    the pair i == j carries a_i b_i, so K[p, q] and K[q, p] are the same
-    floats. Each bin's lower and upper shares are sums of nonnegative terms
-    over its contiguous segment of pairs, which lies in one block, so the
-    sums do not depend on how the blocks are spread over threads.
+    the diagonal pair (i, i) carries a_i b_i, so K[p, q] and K[q, p] are
+    the same floats. Each bin's lower and upper shares are sums of
+    nonnegative terms over its contiguous segment of pairs, which lies in
+    one block, so the sums do not depend on how the blocks are spread over
+    threads. The N diagonal deposits are added after the bin segments.
     """
     g = p.grid
     _check_table_bytes("deposit", g)
-    *tables, blocks, width = _deposit_tables(g.u_max, g.n_bins)
+    *tables, diag_bin, diag_frac, blocks, width = _deposit_tables(g.u_max, g.n_bins)
     w = g.quad_weights()
     a = w * p.values
     b = a if q is p else w * q.values
@@ -510,6 +508,11 @@ def _deposit(p: UDensity, q: UDensity) -> np.ndarray:
     dep = np.zeros(g.n_nodes)
     dep[bins] = lo
     dep[bins + 1] += hi
+    wt = a * b
+    up = wt * diag_frac
+    wt -= up
+    dep += np.bincount(diag_bin, weights=wt, minlength=g.n_nodes)
+    dep[1:] += np.bincount(diag_bin, weights=up, minlength=g.n_bins)
     return dep
 
 
@@ -521,7 +524,7 @@ def _deposit_block(block, width, tables, a, b, lo, hi) -> None:
     allocated.
     """
     i, j, frac = tables[:3]
-    s0, s1, b0, b1, seg, d0, d1, dpos = block
+    s0, s1, b0, b1, seg = block
     buf, idx = _scratch_rows(width)
     n = s1 - s0
     wt, x, y, idx = buf[0, :n], buf[1, :n], buf[2, :n], idx[:n]
@@ -539,7 +542,6 @@ def _deposit_block(block, width, tables, a, b, lo, hi) -> None:
         np.take(a, idx, out=x, mode="clip")
         x *= y  # a_j b_i
         wt += x
-    wt[dpos] = a[d0:d1] * b[d0:d1]
     np.multiply(wt, frac[s0:s1], out=x)
     wt -= x  # wt (1 - frac), never below 0 since the upper share is <= wt
     np.add.reduceat(wt, seg, out=lo[b0:b1])
@@ -561,25 +563,6 @@ def _stencil(s: np.ndarray, n_bins: int):
     return b, s - b
 
 
-def _lagrange4(s: np.ndarray, n_bins: int):
-    """First node b and the four Lagrange weights of the stencil of
-    ``_stencil`` at positions s."""
-    b, t = _stencil(s, n_bins)
-    w = np.empty((4, t.size))
-    w[0] = -(t - 1.0) * (t - 2.0) * (t - 3.0) / 6.0
-    w[1] = t * (t - 2.0) * (t - 3.0) / 2.0
-    w[2] = -t * (t - 1.0) * (t - 3.0) / 2.0
-    w[3] = t * (t - 1.0) * (t - 2.0) / 6.0
-    return b, w
-
-
-def _interp4(v: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
-    out = w[0] * v[b]
-    for k in (1, 2, 3):
-        out += w[k] * v[k:][b]
-    return out
-
-
 def _near_cells(u_max: float, n_bins: int) -> int:
     """Cells m making up _NEAR_SPAN, at most (n_bins - 7) // 2: the node
     scheme's rows i < m take their near stretch by Gauss-Legendre."""
@@ -595,24 +578,24 @@ def _node_tables(u_max: float, n_bins: int):
     the node rule alone is fourth order only once u_i spans many cells.
     Rows with i < m, m = _near_cells cells making up _NEAR_SPAN, take the
     stretch x - u_i < m h from composite Gauss-Legendre in log(x - u_i),
-    with p at x and at y from 4-point Lagrange stencils, and the nodes
-    x_j, j >= i + m, from the trapezoid rule; other rows take the nodes
-    from j = 2i. Gregory's end weights sit at each row's first node.
+    with p at x and at y from 4-point stencils, and the nodes x_j,
+    j >= i + m, from the trapezoid rule; other rows take the nodes from
+    j = 2i. Gregory's end weights sit at each row's first node.
 
     Returns the node part (row numbers, each row's start in the flat pair
     arrays, the start b (uint16) and offset t = y_j / h - b (float64) of
     the 4-point stencil for p(y_j), and the pair's quadrature weight with
     the Jacobian and 2h folded in (float64); 18 bytes per pair, under
-    n_bins^2 / 4 pairs) and the Gauss part (row of every point, then
-    stencil and weights for p(x) and for p(y), the quadrature weight folded
-    into the latter), then the row blocks of ``_segment_blocks``, each
-    extended by the first node of each of its rows, and the widest block's
-    pair count. Row i's pairs are the nodes first .. n_bins in order, so
-    no pair stores its node j: a block's x_j are the slices
-    nodes[first:] of its rows, one after another. The flat arrays are
-    allocated once and filled block by block in per-thread scratch, so the
-    build allocates no pair-sized temporary; each pair's floats come from
-    the same operations whatever the blocks.
+    n_bins^2 / 4 pairs) and the Gauss part (row of every point, the
+    stencil start and offset for p(x), then those for p(y), and the folded
+    quadrature weight; 48 bytes a point), then the row blocks of
+    ``_segment_blocks``, each extended by the first node of each of its
+    rows, and the widest block's pair count. Row i's pairs are the nodes
+    first .. n_bins in order, so no pair stores its node j: a block's x_j
+    are the slices nodes[first:] of its rows, one after another. The flat
+    arrays are allocated once and filled block by block in per-thread
+    scratch, so the build allocates no pair-sized temporary; each pair's
+    floats come from the same operations whatever the blocks.
     """
     n = n_bins
     m = _near_cells(u_max, n_bins)
@@ -671,11 +654,10 @@ def _node_tables(u_max: float, n_bins: int):
         s = (np.arange(panels)[:, None] + 0.5 * (xg + 1.0)).ravel() * (span / panels)
         parts.append([np.full(s.size, ii), ii * np.exp(s), np.tile(0.5 * wg * span / panels, panels)])
     ni, v, ws = np.concatenate(parts, axis=1)
-    bx, wx = _lagrange4(ni + v, n)
-    by, wy = _lagrange4(ni + ni * ni / v, n)
     # dx = (x - u) ds, and x^2 / (x - u)^2 = (1 + u / (x - u))^2
-    wy *= scale * (1.0 + ni / v) ** 2 * v * ws
-    arrays = (rows, starts, b, t, fold, ni.astype(np.int64), bx, wx, by, wy)
+    gauss_fold = scale * (1.0 + ni / v) ** 2 * v * ws
+    arrays = (rows, starts, b, t, fold, ni.astype(np.int64), *_stencil(ni + v, n),
+              *_stencil(ni + ni * ni / v, n), gauss_fold)
     for arr in arrays:
         arr.setflags(write=False)
     return arrays + (tuple(blocks), width)
@@ -697,12 +679,13 @@ def _node_kernel(p: UDensity) -> UDensity:
     exact K is nonnegative, so the projection never moves a node value
     further from it.
 
-    The node part interpolates p(y) in Newton form, from the forward
+    Every cubic, p(y) of the node part and p(x) and p(y) of the Gauss
+    part, is evaluated in Newton form by ``_newton``, from the forward
     differences d1 = Δv, d2 = Δ²v / 2 and d3 = Δ³v / 6 of the node values,
-    built once a call, and takes p(x_j) of a row as the slice v[first:].
-    It walks the row blocks of ``_node_tables`` (about _BLOCK_PAIRS pairs
-    each, cut at row starts) through ``_run_blocks``, in per-thread
-    scratch, so no call allocates a pair-sized array. Every row's sum lies
+    built once a call; the node part takes p(x_j) of a row as the slice
+    v[first:]. It walks the row blocks of ``_node_tables`` (about
+    _BLOCK_PAIRS pairs each, cut at row starts) through ``_run_blocks``, in
+    per-thread scratch, so no call allocates a pair-sized array. Every row's sum lies
     in one block, so the output does not depend on the block size or the
     thread count.
     """
@@ -710,15 +693,18 @@ def _node_kernel(p: UDensity) -> UDensity:
     if g.n_bins < 3:
         raise ValueError(f"the node scheme needs at least 3 bins, got {g.n_bins}")
     _check_table_bytes("node", g)
-    rows, _, b, t, fold, ni, bx, wx, by, wy, blocks, width = _node_tables(g.u_max, g.n_bins)
+    rows, _, b, t, fold, ni, bx, tx, by, ty, gw, blocks, width = _node_tables(g.u_max, g.n_bins)
     v = p.values
     d1 = np.diff(v)
     diffs = (v, d1, np.diff(d1) / 2.0, np.diff(d1, 2) / 6.0)
     out = np.zeros(g.n_nodes)
     row_out = out[rows[0]:rows[-1] + 1]
     _run_blocks(blocks, lambda block: _node_block(block, width, b, t, fold, diffs, row_out))
-    out += np.bincount(ni, weights=_interp4(v, bx, wx) * _interp4(v, by, wy),
-                       minlength=g.n_nodes)
+    tmp = np.empty(ni.size)
+    px = _newton(diffs, bx, tx, np.empty(ni.size), tmp)
+    px *= _newton(diffs, by, ty, np.empty(ni.size), tmp)
+    px *= gw
+    out += np.bincount(ni, weights=px, minlength=g.n_nodes)
     wq = g.quad_weights().copy()
     if g.n_bins >= 7:
         wq[:4] = g.h * _GREGORY
@@ -732,27 +718,35 @@ def _node_block(block, width, b, t, fold, diffs, row_out) -> None:
     (t - 2) d3[b]))) v[j], into its slice of the row outputs, in this
     thread's scratch; v[j] of a row is the slice v[first:]."""
     s0, s1, r0, r1, seg, firsts = block
-    v, d1, d2, d3 = diffs
     buf, idx = _scratch_rows(width)
     n = s1 - s0
-    acc, x, idx, tb = buf[0, :n], buf[1, :n], idx[:n], t[s0:s1]
+    acc, x, idx = buf[0, :n], buf[1, :n], idx[:n]
     idx[:] = b[s0:s1]  # widened once, for the four gathers
-    np.take(d3, idx, out=acc, mode="clip")
-    np.subtract(tb, 2.0, out=x)
-    acc *= x
-    np.take(d2, idx, out=x, mode="clip")
-    acc += x
-    np.subtract(tb, 1.0, out=x)
-    acc *= x
-    np.take(d1, idx, out=x, mode="clip")
-    acc += x
-    acc *= tb
-    np.take(v, idx, out=x, mode="clip")
-    acc += x
+    _newton(diffs, idx, t[s0:s1], acc, x)
     acc *= fold[s0:s1]
-    np.concatenate([v[f:] for f in firsts], out=x)
+    np.concatenate([diffs[0][f:] for f in firsts], out=x)
     acc *= x
     np.add.reduceat(acc, seg, out=row_out[r0:r1])
+
+
+def _newton(diffs, b, t, out, tmp):
+    """p at the offsets t of the stencils that start at nodes b, into out,
+    in Newton form: v[b] + t (d1[b] + (t - 1) (d2[b] + (t - 2) d3[b])),
+    with diffs = (v, d1, d2, d3) and tmp as scratch of out's size."""
+    v, d1, d2, d3 = diffs
+    np.take(d3, b, out=out, mode="clip")
+    np.subtract(t, 2.0, out=tmp)
+    out *= tmp
+    np.take(d2, b, out=tmp, mode="clip")
+    out += tmp
+    np.subtract(t, 1.0, out=tmp)
+    out *= tmp
+    np.take(d1, b, out=tmp, mode="clip")
+    out += tmp
+    out *= t
+    np.take(v, b, out=tmp, mode="clip")
+    out += tmp
+    return out
 
 
 def drift_shift(p: UDensity, delta: float) -> tuple[UDensity, float]:

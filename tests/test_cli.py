@@ -280,6 +280,9 @@ def _fail(what):
         # a snapshot past tau_end was once dropped, its time still in the header
         ("mc-steady", ["m_particles=1000", "tau_end=1", "snapshot_taus=0.5,50"],
          "snapshot time 50.0 outside [0.0, 1.0]"),
+        # fig1 wrote one curve file for two g0 values, and oracle two equal rows
+        ("fig1", ["g0_list=0.01,0.01", "h=0.5", "u_max=10"], "g0_list lists 0.01 more than once"),
+        ("oracle", ["fit_order=no", "boxes=0.1,0.1"], "boxes lists 0.1 more than once"),
     ],
 )
 def test_out_of_range_key_is_exit_code_one_naming_the_key(tmp_path, capsys, monkeypatch,

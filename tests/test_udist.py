@@ -251,8 +251,9 @@ def test_deposit_tables_hold_each_pair_once():
     g = UGrid.from_spacing(30.0, 0.05)
     tables = udist._deposit_tables(g.u_max, g.n_bins)
     i, j = tables[0], tables[1]
-    assert i.size == g.n_nodes * (g.n_nodes + 1) // 2
-    assert np.all(i <= j)
+    assert i.size == g.n_nodes * (g.n_nodes - 1) // 2
+    assert np.all(i < j)
+    assert tables[5].size == tables[6].size == g.n_nodes  # the diagonal's bins and fractions
     assert _nbytes(tables) <= 7 * g.n_nodes**2
 
 
@@ -587,8 +588,9 @@ def test_each_table_cache_holds_one_grid(cache):
 @pytest.mark.parametrize("cache", _TABLE_CACHES, ids=lambda fn: fn.__name__)
 @pytest.mark.parametrize("n_bins", [100, 600])
 def test_every_cached_array_is_read_only(cache, n_bins):
-    # the call blocks' segment starts and diagonal positions too: a write
-    # into any of them would change every later kernel call on the grid
+    # the call blocks' segment starts and the diagonal's bins and fractions
+    # too: a write into any of them would change every later kernel call on
+    # the grid
     cache.cache_clear()
     try:
         *tables, blocks, _ = cache(30.0, n_bins)
