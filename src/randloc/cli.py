@@ -28,7 +28,7 @@ import numpy as np
 from . import config as cfgmod
 from .csvio import atomic_writer, write_density, write_table, write_trajectory
 from .errors import ConfigError, ConvergenceError
-from .gamma import closed_trajectory, gamma_ode
+from .gamma import _check_g0, closed_trajectory, gamma_ode
 from .gaussoracle import GaussPair, convergence_study, posterior_moments
 from .meanfield import (
     _HIERARCHY_LIMIT,
@@ -64,6 +64,7 @@ def cmd_steady(cfg: dict, run_dir: Path) -> None:
 
 
 def cmd_transient(cfg: dict, run_dir: Path) -> None:
+    _check_g0(cfg["g0"])  # a localized fraction in either g_mode
     sc = SolverConfig(u_max=cfg["u_max"], h=cfg["h"], dtau=cfg["dtau"] or None)  # 0 means h
     grid = sc.grid
     p0 = resolve_init(grid, cfg["init"])
@@ -165,6 +166,8 @@ def cmd_oracle(cfg: dict, run_dir: Path) -> None:
         moments = study.moments
         extra["fitted_order"] = study.order
     else:
+        if not boxes:
+            raise ConfigError("boxes must list at least one box")
         boxes_out = np.asarray(sorted((float(b) for b in boxes), reverse=True))
         moments = tuple(
             posterior_moments(GaussPair(cfg["xi1_sq"], cfg["xi2_sq"], b)) for b in boxes_out

@@ -82,7 +82,7 @@ class GammaTrajectory:
 
 def _check_g0(g0: float) -> float:
     if not np.isfinite(g0) or not 0.0 <= g0 <= 1.0:
-        raise ValueError(f"seed fraction must lie in [0, 1], got {g0}")
+        raise ValueError(f"g0 must lie in [0, 1], got {g0}")
     return float(g0)
 
 

@@ -68,7 +68,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, MassLossError, StepInstabilityError
-from .gamma import GammaTrajectory, _check_time_steps
+from .gamma import GammaTrajectory, _check_g0, _check_time_steps
 from .udist import (
     UDensity,
     UGrid,
@@ -391,7 +391,9 @@ def evolve_transient(
         raise ValueError("p0 must be normalized")
     if snapshot_stride < 1:
         raise ValueError("snapshot_stride must be >= 1")
-    if isinstance(g, GammaTrajectory) and g.tau_end < tau_end - 1e-12:
+    if not isinstance(g, GammaTrajectory):
+        g = _check_g0(g)
+    elif g.tau_end < tau_end - 1e-12:
         raise ValueError("fraction trajectory does not cover [0, tau_end]")
     dtau = cfg.dtau_resolved
     n_steps = _whole_steps(tau_end, dtau, "tau_end", "dtau")

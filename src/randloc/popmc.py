@@ -86,7 +86,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .udist import UDensity, UGrid, _kernel_pool, _kernel_threads
+from .udist import UDensity, UGrid, _helper
 
 __all__ = [
     "Population",
@@ -373,10 +373,10 @@ def _advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationS
             buf = rng.random(3 * _BLOCK_EVENTS)
         gap = float(_neg_log1p(buf[:1])[0]) / rate
         pos = 1
-    threaded = m >= _MIN_LOOKAHEAD_PARTICLES and _kernel_threads() > 1
+    pool = _helper() if m >= _MIN_LOOKAHEAD_PARTICLES else None
     # Handed between threads, runs of twice the length overlap better; on one
     # thread the length makes no difference at these sizes.
-    run_events = 2 * _RUN_EVENTS if threaded else _RUN_EVENTS
+    run_events = _RUN_EVENTS if pool is None else 2 * _RUN_EVENTS
     prepare = partial(_prepare_run, rng, m, tau_end, pending, run_events)
     parts, cur = prepare(_Cursor(buf, pos, pop.tau, gap, 0))
     n_loc = pop.n_localized
@@ -384,8 +384,8 @@ def _advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationS
     try:
         while parts:
             # a run of events ahead goes to the helper, the empty last one need not
-            ahead = (_kernel_pool(1).submit(prepare, cur)
-                     if threaded and cur.tau + cur.gap <= tau_end else None)
+            ahead = (pool.submit(prepare, cur)
+                     if pool is not None and cur.tau + cur.gap <= tau_end else None)
             for i, j, t, lev, snap_end in parts:
                 n_loc += _apply_events(pop, i, j, t, lev, n_loc == m)
                 emit(snap_end)

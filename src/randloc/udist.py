@@ -32,11 +32,12 @@ Core physics operations:
   Both schemes store node indices as uint16, so ``UGrid`` refuses more
   than 65536 nodes on every grid, a histogram's too. Both walk their pairs
   in fixed blocks of about 64k, cut at segment starts (a target bin, a
-  row), on at most two threads once a grid has 16 blocks; no segment's sum
-  crosses a block, so the result is the same floats for any block size and
-  thread count. Each scheme caches the tables and call blocks of its last
-  grid only, at most 1 GiB, so a process that uses both schemes holds at
-  most 2 GiB of tables; every array of a cache entry is read-only.
+  row), and a grid of 16 blocks or more shares them with one helper thread;
+  no segment's sum crosses a block, so the result is the same floats for
+  any block size, on one thread or two. Each scheme caches the tables and
+  call blocks of its last grid only, at most 1 GiB, so a process that uses
+  both schemes holds at most 2 GiB of tables; every array of a cache entry
+  is read-only.
 * ``drift_shift``: free spreading between measurements, a rigid translation
   of the density toward larger u by whole cells.
 """
@@ -225,7 +226,7 @@ def _deposit_tables(u_max: float, n_bins: int):
     pairs' own arithmetic, with (0, 0) pinned to u = 0, the limit of combine
     along any path. combine never exceeds u_max / 2 on the grid, so k + 1
     stays on it. The call blocks are those of ``_segment_blocks`` over the
-    bin segments, and come with the widest block's pair count.
+    bin segments.
 
     The flat arrays are allocated once and filled row block by row block of
     ``_segment_blocks``: one pass counts each block's pairs per bin, the next
@@ -240,7 +241,7 @@ def _deposit_tables(u_max: float, n_bins: int):
     lens = np.arange(n - 1, 0, -1)  # row i holds the pairs (i, i + 1) .. (i, n - 1)
     row_starts = np.cumsum(lens) - lens
     n_pairs = n * (n - 1) // 2
-    row_blocks = list(enumerate(_segment_blocks(row_starts, n_pairs, _BLOCK_PAIRS)[0]))
+    row_blocks = list(enumerate(_segment_blocks(row_starts, n_pairs, _BLOCK_PAIRS)))
     scale = n_bins / u_max
 
     def split(x, y):
@@ -294,16 +295,12 @@ def _deposit_tables(u_max: float, n_bins: int):
     arrays = (i_out, j_out, frac, bins, starts, *split(nodes.copy(), nodes))
     for arr in arrays:
         arr.setflags(write=False)
-    blocks, width = _segment_blocks(starts, n_pairs, _BLOCK_PAIRS)
-    return arrays + (tuple(blocks), width)
+    return arrays + (tuple(_segment_blocks(starts, n_pairs, _BLOCK_PAIRS)),)
 
 
 # Pairs per block of both kernel schemes; a block ends at the first segment
 # start (a deposit bin, a node-scheme row) at or past each multiple of this.
 _BLOCK_PAIRS = 1 << 16
-# Threads of the kernels, the calling one included, at most: they are bound
-# by memory traffic, which further threads would only share.
-_MAX_KERNEL_THREADS = 2
 # Grids with fewer blocks run in the calling thread alone: on two cores a
 # helper made 3- and 8-block calls about 7 % slower and 18- and 45-block
 # calls 1.2-1.6 times faster.
@@ -316,8 +313,7 @@ def _segment_blocks(starts: np.ndarray, total: int, block_pairs: int):
 
     ``starts`` holds the first pair of each segment, starting at 0. A block
     is (first pair, end pair, first segment, end segment, segment starts
-    relative to the first pair, read-only); the blocks come with the widest
-    block's pair count.
+    relative to the first pair, read-only).
     """
     cuts = np.searchsorted(starts, np.arange(0, total, block_pairs))
     # the cuts are sorted, so this dedupes them; np.unique would too, but
@@ -332,14 +328,14 @@ def _segment_blocks(starts: np.ndarray, total: int, block_pairs: int):
         seg = starts[g0:g1] - s0
         seg.setflags(write=False)
         blocks.append((s0, s1, g0, g1, seg))
-    return blocks, int(np.max(np.diff(pair_cuts)))
+    return blocks
 
 
 def _run_blocks(blocks, work) -> None:
     """Calls work(block) for every block, on the calling thread and, from
-    _MIN_THREADED_BLOCKS blocks on, the kernel's helper threads.
+    _MIN_THREADED_BLOCKS blocks on, the helper thread of ``_helper``.
 
-    Every thread takes blocks off one iterator (next on a list iterator is
+    Both threads take blocks off one iterator (next on a list iterator is
     atomic under the interpreter lock), so work must write only the block's
     own slices of shared outputs.
     """
@@ -349,25 +345,33 @@ def _run_blocks(blocks, work) -> None:
         for block in todo:
             work(block)
 
-    threads = _kernel_threads() if len(blocks) >= _MIN_THREADED_BLOCKS else 1
-    helpers = [_kernel_pool(threads - 1).submit(drain) for _ in range(threads - 1)]
+    pool = _helper() if len(blocks) >= _MIN_THREADED_BLOCKS else None
+    helper = None if pool is None else pool.submit(drain)
     try:
         drain()
     finally:
-        for helper in helpers:
+        if helper is not None:
             helper.result()
 
 
-def _scratch_rows(width: int):
-    """This thread's scratch for a block of up to ``width`` pairs: three
-    float64 rows and one intp row, the latter for the block's uint16 node
-    indices widened once before their gathers; grown to the widest block
-    seen. The node tables are built in the float rows too."""
-    if getattr(_scratch, "width", 0) < width:
-        _scratch.rows = np.empty((3, width))
-        _scratch.idx = np.empty(width, dtype=np.intp)
-        _scratch.width = width
-    return _scratch.rows, _scratch.idx
+def _scratch_rows(n: int):
+    """This thread's scratch for a block of n pairs: three float64 rows and
+    one intp row of n entries each, the latter for the block's uint16 node
+    indices widened once before their gathers. The node tables are built in
+    the float rows too.
+
+    The arrays behind the rows only grow and are kept. They hold at least
+    2 _BLOCK_PAIRS entries, more than any block whose segments are shorter
+    than _BLOCK_PAIRS, so a thread allocates them once: growing them to
+    each larger block, as a grid's blocks differ by up to a segment,
+    freed and reallocated them on many blocks of a first call, which
+    raised steady-ladder's peak RSS by 2-5 MB.
+    """
+    if getattr(_scratch, "n", 0) < n:
+        _scratch.n = max(n, 2 * _BLOCK_PAIRS)
+        _scratch.rows = np.empty((3, _scratch.n))
+        _scratch.idx = np.empty(_scratch.n, dtype=np.intp)
+    return _scratch.rows[:, :n], _scratch.idx[:n]
 
 
 def _usable_cpus() -> int:
@@ -379,35 +383,26 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _kernel_threads() -> int:
-    """Threads of the deposit kernel, the calling one included: one per
-    usable CPU, at most _MAX_KERNEL_THREADS."""
-    return max(1, min(_MAX_KERNEL_THREADS, _usable_cpus()))
+def _helper() -> ThreadPoolExecutor | None:
+    """The one helper thread that the kernel blocks and the Monte Carlo
+    look-ahead share, as a one-worker executor, or None with one usable
+    CPU. The kernels are bound by memory traffic, which further threads
+    would only share."""
+    return _pool if _usable_cpus() > 1 else None
 
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
+def _new_pool() -> None:
+    """Makes the helper's executor, whose thread starts on its first submit.
+    A forked child has none of its parent's threads, so it makes its own."""
+    global _pool
+    _pool = ThreadPoolExecutor(1, thread_name_prefix="randloc-kernel")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
 # Per-thread scratch of the kernel blocks, see _scratch_rows.
 _scratch = threading.local()
-
-
-def _kernel_pool(helpers: int) -> ThreadPoolExecutor:
-    """The kernel's helper threads, started on the first call that uses them."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(helpers, thread_name_prefix="randloc-kernel")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child has none of its parent's pool threads
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def combine(u1, u2):
@@ -459,14 +454,14 @@ def collision_kernel(p: UDensity, q: UDensity, *, scheme: str = "deposit") -> UD
       contiguous segment of pairs.
 
     Both schemes walk their pairs in fixed blocks of about 64k, cut at
-    segment starts (a bin, a row) from the tables alone, on at most
-    min(2, usable CPUs) threads; a grid of fewer than 16 blocks (about a
-    million pairs: deposit N below about 1450, node N below about 2000)
-    runs in the calling thread. Each block widens its uint16 node indices
-    (the node scheme: its stencil starts) once into per-thread scratch
-    before gathering. No segment crosses a
-    block, so the floats do not depend on the block size or the thread
-    count, and no call allocates a pair-sized array. Grids whose tables
+    segment starts (a bin, a row) from the tables alone. A grid of 16
+    blocks or more (about a million pairs: deposit N from about 1450, node
+    N from about 2000) shares them with one helper thread when the process
+    may use two or more CPUs; smaller grids run in the calling thread. Each
+    block widens its uint16 node indices (the node scheme: its stencil
+    starts) once into per-thread scratch before gathering. No segment
+    crosses a block, so the floats do not depend on the block size or the
+    thread, and no call allocates a pair-sized array. Grids whose tables
     would exceed a fixed budget (1 GiB) raise ValueError before any table
     is built; ``UGrid`` already refuses more than 65536 nodes. Each scheme
     caches the tables of its last grid only, so the cached tables stay
@@ -497,14 +492,14 @@ def _deposit(p: UDensity, q: UDensity) -> np.ndarray:
     """
     g = p.grid
     _check_table_bytes("deposit", g)
-    *tables, diag_bin, diag_frac, blocks, width = _deposit_tables(g.u_max, g.n_bins)
+    *tables, diag_bin, diag_frac, blocks = _deposit_tables(g.u_max, g.n_bins)
     w = g.quad_weights()
     a = w * p.values
     b = a if q is p else w * q.values
     bins = tables[3]
     lo = np.empty(bins.size)
     hi = np.empty(bins.size)
-    _run_blocks(blocks, lambda block: _deposit_block(block, width, tables, a, b, lo, hi))
+    _run_blocks(blocks, lambda block: _deposit_block(block, tables, a, b, lo, hi))
     dep = np.zeros(g.n_nodes)
     dep[bins] = lo
     dep[bins + 1] += hi
@@ -516,7 +511,7 @@ def _deposit(p: UDensity, q: UDensity) -> np.ndarray:
     return dep
 
 
-def _deposit_block(block, width, tables, a, b, lo, hi) -> None:
+def _deposit_block(block, tables, a, b, lo, hi) -> None:
     """One block's lower and upper bin shares, into its slices of lo and hi.
 
     Widens the block's uint16 i and j, each once, into this thread's intp
@@ -525,9 +520,7 @@ def _deposit_block(block, width, tables, a, b, lo, hi) -> None:
     """
     i, j, frac = tables[:3]
     s0, s1, b0, b1, seg = block
-    buf, idx = _scratch_rows(width)
-    n = s1 - s0
-    wt, x, y, idx = buf[0, :n], buf[1, :n], buf[2, :n], idx[:n]
+    (wt, x, y), idx = _scratch_rows(s1 - s0)
     idx[:] = i[s0:s1]
     np.take(a, idx, out=wt, mode="clip")
     if b is not a:
@@ -590,9 +583,9 @@ def _node_tables(u_max: float, n_bins: int):
     stencil start and offset for p(x), then those for p(y), and the folded
     quadrature weight; 48 bytes a point), then the row blocks of
     ``_segment_blocks``, each extended by the first node of each of its
-    rows, and the widest block's pair count. Row i's pairs are the nodes
-    first .. n_bins in order, so no pair stores its node j: a block's x_j
-    are the slices nodes[first:] of its rows, one after another. The flat
+    rows. Row i's pairs are the nodes first .. n_bins in order, so no pair
+    stores its node j: a block's x_j are the slices nodes[first:] of its
+    rows, one after another. The flat
     arrays are allocated once and filled block by block in per-thread
     scratch, so the build allocates no pair-sized temporary; each pair's
     floats come from the same operations whatever the blocks.
@@ -613,14 +606,15 @@ def _node_tables(u_max: float, n_bins: int):
     def fill(block):
         s0, s1, r0, r1, seg, firsts = block
         rl = lens[r0:r1]
-        x, d, r = _scratch_rows(width)[0][:, :s1 - s0]
+        x, d, r = _scratch_rows(s1 - s0)[0]
         np.concatenate([cells[f:] for f in firsts], out=x)  # x_j / h
         np.concatenate([cells[f - i:n + 1 - i] for i, f in zip(rows[r0:r1].tolist(), firsts)],
                        out=d)  # (x_j - u_i) / h
         np.divide(x, d, out=r)  # x / (x - u), so y_j / h = i r, in (i, 2i]
         x -= d  # i
         x *= r  # y_j / h
-        # the stencil of _stencil: b = clip(floor(y_j / h) - 1, 0, n - 3)
+        # b and t of _stencil, computed in scratch: its block-sized
+        # temporaries, on both threads, raised steady-ladder's peak RSS by 2 MB
         np.floor(x, out=d)
         d -= 1.0
         np.clip(d, 0.0, n - 3, out=d)
@@ -641,8 +635,8 @@ def _node_tables(u_max: float, n_bins: int):
         fb *= r
         fb *= r
 
-    blocks, width = _segment_blocks(starts, n_pairs, _BLOCK_PAIRS)
-    blocks = [blk + (tuple(first[blk[2]:blk[3]].tolist()),) for blk in blocks]
+    blocks = [blk + (tuple(first[blk[2]:blk[3]].tolist()),)
+              for blk in _segment_blocks(starts, n_pairs, _BLOCK_PAIRS)]
     _run_blocks(blocks, fill)
     # Gauss part: x - u = u e^s for s in [0, log(m / i)], in panels of at
     # most _NEAR_PANEL.
@@ -660,7 +654,7 @@ def _node_tables(u_max: float, n_bins: int):
               *_stencil(ni + ni * ni / v, n), gauss_fold)
     for arr in arrays:
         arr.setflags(write=False)
-    return arrays + (tuple(blocks), width)
+    return arrays + (tuple(blocks),)
 
 
 def _node_kernel(p: UDensity) -> UDensity:
@@ -686,20 +680,20 @@ def _node_kernel(p: UDensity) -> UDensity:
     v[first:]. It walks the row blocks of ``_node_tables`` (about
     _BLOCK_PAIRS pairs each, cut at row starts) through ``_run_blocks``, in
     per-thread scratch, so no call allocates a pair-sized array. Every row's sum lies
-    in one block, so the output does not depend on the block size or the
-    thread count.
+    in one block, so the output does not depend on the block size or on
+    which thread walks a block.
     """
     g = p.grid
     if g.n_bins < 3:
         raise ValueError(f"the node scheme needs at least 3 bins, got {g.n_bins}")
     _check_table_bytes("node", g)
-    rows, _, b, t, fold, ni, bx, tx, by, ty, gw, blocks, width = _node_tables(g.u_max, g.n_bins)
+    rows, _, b, t, fold, ni, bx, tx, by, ty, gw, blocks = _node_tables(g.u_max, g.n_bins)
     v = p.values
     d1 = np.diff(v)
     diffs = (v, d1, np.diff(d1) / 2.0, np.diff(d1, 2) / 6.0)
     out = np.zeros(g.n_nodes)
     row_out = out[rows[0]:rows[-1] + 1]
-    _run_blocks(blocks, lambda block: _node_block(block, width, b, t, fold, diffs, row_out))
+    _run_blocks(blocks, lambda block: _node_block(block, b, t, fold, diffs, row_out))
     tmp = np.empty(ni.size)
     px = _newton(diffs, bx, tx, np.empty(ni.size), tmp)
     px *= _newton(diffs, by, ty, np.empty(ni.size), tmp)
@@ -713,14 +707,12 @@ def _node_kernel(p: UDensity) -> UDensity:
     return UDensity(g, np.maximum(out, 0.0, out=out))
 
 
-def _node_block(block, width, b, t, fold, diffs, row_out) -> None:
+def _node_block(block, b, t, fold, diffs, row_out) -> None:
     """One row block's sums of fold (v[b] + t (d1[b] + (t - 1) (d2[b] +
     (t - 2) d3[b]))) v[j], into its slice of the row outputs, in this
     thread's scratch; v[j] of a row is the slice v[first:]."""
     s0, s1, r0, r1, seg, firsts = block
-    buf, idx = _scratch_rows(width)
-    n = s1 - s0
-    acc, x, idx = buf[0, :n], buf[1, :n], idx[:n]
+    (acc, x, _), idx = _scratch_rows(s1 - s0)
     idx[:] = b[s0:s1]  # widened once, for the four gathers
     _newton(diffs, idx, t[s0:s1], acc, x)
     acc *= fold[s0:s1]

@@ -283,6 +283,12 @@ def _fail(what):
         # fig1 wrote one curve file for two g0 values, and oracle two equal rows
         ("fig1", ["g0_list=0.01,0.01", "h=0.5", "u_max=10"], "g0_list lists 0.01 more than once"),
         ("oracle", ["fit_order=no", "boxes=0.1,0.1"], "boxes lists 0.1 more than once"),
+        # a constant g0 of 1.5 ran, and nan and inf exited 2 blaming the density
+        ("transient", ["g_mode=const", "g0=1.5"], "g0 must lie in [0, 1], got 1.5"),
+        ("transient", ["g_mode=const", "g0=nan"], "g0 must lie in [0, 1], got nan"),
+        ("transient", ["g_mode=const", "g0=inf"], "g0 must lie in [0, 1], got inf"),
+        # an empty box list wrote a header and no rows
+        ("oracle", ["fit_order=no", "boxes="], "boxes must list at least one box"),
     ],
 )
 def test_out_of_range_key_is_exit_code_one_naming_the_key(tmp_path, capsys, monkeypatch,

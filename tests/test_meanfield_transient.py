@@ -112,6 +112,8 @@ def test_input_validation():
     short = closed_trajectory(0.1, 0.5, 0.05)
     with pytest.raises(ValueError, match="cover"):
         evolve_transient(p0, short, 1.0, CFG)
+    with pytest.raises(ValueError, match=r"g0 must lie in \[0, 1\], got 1.5"):
+        evolve_transient(p0, 1.5, 0.1, CFG)  # a constant g is a localized fraction too
 
 
 def test_negative_step_is_instability_error():

@@ -438,8 +438,8 @@ class _RecordingPool:
 def _recorded_helper(monkeypatch):
     """Two usable CPUs, and the kernel's pool recording what the loop submits."""
     monkeypatch.setattr(udist, "_usable_cpus", lambda: 2)
-    pool = _RecordingPool(udist._kernel_pool(1))
-    monkeypatch.setattr(popmc, "_kernel_pool", lambda helpers: pool)
+    pool = _RecordingPool(udist._helper())
+    monkeypatch.setattr(popmc, "_helper", lambda: pool)
     return pool
 
 
@@ -447,19 +447,19 @@ def _recorded_helper(monkeypatch):
 def lookahead(request, monkeypatch):
     """The event loop in runs of 1000 events, the next prepared on the
     kernel's helper thread (two usable CPUs), or inline (one usable CPU,
-    which must not ask for the helper). Yields the recording pool, or None."""
+    which must submit nothing to the helper). Yields the recording pool,
+    or None."""
     monkeypatch.setattr(popmc, "_RUN_EVENTS", 1000)
     if request.param == "helper":
         pool = _recorded_helper(monkeypatch)
         yield pool
         assert pool.futures and all(f.done() for f in pool.futures)
     else:
-        def no_pool(helpers):
-            raise AssertionError("a run on one usable CPU asked for the helper thread")
-
         monkeypatch.setattr(udist, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(popmc, "_kernel_pool", no_pool)
+        pool = _RecordingPool(udist._pool)
+        monkeypatch.setattr(udist, "_pool", pool)
         yield None
+        assert pool.futures == [], "a run on one usable CPU used the helper thread"
 
 
 # Reference comparisons from above, each run again on both paths in several runs.

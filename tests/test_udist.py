@@ -264,8 +264,8 @@ def test_blocked_deposit_tables_match_one_shot_reference(n_bins, u_max, block_pa
     with _patched_blocks() as mp:
         _set_block_pairs(mp, block_pairs)
         mp.setattr(udist, "_MIN_THREADED_BLOCKS", 2)
-        for threads in (1, 2):
-            mp.setattr(udist, "_kernel_threads", lambda: threads)
+        for cpus in (1, 2):
+            mp.setattr(udist, "_usable_cpus", lambda: cpus)
             udist._deposit_tables.cache_clear()  # build the tables in these blocks
             got = udist._deposit_tables(u_max, n_bins)
             for a, b in zip(want, got):
@@ -352,14 +352,14 @@ def _kernels(p, q):
 @pytest.mark.parametrize("h", [0.05, 0.02, 0.0125])
 def test_deposit_kernel_is_the_same_on_one_and_two_threads(monkeypatch, h):
     g = UGrid.from_spacing(30.0, h)
-    assert len(udist._deposit_tables(g.u_max, g.n_bins)[-2]) > 1
+    assert len(udist._deposit_tables(g.u_max, g.n_bins)[-1]) > 1
     p = normalize(default_init_density(g))
     q = normalize(exponential_density(g))
     monkeypatch.setattr(udist, "_MIN_THREADED_BLOCKS", 2)
     got = {}
-    for threads in (1, 2):
-        monkeypatch.setattr(udist, "_kernel_threads", lambda: threads)
-        got[threads] = _kernels(p, q)
+    for cpus in (1, 2):
+        monkeypatch.setattr(udist, "_usable_cpus", lambda: cpus)
+        got[cpus] = _kernels(p, q)
     for one, two in zip(got[1], got[2]):
         assert np.array_equal(one, two)
 
@@ -373,8 +373,8 @@ def test_small_blocks_give_the_one_block_kernel(pq, block_pairs):
         whole = _kernels(p, q)
         _set_block_pairs(mp, block_pairs)
         mp.setattr(udist, "_MIN_THREADED_BLOCKS", 2)
-        for threads in (1, 2):
-            mp.setattr(udist, "_kernel_threads", lambda: threads)
+        for cpus in (1, 2):
+            mp.setattr(udist, "_usable_cpus", lambda: cpus)
             for one, blocked in zip(whole, _kernels(p, q)):
                 assert np.array_equal(one, blocked)
     ref = dense_deposit(p, q)
@@ -419,7 +419,7 @@ def _unique_cut_blocks(starts, total, block_pairs):
     pair_cuts = np.append(starts[cuts], total)
     blocks = [(int(pair_cuts[k]), int(pair_cuts[k + 1]), int(seg_cuts[k]), int(seg_cuts[k + 1]),
                starts[seg_cuts[k]:seg_cuts[k + 1]] - pair_cuts[k]) for k in range(cuts.size)]
-    return blocks, int(np.max(np.diff(pair_cuts)))
+    return blocks
 
 
 @settings(max_examples=100, deadline=None)
@@ -427,9 +427,9 @@ def _unique_cut_blocks(starts, total, block_pairs):
 def test_segment_blocks_match_the_unique_cut(lens, block_pairs):
     lens = np.array(lens)
     starts = np.cumsum(lens) - lens
-    blocks, width = udist._segment_blocks(starts, int(lens.sum()), block_pairs)
-    want, want_width = _unique_cut_blocks(starts, int(lens.sum()), block_pairs)
-    assert width == want_width and len(blocks) == len(want)
+    blocks = udist._segment_blocks(starts, int(lens.sum()), block_pairs)
+    want = _unique_cut_blocks(starts, int(lens.sum()), block_pairs)
+    assert len(blocks) == len(want)
     for got, ref in zip(blocks, want):
         assert got[:4] == ref[:4] and np.array_equal(got[4], ref[4])
 
@@ -446,6 +446,34 @@ assert "numpy.ma" not in sys.modules
     env = dict(os.environ, PYTHONPATH=str(Path(randloc.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_gets_a_helper_thread_of_its_own():
+    # --jobs forks its workers on Linux, and a child has none of its
+    # parent's threads: had it kept the parent's executor, its first
+    # threaded kernel call would wait forever on a helper that is not there
+    script = """
+import os, signal, sys
+import numpy as np
+from randloc import udist
+from randloc.udist import UGrid, collision_kernel, default_init_density, exponential_density
+udist._usable_cpus = lambda: 2
+g = UGrid.from_spacing(30.0, 0.02)
+p, q = default_init_density(g), exponential_density(g)
+assert len(udist._deposit_tables(g.u_max, g.n_bins)[-1]) >= udist._MIN_THREADED_BLOCKS
+want = collision_kernel(p, q).values
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)
+    sys.exit(0 if np.array_equal(collision_kernel(p, q).values, want) else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(randloc.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "0", "the child exited with status " + run.stdout
 
 
 @settings(max_examples=40, deadline=None)
@@ -478,15 +506,18 @@ def test_grid_beyond_uint16_nodes_is_refused_before_any_table(monkeypatch, schem
 
 @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (64, 2)])
 def test_kernel_thread_count_is_capped(monkeypatch, cpus, threads):
-    # at most two threads and one per usable CPU; no pool is started
+    # at most two threads: no helper on one usable CPU, else the same
+    # one-worker executor
+    helper = None if threads == 1 else udist._pool
+    assert udist._pool._max_workers == 1
     monkeypatch.setattr(udist.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
-    assert udist._kernel_threads() == threads
+    assert udist._helper() is helper
     monkeypatch.delattr(udist.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(udist.os, "cpu_count", lambda: cpus)
-    assert udist._kernel_threads() == threads
+    assert udist._helper() is helper
     monkeypatch.setattr(udist.os, "cpu_count", lambda: None)
-    assert udist._kernel_threads() == 1
+    assert udist._helper() is None
 
 
 @st.composite
@@ -507,11 +538,11 @@ def test_blocked_node_scheme_matches_one_shot_reference(p, block_pairs):
     with _patched_blocks() as mp:
         _set_block_pairs(mp, block_pairs)
         mp.setattr(udist, "_MIN_THREADED_BLOCKS", 2)
-        for threads in (1, 2):
-            mp.setattr(udist, "_kernel_threads", lambda: threads)
+        for cpus in (1, 2):
+            mp.setattr(udist, "_usable_cpus", lambda: cpus)
             udist._node_tables.cache_clear()  # build the tables in these blocks
             got_tables = udist._node_tables(g.u_max, g.n_bins)
-            for a, b in zip(want_tables, got_tables[:-2], strict=True):
+            for a, b in zip(want_tables, got_tables[:-1], strict=True):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
             assert np.array_equal(collision_kernel(p, p, scheme="node").values, want)
 
@@ -593,7 +624,7 @@ def test_every_cached_array_is_read_only(cache, n_bins):
     # the grid
     cache.cache_clear()
     try:
-        *tables, blocks, _ = cache(30.0, n_bins)
+        *tables, blocks = cache(30.0, n_bins)
         assert len(_arrays(blocks)) >= len(blocks) > 0
         assert not any(a.flags.writeable for a in _arrays((*tables, blocks)))
     finally:
