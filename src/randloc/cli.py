@@ -186,6 +186,8 @@ def cmd_oracle(cfg: dict, run_dir: Path) -> None:
 
 
 def cmd_fig1(cfg: dict, run_dir: Path) -> None:
+    if not cfg["g0_list"]:
+        raise ConfigError("g0_list must list at least one g0")
     for g0 in cfg["g0_list"]:
         traj = closed_trajectory(g0, cfg["tau_end"], cfg["dtau"])
         write_trajectory(

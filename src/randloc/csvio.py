@@ -30,14 +30,15 @@ call per value, byte for byte as ``'%.17g' % v`` (``_float_cells``):
   -4 <= E < 17, otherwise d.ddd then e+XX / e-XX with at least two exponent
   digits. The sign comes from the sign bit.
 
-Nothing is guessed: zeros, subnormals, magnitudes below 1e-282 or from
-1e298 up, inf, nan, and values whose N lies within 1e-7 of a rounding tie
-(exact ties among them) are formatted by ``'%.17g' % v`` itself, once per
-distinct bit pattern, and so are calls with fewer than 64 values, where
-the fixed cost of the numpy path outweighs it. Every other column goes
-through ``format_value`` value by value. The lookup tables are built on
-first use, in a few ms. The two axes of a long table are formatted once
-each, and every block gathers their cells by row.
+Nothing is guessed: the fast path runs over every value of a block, with
+1.0 standing in for zeros, subnormals, magnitudes below 1e-282 or from
+1e298 up, inf and nan. Their cells, and those of values whose N lies
+within 1e-7 of a rounding tie (exact ties among them), are then patched
+in place with ``'%.17g' % v`` itself, formatted once per distinct bit
+pattern. Every other column goes through ``format_value`` value by value.
+The lookup tables are built on first use, in a few ms. The two axes of a
+long table are formatted once each, and every block gathers their cells
+by row.
 """
 
 from __future__ import annotations
@@ -63,9 +64,14 @@ __all__ = [
 ]
 
 
-# Rows per block: a float cell takes 57 bytes of the block's buffer, so a
-# block's buffer and temporaries stay at a few MB.
-_ROWS_PER_BLOCK = 1 << 14
+# Rows per block, and so values per pass of the float formatter. At 2048
+# rows a float column's cells take 112 KiB, the fast path's temporaries 16
+# KiB each (64 KiB for its digit groups) and the relax table's (tau, u, p)
+# buffer 198 KiB. What a block frees must stay below glibc's trim threshold
+# (twice the largest block it has unmapped), or every block faults its
+# pages in anew: at 4096 rows a fresh process's first write of that table
+# took 13k minor faults or 0.8k, by what the process had allocated before.
+_ROWS_PER_BLOCK = 1 << 11
 _FLOAT_FORMAT = "%.17g"
 
 
@@ -183,8 +189,6 @@ _K_MIN, _K_MAX = 16 - 299, 16 + 284
 _E_MIN, _E_MAX = 16 - _K_MAX, 16 - _K_MIN + 1
 # Layout classes: fixed notation with E = -4 .. 16, then exponent notation.
 _EXP_CLASS = 21
-_CHUNK = 4096
-_FEW = 64
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,28 +318,17 @@ def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _float_cells(x: np.ndarray) -> np.ndarray:
     """The text of the float64 values x, one row of _WIDTH slots per value.
 
-    Fewer than _FEW values cost less through '%.17g' itself than through
-    the fast path's fixed cost. The fast path runs on chunks of _CHUNK
-    values, whose temporaries are small enough to be reused from chunk to
-    chunk rather than faulted in anew."""
+    The fast path runs once over |x|, with 1.0 standing in for the values it
+    cannot take; '%.17g' itself then overwrites their rows and the rows
+    the fast path leaves to it."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.size < _FEW:
-        return _slow_cells(x)
     a = np.abs(x)
-    fast = (a >= _A_MIN) & (a < _A_MAX)  # False for 0, subnormals, inf, nan
-    rows = None if fast.all() else np.flatnonzero(fast)
-    if rows is not None:
-        a = a[rows]
-    cells = np.empty((a.size, _WIDTH), np.uint8)
-    slow = [np.empty(0, np.intp)]
-    for lo in range(0, a.size, _CHUNK):
-        slow.append(lo + _fast_cells(a[lo : lo + _CHUNK], cells[lo : lo + _CHUNK]))
-    slow = np.concatenate(slow)
-    if rows is not None:
-        cells, packed = np.empty((x.size, _WIDTH), np.uint8), cells
-        cells[rows] = packed
-        slow = np.concatenate((rows[slow], np.flatnonzero(~fast)))
+    slow = ~((a >= _A_MIN) & (a < _A_MAX))  # True for 0, subnormals, inf, nan
+    a[slow] = 1.0
+    cells = np.empty((x.size, _WIDTH), np.uint8)
+    slow[_fast_cells(a, cells)] = True
     cells[np.signbit(x), 0] = ord("-")
+    slow = np.flatnonzero(slow)
     if slow.size:
         cells[slow] = _slow_cells(x[slow])
     return cells

@@ -178,5 +178,4 @@ def gamma_residual(traj: GammaTrajectory) -> GammaResidual:
     g0 = traj.g0
     integral = traj.cumulative()
     resid = np.abs(traj.values - 1.0 + (1.0 - g0) * np.exp(-integral))
-    seed_mismatch = abs(traj.values[0] - 1.0 + 1.0)
-    return GammaResidual(float(np.max(resid[1:])), float(seed_mismatch))
+    return GammaResidual(float(np.max(resid[1:])), g0)

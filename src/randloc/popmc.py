@@ -86,6 +86,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .gamma import _check_g0
 from .udist import UDensity, UGrid, _helper
 
 __all__ = [
@@ -282,8 +283,7 @@ def run_transient(
     array is made, and a resume beyond that many events before its first
     event.
     """
-    if not 0.0 <= g0 <= 1.0:
-        raise ValueError(f"g0 must lie in [0, 1], got {g0}")
+    _check_g0(g0)
     if M > _MAX_PARTICLES:
         raise ValueError(f"m_particles={M} is more than {_MAX_PARTICLES:.0e}, the most a run holds")
     _check_span(M, 0.0, tau_end)

@@ -289,6 +289,8 @@ def _fail(what):
         ("transient", ["g_mode=const", "g0=inf"], "g0 must lie in [0, 1], got inf"),
         # an empty box list wrote a header and no rows
         ("oracle", ["fit_order=no", "boxes="], "boxes must list at least one box"),
+        # an empty g0 list wrote the inset and no curve
+        ("fig1", ["g0_list=", "h=0.5", "u_max=10"], "g0_list must list at least one g0"),
     ],
 )
 def test_out_of_range_key_is_exit_code_one_naming_the_key(tmp_path, capsys, monkeypatch,

@@ -150,6 +150,12 @@ def test_residual_of_closed_trajectory_is_quadrature_small():
     assert res.seed_mismatch == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("g0", [1e-20, 0.0008])
+def test_seed_mismatch_is_the_seed_exactly(g0):
+    # g0 - 1 + 1 once read 0.0 for g0 = 1e-20, and 0.0008000000000000229
+    assert gamma_residual(closed_trajectory(g0, 1.0, 0.01)).seed_mismatch == g0
+
+
 def test_residual_quadrature_order():
     # trapezoid cumulative integral makes the residual O(dtau^2)
     r1 = gamma_residual(closed_trajectory(0.2, 8.0, 0.04)).max_residual

@@ -187,6 +187,7 @@ def test_population_size_guards():
     [
         (dict(g0=-0.1), "g0"),
         (dict(g0=1.5), "g0"),
+        (dict(g0=np.nan), "g0"),
     ],
 )
 def test_transient_argument_validation(kwargs, msg):
