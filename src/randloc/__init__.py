@@ -50,11 +50,8 @@ from .popmc import (
     Population,
     empirical_density,
     ks_distance,
-    load_checkpoint,
-    resume,
     run_steady,
     run_transient,
-    save_checkpoint,
 )
 from .udist import (
     UDensity,
@@ -98,11 +95,8 @@ __all__ = [
     "Population",
     "empirical_density",
     "ks_distance",
-    "load_checkpoint",
-    "resume",
     "run_steady",
     "run_transient",
-    "save_checkpoint",
     "UDensity",
     "UGrid",
     "collision_kernel",

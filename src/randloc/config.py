@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .csvio import format_value
 from .errors import ConfigError
-from .meanfield import _INIT_GUESSES, SolverConfig
+from .meanfield import SolverConfig
 
 __all__ = ["Field", "SCHEMAS", "split_pair", "parse_file", "resolve", "echo_lines", "run_name"]
 
@@ -72,7 +72,7 @@ _KEYS: dict[str, dict[str, Field]] = {
     "transient": {
         "u_max": Field("float", SolverConfig.u_max),
         "h": Field("float", 0.02),
-        "init": Field("str", "ue", tuple(_INIT_GUESSES)),
+        "init": Field("str", "ue", ("ue", "point")),  # the starts with p(0) = 0
         "dtau": Field("float", 0.0),  # 0 means: use h
         "tau_end": Field("float", 5.0),
         "g0": Field("float", 0.1),

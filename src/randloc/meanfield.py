@@ -194,8 +194,10 @@ def _check_steady_grid(grid: UGrid) -> None:
         )
 
 
-# Initial densities by name, the choices of resolve_init and of the "init"
-# key of the transient config.
+# Initial densities by name, the choices of resolve_init. The transient's
+# "init" key offers only "ue" and "point": drift_shift moves p(0) from node
+# 0's half weight onto a full weight, a real mass gain of h/2 p(0), so "exp"
+# (p(0) = 1) stops at its first step on any grid.
 _INIT_GUESSES = {
     "ue": default_init_density,
     "exp": exponential_density,

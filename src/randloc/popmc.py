@@ -19,31 +19,24 @@ each kind of event: loc-deloc events are exactly the localizations, and a
 fully localized population sees only loc-loc ones.
 
 Drift is lazy: each localized particle stores (value, sync time) and is
-materialized only when touched by an event, a snapshot, or a checkpoint.
-A Population checks its own fields when built and when resumed, so runs,
-checkpoints and resumed runs accept the same states; run_steady is
-run_transient at g0 = 1.
+materialized only when touched by an event or a snapshot. A run always
+starts from a fresh population and returns it as a record of its end
+state; run_steady is run_transient at g0 = 1.
 
 Determinism. All randomness comes from one counter-based Philox stream
 keyed by the run seed. Initial values are drawn first; then the event
-loop draws uniforms in blocks of 3 * _BLOCK_EVENTS. The first gap of a
-fresh population is one uniform (scaled by / rate); after it each event
-consumes a triple (first index, second index, next gap), the gap scaled
-by * (1 / rate). A refill before the indices drops a tail of fewer than
-two uniforms; a gap is drawn from a refill only once the block is used
-up, so nothing is dropped there. Identical (seed, config) runs therefore
-reproduce bit-identical trajectories, and the event loop does so on
-every platform that rounds doubles to IEEE 754 (see Gaps below); the
-initial values come from numpy's gamma sampler, which reads the
-platform's log, log1p and exp, so across platforms one can rarely differ
-in its last bits. Checkpoints capture the stream state, the unconsumed
-tail of the current block, the pending interarrival gap and the event
-counters, so a resumed run continues bit-for-bit as if never
-interrupted. A checkpoint (version 5) holds the version, the stream
-state and every other Population field, and nothing else. The thread
-count never changes the bits: runs are drawn and prepared one after
-another in stream order, whichever thread prepares them, and applied in
-that order.
+loop draws uniforms in blocks of 3 * _BLOCK_EVENTS. The first gap is one
+uniform (scaled by / rate); after it each event consumes a triple (first
+index, second index, next gap), the gap scaled by * (1 / rate). So every
+refill finds a tail of two uniforms, the indices of the event whose gap
+opens the new block, and nothing is dropped. Identical (seed, config)
+runs therefore reproduce bit-identical trajectories, and the event loop
+does so on every platform that rounds doubles to IEEE 754 (see Gaps
+below); the initial values come from numpy's gamma sampler, which reads
+the platform's log, log1p and exp, so across platforms one can rarely
+differ in its last bits. The thread count never changes the bits: runs
+are drawn and prepared one after another in stream order, whichever
+thread prepares them, and applied in that order.
 
 Wavefront schedule. The loop takes a block's triples as arrays, at most
 _RUN_EVENTS at a time (a run; twice that with the look-ahead below), and
@@ -78,9 +71,8 @@ every platform, and a whole run's gaps cost a few dozen array passes.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import wait
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -94,11 +86,8 @@ __all__ = [
     "PopulationSnapshot",
     "run_steady",
     "run_transient",
-    "resume",
     "empirical_density",
     "ks_distance",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 _MIN_STEADY = 1000
@@ -111,7 +100,6 @@ _RUN_EVENTS = 1 << 13  # events per wavefront run; keeps a run's temporaries in 
 # was even at 32768-50000 and made runs of 65536-200000 particles 1.1-1.2
 # times faster.
 _MIN_LOOKAHEAD_PARTICLES = 1 << 16
-_CHECKPOINT_VERSION = 5
 _MAX_EVENTS = 10**10  # expected events of one run: 28-42 minutes at 4-6 M events a second
 _MAX_PARTICLES = 2 * 10**7  # a run holds about 45 bytes a particle: 0.9 GB
 _COUNTERS = ("events_loc_loc", "events_loc_deloc", "events_deloc_deloc")
@@ -128,17 +116,13 @@ class PopulationSnapshot:
 
 @dataclass(eq=False)
 class Population:
-    """Particle states plus everything needed to continue the run.
+    """Particle states at the end of a run, with its event counts.
 
     u_sync[i] is particle i's value at its private sync time t_sync[i];
     its current value is u_sync[i] + (tau - t_sync[i]). localized marks
     live entries; delocalized slots keep stale numbers that must never be
     read. events_loc_loc, events_loc_deloc and events_deloc_deloc count the
-    events of each kind. The private fields carry the RNG block buffer and
-    the already-drawn gap to the next event so that resumed runs are
-    bit-identical to uninterrupted ones. These fields, rng aside, are what a
-    checkpoint holds. Building one, and ``resume``, check every field and
-    raise ValueError naming a bad one.
+    events of each kind.
     """
 
     seed: int
@@ -149,38 +133,6 @@ class Population:
     events_loc_loc: int = 0
     events_loc_deloc: int = 0
     events_deloc_deloc: int = 0
-    rng: np.random.Generator | None = None
-    _buffer: np.ndarray = field(default_factory=lambda: np.empty(0))
-    _pending_gap: float = -1.0  # time from self.tau to the next event; < 0 if not drawn
-
-    def __post_init__(self) -> None:
-        self._check()
-
-    def _check(self) -> None:
-        arrays = {"localized": self.localized, "u_sync": self.u_sync,
-                  "t_sync": self.t_sync, "buffer": self._buffer}
-        arrays = {name: np.asarray(a) for name, a in arrays.items()}
-        for name, a in arrays.items():
-            dtype = np.dtype(bool if name == "localized" else float)
-            if a.dtype != dtype or a.ndim != 1:
-                raise ValueError(f"{name} must be a 1-d {dtype} array, got {a.ndim}-d {a.dtype}")
-        loc = arrays["localized"]
-        if loc.size < 2:  # an event draws two distinct particles
-            raise ValueError(f"a population needs at least 2 particles, got {loc.size}")
-        for name in ("u_sync", "t_sync"):
-            if arrays[name].size != loc.size:
-                raise ValueError(f"{name} has {arrays[name].size} entries, "
-                                 f"localized has {loc.size}")
-            if not np.all(np.isfinite(arrays[name][loc])):
-                raise ValueError(f"{name} holds a non-finite localized value")
-        for name, value in (("tau", self.tau), ("pending_gap", self._pending_gap)):
-            if not np.isfinite(value):
-                raise ValueError(f"{name} is not finite")
-        if not np.all((arrays["buffer"] >= 0.0) & (arrays["buffer"] < 1.0)):
-            raise ValueError("buffer holds a value outside [0, 1)")
-        for name in _COUNTERS:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} is negative")
 
     @property
     def size(self) -> int:
@@ -198,12 +150,6 @@ class Population:
         """Materialized values of the localized particles at self.tau."""
         sel = self.localized
         return self.u_sync[sel] + (self.tau - self.t_sync[sel])
-
-
-# What a checkpoint holds besides its version and generator state: every other
-# Population field as (attribute, npz key).
-_CHECKPOINT_FIELDS = tuple((f.name, f.name.lstrip("_"))
-                           for f in fields(Population) if f.name != "rng")
 
 
 def _reference_cdf_table(density: UDensity) -> np.ndarray:
@@ -279,14 +225,15 @@ def run_transient(
     A newly localized particle adopts its localized partner's current u.
     g0 = 1 reduces to run_steady semantics, g0 = 0 stays identically
     delocalized. A run of more than 2 10^7 particles, or one that expects
-    more than 10^10 events, M (tau_end - tau) / 2, is refused before any
-    array is made, and a resume beyond that many events before its first
-    event.
+    more than 10^10 events, M tau_end / 2, is refused before any array is
+    made.
     """
     _check_g0(g0)
+    if M < 2:  # an event draws two distinct particles
+        raise ValueError(f"a population needs at least 2 particles, got {M}")
     if M > _MAX_PARTICLES:
         raise ValueError(f"m_particles={M} is more than {_MAX_PARTICLES:.0e}, the most a run holds")
-    _check_span(M, 0.0, tau_end)
+    _check_span(M, tau_end)
     n0 = int(np.ceil(g0 * M))
     if g0 > 0 and n0 < _MIN_SEEDED:
         raise ValueError(
@@ -304,38 +251,29 @@ def run_transient(
         localized=localized,
         u_sync=u_sync,
         t_sync=np.zeros(M),
-        rng=rng,
     )
-    snaps = _advance(pop, tau_end, snapshot_taus)
+    snaps = _advance(pop, rng, tau_end, snapshot_taus)
     return pop, snaps
 
 
-def resume(pop: Population, tau_end: float, snapshot_taus=()) -> list[PopulationSnapshot]:
-    """Continue a population (fresh or loaded from checkpoint) to tau_end,
-    after checking its fields again."""
-    if pop.rng is None:
-        raise ValueError("population carries no generator; load a checkpoint first")
-    pop._check()
-    _check_span(pop.size, pop.tau, tau_end)
-    return _advance(pop, tau_end, snapshot_taus)
-
-
-def _check_span(m: int, tau: float, tau_end: float) -> None:
-    """Refuses a run of m particles from tau to tau_end that would never stop,
-    would run backwards or expects more than _MAX_EVENTS events."""
+def _check_span(m: int, tau_end: float) -> None:
+    """Refuses a run of m particles from tau = 0 to tau_end that would never
+    stop, would run backwards or expects more than _MAX_EVENTS events."""
     if not np.isfinite(tau_end):  # a NaN or infinite end would never stop the loop
         raise ValueError(f"tau_end must be finite, got {tau_end}")
-    if tau_end < tau - 1e-12:
-        raise ValueError(f"tau_end={tau_end} is before the population time {tau}")
-    events = m * (tau_end - tau) / 2.0
+    if tau_end < -1e-12:
+        raise ValueError(f"tau_end={tau_end} is before the population time 0.0")
+    events = m * tau_end / 2.0
     if events > _MAX_EVENTS:
         raise ValueError(f"tau_end={tau_end} with m_particles={m} expects {events:.3g} "
                          f"events, more than {_MAX_EVENTS:.0e}; use a shorter run")
 
 
-def _advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationSnapshot]:
-    """Event loop core, for a run that _check_span accepts. Mutates pop in
-    place and returns the snapshots.
+def _advance(pop: Population, rng: np.random.Generator, tau_end: float,
+             snapshot_taus) -> list[PopulationSnapshot]:
+    """Event loop core: advances a fresh population, its events drawn from
+    rng, to a tau_end that _check_span accepts. Mutates pop in place and
+    returns the snapshots.
 
     While this thread applies one run, the kernel's helper thread prepares
     the next (see _prepare_run); with one usable CPU, or fewer than
@@ -348,11 +286,6 @@ def _advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationS
     snaps: list[PopulationSnapshot] = []
     m = pop.size
     rate = m / 2.0  # each particle takes part in events at rate 1
-
-    # Events scatter into private copies; the caller's arrays are replaced, not mutated.
-    pop.u_sync = np.array(pop.u_sync, dtype=float)
-    pop.t_sync = np.array(pop.t_sync, dtype=float)
-    pop.localized = np.array(pop.localized, dtype=bool)
     snap_i = 0
 
     def emit(until: int) -> None:
@@ -364,21 +297,14 @@ def _advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationS
             snaps.append(PopulationSnapshot(tau=ts, g_empirical=pop.n_localized / m, u_values=u))
         snap_i = until
 
-    rng = pop.rng
-    buf = pop._buffer
-    pos = 0
-    gap = pop._pending_gap
-    if gap < 0.0:  # a fresh population's first gap
-        if buf.size == 0:
-            buf = rng.random(3 * _BLOCK_EVENTS)
-        gap = float(_neg_log1p(buf[:1])[0]) / rate
-        pos = 1
+    buf = rng.random(3 * _BLOCK_EVENTS)
+    gap = float(_neg_log1p(buf[:1])[0]) / rate  # the first gap
     pool = _helper() if m >= _MIN_LOOKAHEAD_PARTICLES else None
     # Handed between threads, runs of twice the length overlap better; on one
     # thread the length makes no difference at these sizes.
     run_events = _RUN_EVENTS if pool is None else 2 * _RUN_EVENTS
     prepare = partial(_prepare_run, rng, m, tau_end, pending, run_events)
-    parts, cur = prepare(_Cursor(buf, pos, pop.tau, gap, 0))
+    parts, cur = prepare(_Cursor(buf, 1, pop.tau, gap, 0))
     n_loc = pop.n_localized
     ahead = None
     try:
@@ -393,8 +319,6 @@ def _advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationS
     finally:
         if ahead is not None:  # a failed apply leaves no run preparing
             wait((ahead,))
-    pop._buffer = cur.buffer[cur.pos:].copy()
-    pop._pending_gap = float(cur.tau + cur.gap - tau_end)
     emit(len(pending))
     pop.tau = tau_end
     return snaps
@@ -430,10 +354,9 @@ def _prepare_run(rng: np.random.Generator, m: int, tau_end: float, pending: list
     if tau + gap > tau_end:
         return [], cur
     if buf.size - pos < 3:
-        # A refill drops a tail too short for the indices; a tail of two
-        # holds the indices of the event whose gap opens the new block.
-        block = rng.random(3 * _BLOCK_EVENTS)
-        buf = np.concatenate((buf[pos:], block)) if buf.size - pos == 2 else block
+        # The tail is always two uniforms: the indices of the event whose gap
+        # opens the new block.
+        buf = np.concatenate((buf[pos:], rng.random(3 * _BLOCK_EVENTS)))
         pos = 0
     k = min((buf.size - pos) // 3, run_events)
     draws = buf[pos : pos + 3 * k].reshape(k, 3)
@@ -646,43 +569,3 @@ def _apply_events(pop: Population, i: np.ndarray, j: np.ndarray, t: np.ndarray, 
     pop.events_deloc_deloc += i.size - n_ll - n_ld
     return n_ld
 
-
-def save_checkpoint(pop: Population, path) -> None:
-    """Binary checkpoint (versioned npz) of the full resumable state: the
-    version, the generator state as JSON and every other Population field,
-    under its name without the leading underscore. A field that only a
-    pickle could hold, such as a seed beyond 64 bits, raises ValueError."""
-    if pop.rng is None:
-        raise ValueError("population carries no generator state to save")
-    # a Philox state holds ndarrays, ints and a str; only the arrays need help
-    state = json.dumps(pop.rng.bit_generator.state, default=lambda a: a.tolist())
-    entries = {key: np.asarray(getattr(pop, name)) for name, key in _CHECKPOINT_FIELDS}
-    for key, a in entries.items():
-        if a.dtype.hasobject:  # np.savez would pickle it, and load_checkpoint refuses pickles
-            raise ValueError(f"a checkpoint cannot hold {key} {a}")
-    np.savez(path, version=np.int64(_CHECKPOINT_VERSION), rng_state=np.str_(state), **entries)
-
-
-def load_checkpoint(path) -> Population:
-    """Rebuild a resumable Population from a checkpoint file.
-
-    A checkpoint of another version or one that lacks a field raises
-    ValueError; so does any field the Population refuses (mistyped,
-    non-finite or inconsistent), with its message prefixed by "checkpoint".
-    """
-    with np.load(path, allow_pickle=False) as z:
-        version = int(z["version"])
-        if version != _CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        f = {name: z[name] for name in z.files}
-    missing = sorted({"rng_state", *(key for _, key in _CHECKPOINT_FIELDS)} - f.keys())
-    if missing:
-        raise ValueError(f"checkpoint lacks {', '.join(missing)}")
-    rng = np.random.Generator(np.random.Philox())
-    rng.bit_generator.state = json.loads(str(f["rng_state"]))
-    values = {name: f[key].item() if f[key].ndim == 0 else f[key]
-              for name, key in _CHECKPOINT_FIELDS}
-    try:
-        return Population(**values, rng=rng)
-    except ValueError as exc:
-        raise ValueError(f"checkpoint {exc}") from None

@@ -746,8 +746,9 @@ def drift_shift(p: UDensity, delta: float) -> tuple[UDensity, float]:
 
     delta must be zero or more whole cells (``_whole_steps``), so the shift
     is exact: out(u) = p(u - delta), zero below u = delta. Returns (shifted
-    density, lost mass), where the lost mass is the trapezoid-mass defect,
-    the tail pushed past u_max.
+    density, lost mass), where the lost mass is the whole trapezoid-mass
+    defect: the tail pushed past u_max, less h/2 p(0), which the shift moves
+    from node 0's half weight onto a full one.
     """
     g = p.grid
     m = _whole_steps(delta, g.h, "shift", "h", least=0)

@@ -4,10 +4,9 @@ It applies one event per Python iteration on lists of floats, drawing the
 indices and the next gap from the block buffer exactly as the stream layout
 prescribes. The batched loop applies the same events in wavefront levels
 with numpy gathers and scatters, so the two agree bit for bit: final
-state, buffer tail, pending gap, counters and every snapshot. Both take
-their gaps from ``popmc._neg_log1p``, here applied to each whole buffer.
-Tests swap this function in for ``popmc._advance`` to run the public API
-on it.
+state, counters and every snapshot. Both take their gaps from
+``popmc._neg_log1p``, here applied to each whole buffer. Tests swap this
+function in for ``popmc._advance`` to run the public API on it.
 """
 
 import numpy as np
@@ -16,12 +15,10 @@ from randloc import popmc
 from randloc.popmc import Population, PopulationSnapshot
 
 
-def reference_advance(pop: Population, tau_end: float, snapshot_taus) -> list[PopulationSnapshot]:
-    """Event loop core. Mutates pop in place and returns the snapshots."""
-    if not np.isfinite(tau_end):
-        raise ValueError(f"tau_end must be finite, got {tau_end}")
-    if tau_end < pop.tau - 1e-12:
-        raise ValueError(f"tau_end={tau_end} is before the population time {pop.tau}")
+def reference_advance(pop: Population, rng: np.random.Generator, tau_end: float,
+                      snapshot_taus) -> list[PopulationSnapshot]:
+    """Event loop core for a fresh population. Mutates pop in place and
+    returns the snapshots."""
     pending = sorted(float(t) for t in snapshot_taus)
     for t in pending:
         if not pop.tau - 1e-12 <= t <= tau_end + 1e-12:
@@ -36,7 +33,6 @@ def reference_advance(pop: Population, tau_end: float, snapshot_taus) -> list[Po
     t_s = pop.t_sync.tolist()
     loc = pop.localized.astype(np.uint8).tolist()
     n_loc = pop.n_localized
-    rng = pop.rng
     n_ll = n_ld = n_dd = 0
     snap_i = 0
     tau = pop.tau
@@ -58,32 +54,23 @@ def reference_advance(pop: Population, tau_end: float, snapshot_taus) -> list[Po
         block = rng.random(3 * block_events)
         return block.tolist(), popmc._neg_log1p(block).tolist()
 
-    buf, neg = pop._buffer.tolist(), popmc._neg_log1p(pop._buffer).tolist()
-    pos = 0
-    gap = pop._pending_gap
-    if gap < 0.0:
-        if pos + 1 > len(buf):
-            buf, neg = refill()
-            pos = 0
-        gap = neg[pos] / rate
-        pos += 1
+    buf, neg = refill()
+    gap = neg[0] / rate
+    pos = 1
     inv_rate = 1.0 / rate
     m1 = m - 1
     n_buf = len(buf)
     while True:
         t_next = tau + gap
         if t_next > tau_end:
-            gap = t_next - tau_end
             emit_until(tau_end)
             tau = tau_end
             break
         if snap_i < n_pending and pending[snap_i] <= t_next + 1e-12:
             emit_until(t_next)
         tau = t_next
-        if pos + 2 > n_buf:
-            buf, neg = refill()
-            pos = 0
-            n_buf = len(buf)
+        # the indices always fit: each block opens with a gap, so it ends with the
+        # indices of the event whose gap opens the next
         i = int(buf[pos] * m)
         j = int(buf[pos + 1] * m1)
         pos += 2
@@ -123,8 +110,6 @@ def reference_advance(pop: Population, tau_end: float, snapshot_taus) -> list[Po
             n_buf = len(buf)
         gap = neg[pos] * inv_rate
         pos += 1
-    pop._buffer = np.asarray(buf[pos:])
-    pop._pending_gap = float(gap)
 
     pop.tau = tau
     pop.u_sync = np.asarray(u_s)

@@ -747,11 +747,23 @@ _FUZZ_CASES = [
 ]
 
 
-@pytest.mark.parametrize("subcommand", sorted(_FUZZ_BASE))
-def test_fuzz_base_config_succeeds(tmp_path, capsys, subcommand):
-    # a failing base would stop every fuzz case of its subcommand at one check
-    sets = [x for kv in _FUZZ_BASE[subcommand] for x in ("--set", kv)]
-    run_ok(capsys, [subcommand, "--jobs", "1", "--out", str(tmp_path)] + sets)
+# The base configs, and each with one choice of a string key set on top of it.
+_FUZZ_CHOICES = [pytest.param(subcommand, None, id=subcommand) for subcommand in sorted(_FUZZ_BASE)]
+_FUZZ_CHOICES += [
+    pytest.param(subcommand, f"{key}={choice}", id=f"{subcommand}-{key}={choice}")
+    for subcommand, schema in SCHEMAS.items()
+    for key, field in schema.items()
+    for choice in field.choices or ()
+]
+
+
+@pytest.mark.parametrize("subcommand, choice", _FUZZ_CHOICES)
+def test_fuzz_base_config_succeeds(tmp_path, capsys, subcommand, choice):
+    # a failing base would stop every fuzz case of its subcommand at one check;
+    # transient init=exp once exited 2 at the base, and on every other grid
+    sets = [*_FUZZ_BASE[subcommand], *([choice] if choice else [])]
+    run_ok(capsys, [subcommand, "--jobs", "1", "--out", str(tmp_path)]
+           + [x for kv in sets for x in ("--set", kv)])
 
 
 @pytest.mark.parametrize("subcommand, key, value", _FUZZ_CASES)

@@ -353,15 +353,19 @@ def test_resolve_rejects_unknown_and_untyped():
 
 @pytest.mark.parametrize("subcommand", ["transient"])
 def test_init_choices_are_the_initial_guesses(subcommand):
-    # the config takes its choices from the one table resolve_init reads
-    assert SCHEMAS[subcommand]["init"].choices == tuple(_INIT_GUESSES) == ("ue", "exp", "point")
+    # the transient starts from the initial guesses with p(0) = 0; exp, with
+    # p(0) = 1, once exited 2 on every grid with "cumulative drift leakage"
+    assert SCHEMAS[subcommand]["init"].choices == ("ue", "point")
+    assert set(SCHEMAS[subcommand]["init"].choices) < set(_INIT_GUESSES)
     assert resolve(subcommand)["init"] == "ue"
     grid = UGrid.from_spacing(5.0, 0.05)
     for init in SCHEMAS[subcommand]["init"].choices:
         assert resolve(subcommand, None, {"init": init})["init"] == init
         assert mass(resolve_init(grid, init)) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ConfigError, match=r"'flat' not one of \['exp', 'point', 'ue'\]"):
-        resolve(subcommand, None, {"init": "flat"})
+        assert resolve_init(grid, init).values[0] == 0.0
+    for init in ("exp", "flat"):
+        with pytest.raises(ConfigError, match=rf"'{init}' not one of \['point', 'ue'\]"):
+            resolve(subcommand, None, {"init": init})
 
 
 def test_resolve_tuple_kinds():

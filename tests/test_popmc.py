@@ -1,6 +1,5 @@
 """Pairwise event-driven Monte Carlo population dynamics."""
 
-import dataclasses
 import math
 import threading
 from contextlib import contextmanager
@@ -14,16 +13,7 @@ from popmc_reference import reference_advance
 from randloc import popmc, udist
 from randloc.gamma import gamma_closed
 from randloc.meanfield import SolverConfig, solve_steady
-from randloc.popmc import (
-    Population,
-    empirical_density,
-    ks_distance,
-    load_checkpoint,
-    resume,
-    run_steady,
-    run_transient,
-    save_checkpoint,
-)
+from randloc.popmc import empirical_density, ks_distance, run_steady, run_transient
 from randloc.udist import UDensity, UGrid, exponential_density, mass, normalize
 
 
@@ -71,45 +61,6 @@ def test_snapshots_do_not_perturb_the_stream():
     assert all(s.u_values.size == 2000 for s in snaps)
 
 
-def test_checkpoint_resume_is_bit_identical(tmp_path):
-    one_shot, _ = run_steady(3000, 4.0, seed=13)
-    pop, _ = run_steady(3000, 2.0, seed=13)
-    path = tmp_path / "pop.npz"
-    save_checkpoint(pop, path)
-    loaded = load_checkpoint(path)
-    resume(loaded, 4.0)
-    assert_same_state(state_tuple(one_shot), state_tuple(loaded))
-
-
-def test_in_memory_resume_matches_one_shot():
-    one_shot, _ = run_steady(2000, 3.0, seed=21)
-    pop, _ = run_steady(2000, 1.0, seed=21)
-    resume(pop, 3.0)
-    assert_same_state(state_tuple(one_shot), state_tuple(pop))
-
-
-def test_checkpoint_rejects_foreign_version(tmp_path):
-    pop, _ = run_steady(1000, 0.5, seed=1)
-    path = tmp_path / "pop.npz"
-    save_checkpoint(pop, path)
-    with np.load(path) as z:
-        payload = {k: z[k] for k in z.files}
-    # version 2 drew its gaps with the platform's log1p, version 3 held a rate field,
-    # version 4 an entrant rule, its cap, a ceiling and an overflow count
-    for version in (2, 3, 4, 99):
-        payload["version"] = np.int64(version)
-        np.savez(path, **payload)
-        with pytest.raises(ValueError, match=f"version {version}"):
-            load_checkpoint(path)
-
-
-def test_resume_requires_generator():
-    bare = Population(seed=0, tau=0.0, localized=np.ones(5, dtype=bool),
-                      u_sync=np.ones(5), t_sync=np.zeros(5))
-    with pytest.raises(ValueError, match="generator"):
-        resume(bare, 1.0)
-
-
 def test_unseeded_population_stays_delocalized():
     pop, snaps = run_transient(2000, 0.0, 3.0, seed=3, snapshot_taus=(1.5,))
     assert pop.n_localized == 0
@@ -129,21 +80,6 @@ def test_transient_fraction_tracks_closed_form():
     gc = gamma_closed(2.0, 0.1)
     se = np.sqrt(gc * (1.0 - gc) / M)
     assert abs(pop.g_empirical - gc) < 3.0 * se
-
-
-def test_resume_within_the_pending_gap_is_pure_drift():
-    pop, _ = run_transient(1000, 0.5, 1.0, seed=6)
-    kept = [pop.u_sync.copy(), pop.t_sync.copy(), pop.localized.copy(), pop._buffer.copy()]
-    counts = [getattr(pop, n) for n in popmc._COUNTERS]
-    u0 = pop.current_u()
-    elapsed = 0.5 * pop._pending_gap
-    assert elapsed > 0.0
-    resume(pop, 1.0 + elapsed)
-    assert pop.tau == 1.0 + elapsed
-    for a, b in zip(kept, [pop.u_sync, pop.t_sync, pop.localized, pop._buffer]):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert [getattr(pop, n) for n in popmc._COUNTERS] == counts
-    assert np.max(np.abs(pop.current_u() - u0 - elapsed)) < 1e-12
 
 
 def test_steady_population_matches_grid_solution():
@@ -182,6 +118,14 @@ def test_population_size_guards():
         run_transient(1000, 0.001, 1.0, seed=0)  # ceil(g0*M) = 1 seed particle
 
 
+@pytest.mark.parametrize("M", [0, 1])
+def test_population_of_fewer_than_two_is_refused(M):
+    # one particle once failed with an IndexError at its first event, none
+    # with a ZeroDivisionError in its empirical fraction
+    with pytest.raises(ValueError, match=f"at least 2 particles, got {M}"):
+        run_transient(M, 0.0, 1.0, seed=0)
+
+
 @pytest.mark.parametrize(
     "kwargs,msg",
     [
@@ -213,13 +157,6 @@ def test_run_beyond_the_event_limit_is_refused_before_any_event(monkeypatch):
         run_steady(2000, 1e7, seed=0)
     with pytest.raises(ValueError, match="more than 1e\\+10"):
         run_transient(2000, 0.5, 1.0000001e7, seed=0)
-    monkeypatch.undo()
-    pop, _ = run_steady(2000, 1.0, seed=0)
-    monkeypatch.setattr(popmc, "_apply_events", started)
-    with pytest.raises(ValueError, match="tau_end=1e\\+300 with m_particles=2000 expects"):
-        resume(pop, 1e300)
-    with pytest.raises(Started):  # the limit counts the events still to come, from tau = 1
-        resume(pop, 1e7 + 1.0)
 
 
 def test_population_beyond_the_particle_limit_is_refused_before_any_array(monkeypatch):
@@ -236,19 +173,14 @@ def test_population_beyond_the_particle_limit_is_refused_before_any_array(monkey
 def test_snapshot_and_rate_guards():
     with pytest.raises(ValueError, match="outside"):
         run_steady(1000, 1.0, seed=0, snapshot_taus=(2.0,))
-    pop, _ = run_steady(1000, 1.0, seed=0)
-    with pytest.raises(ValueError, match="before"):
-        resume(pop, 0.5)
+    with pytest.raises(ValueError, match="tau_end=-0.5 is before the population time 0.0"):
+        run_steady(1000, -0.5, seed=0)
 
 
 @pytest.mark.parametrize("tau_end", [np.nan, np.inf])
 def test_non_finite_end_time_is_rejected(tau_end):
     with pytest.raises(ValueError, match="tau_end must be finite"):
         run_steady(1000, tau_end, seed=0)
-    pop, _ = run_transient(1000, 0.5, 0.5, seed=0)
-    with pytest.raises(ValueError, match="tau_end must be finite"):
-        resume(pop, tau_end)
-    assert pop.tau == 0.5
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
@@ -295,8 +227,6 @@ def assert_bit_identical(batched, dense):
     assert np.array_equal(a.localized, b.localized)
     assert np.array_equal(a.u_sync, b.u_sync)
     assert np.array_equal(a.t_sync, b.t_sync)
-    assert np.array_equal(a._buffer, b._buffer)
-    assert a._pending_gap == b._pending_gap
     for name in popmc._COUNTERS:
         assert getattr(a, name) == getattr(b, name), name
     assert len(sa) == len(sb)
@@ -378,35 +308,6 @@ def test_snapshots_at_event_times_match_reference():
     assert_bit_identical(batched, dense)
 
 
-@pytest.mark.parametrize("drop", [0, 1, 2])
-@pytest.mark.parametrize("tau_stop", [0.4, 1.3])
-def test_resumed_buffer_tails_match_reference(tmp_path, drop, tau_stop):
-    # A run stops with a tail of 2 mod 3 uniforms; dropping 0, 1 or 2 of
-    # them gives a checkpoint with each residue.
-    pop, _ = run_transient(2000, 0.25, tau_stop, 12)
-    pop._buffer = pop._buffer[drop:]
-    path = tmp_path / "pop.npz"
-    save_checkpoint(pop, path)
-
-    def resumed():
-        loaded = load_checkpoint(path)
-        return loaded, resume(loaded, 3.0, (1.5, 2.0))
-
-    batched, dense = both_loops(resumed)
-    assert batched[0].events_loc_loc > 0
-    assert_bit_identical(batched, dense)
-
-
-@pytest.mark.parametrize("tail", [0, 1, 2, 3, 4])
-def test_short_buffer_tails_match_reference(tail):
-    def resumed():
-        pop, _ = run_steady(1000, 0.5, 2)
-        pop._buffer = pop._buffer[pop._buffer.size - tail:]
-        return pop, resume(pop, 1.0, (0.75,))
-
-    assert_bit_identical(*both_loops(resumed))
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -465,19 +366,17 @@ def lookahead(request, monkeypatch):
 
 # Reference comparisons from above, each run again on both paths in several runs.
 _REFERENCE_CASES = {
-    "steady": lambda mp, tmp: test_batched_steady_matches_reference(1, 4001),
-    "short-runs": lambda mp, tmp: test_batched_run_sizes_match_reference(mp, 7, 2, 2000),
-    "transient": lambda mp, tmp: test_batched_transient_matches_reference(0.1),
-    "refills": lambda mp, tmp: test_batched_refills_match_reference(mp, 2),
-    "snapshots-at-events": lambda mp, tmp: test_snapshots_at_event_times_match_reference(),
-    "resumed-tails": lambda mp, tmp: test_resumed_buffer_tails_match_reference(tmp, 1, 0.4),
-    "short-tails": lambda mp, tmp: test_short_buffer_tails_match_reference(3),
+    "steady": lambda mp: test_batched_steady_matches_reference(1, 4001),
+    "short-runs": lambda mp: test_batched_run_sizes_match_reference(mp, 7, 2, 2000),
+    "transient": lambda mp: test_batched_transient_matches_reference(0.1),
+    "refills": lambda mp: test_batched_refills_match_reference(mp, 2),
+    "snapshots-at-events": lambda mp: test_snapshots_at_event_times_match_reference(),
 }
 
 
 @pytest.mark.parametrize("case", list(_REFERENCE_CASES))
-def test_both_lookahead_paths_match_reference(lookahead, monkeypatch, tmp_path, case):
-    _REFERENCE_CASES[case](monkeypatch, tmp_path)
+def test_both_lookahead_paths_match_reference(lookahead, monkeypatch, case):
+    _REFERENCE_CASES[case](monkeypatch)
 
 
 @pytest.mark.parametrize("name, failing_call, thread", [
@@ -613,172 +512,7 @@ def test_steady_runs_count_no_deloc_event():
     assert pop.events_deloc_deloc == 0
 
 
-def test_checkpoint_keeps_event_counts(tmp_path):
-    one_shot, _ = run_transient(3000, 0.2, 2.0, 14)
-    pop, _ = run_transient(3000, 0.2, 1.0, 14)
-    path = tmp_path / "pop.npz"
-    save_checkpoint(pop, path)
-    loaded = load_checkpoint(path)
-    resume(loaded, 2.0)
-    assert [getattr(loaded, n) for n in popmc._COUNTERS] == [
-        getattr(one_shot, n) for n in popmc._COUNTERS]
-    assert 0 < pop.events_loc_loc < one_shot.events_loc_loc
-
-
 def test_unseeded_runs_count_only_deloc_events():
     pop, _ = run_transient(2000, 0.0, 2.0, 3)
     assert pop.events_loc_loc == pop.events_loc_deloc == 0
     assert pop.events_deloc_deloc > 0
-
-
-# Checkpoint validation --------------------------------------------------------
-
-
-def _corrupt(path, **changes):
-    with np.load(path) as z:
-        payload = {k: z[k] for k in z.files}
-    for key, change in changes.items():
-        if change is None:
-            del payload[key]
-        else:
-            payload[key] = change(payload[key])
-    np.savez(path, **payload)
-
-
-def _with(index, value):
-    def change(a):
-        a = a.copy()
-        a[index] = value
-        return a
-    return change
-
-
-@pytest.mark.parametrize(
-    "changes,msg",
-    [
-        (dict(localized=lambda a: a[:-1]), "localized has 1999"),
-        (dict(u_sync=lambda a: a[:-1]), "u_sync has 1999"),
-        (dict(t_sync=lambda a: np.append(a, 0.0)), "t_sync has 2001"),
-        (dict(localized=lambda a: a.astype(np.int8)), "localized must be"),
-        (dict(u_sync=lambda a: a.astype(np.float32)), "u_sync must be"),
-        (dict(t_sync=lambda a: a.reshape(2, -1)), "t_sync must be"),
-        (dict(buffer=lambda a: a.astype(np.float32)), "buffer must be"),
-        (dict(tau=lambda a: np.float64(np.nan)), "tau is not finite"),
-        (dict(pending_gap=lambda a: np.float64(np.inf)), "pending_gap is not finite"),
-        (dict(events_deloc_deloc=lambda a: np.int64(-3)), "events_deloc_deloc is negative"),
-        (dict(rng_state=None), "lacks rng_state"),
-        (dict(u_sync=_with(0, np.nan)), "u_sync holds a non-finite"),
-        (dict(t_sync=_with(1, np.inf)), "t_sync holds a non-finite"),
-        (dict(localized=None), "lacks localized"),
-        (dict(buffer=_with(0, 1.0)), "buffer holds a value outside"),
-        (dict(buffer=_with(-1, -0.25)), "buffer holds a value outside"),
-        (dict(events_loc_loc=lambda a: np.int64(-1)), "events_loc_loc is negative"),
-        (dict(pending_gap=None), "lacks pending_gap"),
-    ],
-)
-def test_checkpoint_rejects_corrupted_field(tmp_path, changes, msg):
-    pop, _ = run_transient(2000, 0.5, 0.5, seed=1)
-    path = tmp_path / "pop.npz"
-    save_checkpoint(pop, path)
-    _corrupt(path, **changes)
-    with pytest.raises(ValueError, match=msg):
-        load_checkpoint(path)
-
-
-def test_checkpoint_holds_exactly_the_population_fields(tmp_path):
-    pop, _ = run_transient(2000, 0.5, 0.5, seed=1)
-    path = tmp_path / "pop.npz"
-    save_checkpoint(pop, path)
-    names = [f.name for f in dataclasses.fields(Population) if f.name != "rng"]
-    with np.load(path, allow_pickle=False) as z:
-        assert sorted(z.files) == sorted(["version", "rng_state",
-                                          *(name.lstrip("_") for name in names)])
-    loaded = load_checkpoint(path)
-    for name in names:
-        saved, got = getattr(pop, name), getattr(loaded, name)
-        assert type(got) is type(saved), name
-        assert np.array_equal(got, saved), name
-    assert np.array_equal(loaded.rng.random(8), pop.rng.random(8))  # the same stream state
-
-
-def test_checkpoint_saves_only_what_it_can_load(tmp_path):
-    # every 128-bit seed keys a Philox stream, but np.savez would pickle one
-    # beyond 64 bits, which load_checkpoint refuses to read
-    path = tmp_path / "pop.npz"
-    pop, _ = run_steady(1000, 0.1, seed=2**70)
-    with pytest.raises(ValueError, match="cannot hold seed 1180591620717411303424"):
-        save_checkpoint(pop, path)
-    assert not path.exists()
-    pop, _ = run_steady(1000, 0.1, seed=2**64 - 1)
-    save_checkpoint(pop, path)
-    assert load_checkpoint(path).seed == 2**64 - 1
-
-
-def _bare(**changes):
-    fields = dict(seed=0, tau=0.0, localized=np.ones(5, dtype=bool), u_sync=np.ones(5),
-                  t_sync=np.zeros(5))
-    fields.update(changes)
-    return Population(**fields)
-
-
-@pytest.mark.parametrize(
-    "changes, name",
-    [
-        (dict(localized=np.ones(5, dtype=np.int8)), "localized"),
-        (dict(localized=np.ones(1, dtype=bool), u_sync=np.ones(1), t_sync=np.zeros(1)),
-         "at least 2 particles"),
-        (dict(u_sync=np.ones(5, dtype=np.float32)), "u_sync"),
-        (dict(t_sync=np.zeros((5, 1))), "t_sync"),
-        (dict(u_sync=np.ones(4)), "u_sync"),
-        (dict(u_sync=np.array([1.0, np.nan, 1.0, 1.0, 1.0])), "u_sync"),
-        (dict(t_sync=np.full(5, -np.inf)), "t_sync"),
-        (dict(t_sync=np.zeros(6)), "t_sync"),
-        (dict(localized=np.ones((5, 1), dtype=bool)), "localized"),
-        (dict(u_sync=np.full(5, np.inf)), "u_sync"),
-        (dict(tau=np.nan), "tau"),
-        (dict(_buffer=np.array([-0.5])), "buffer"),
-        (dict(events_loc_loc=-1), "events_loc_loc"),
-        (dict(events_loc_deloc=-1), "events_loc_deloc"),
-        (dict(tau=np.inf), "tau"),
-        (dict(_pending_gap=np.nan), "pending_gap"),
-        (dict(_buffer=np.ones(3, dtype=np.float32)), "buffer"),
-        (dict(_buffer=np.array([0.5, 1.0])), "buffer"),
-        (dict(_pending_gap=-np.inf), "pending_gap"),
-        (dict(events_deloc_deloc=-2), "events_deloc_deloc"),
-    ],
-)
-def test_population_refuses_a_bad_field(changes, name):
-    with pytest.raises(ValueError, match=name):
-        _bare(**changes)
-
-
-@pytest.mark.parametrize("M", [0, 1])
-def test_population_of_fewer_than_two_is_refused(M):
-    # one particle once failed with an IndexError at its first event, none
-    # with a ZeroDivisionError in its empirical fraction
-    with pytest.raises(ValueError, match=f"at least 2 particles, got {M}"):
-        run_transient(M, 0.0, 1.0, seed=0)
-
-
-def test_resume_refuses_a_field_set_after_construction():
-    pop, _ = run_transient(2000, 0.5, 0.5, seed=1)
-    kept = [pop.u_sync.copy(), pop._buffer.copy(), [getattr(pop, n) for n in popmc._COUNTERS]]
-    pop.tau = np.nan
-    with pytest.raises(ValueError, match="tau is not finite"):
-        resume(pop, 1.0)
-    assert np.isnan(pop.tau)
-    assert np.array_equal(pop.u_sync, kept[0]) and np.array_equal(pop._buffer, kept[1])
-    assert [getattr(pop, n) for n in popmc._COUNTERS] == kept[2]
-
-
-def test_checkpoint_ignores_stale_delocalized_values(tmp_path):
-    pop, _ = run_transient(2000, 0.1, 0.5, seed=1)
-    stale = int(np.flatnonzero(~pop.localized)[0])
-    path = tmp_path / "pop.npz"
-    save_checkpoint(pop, path)
-    _corrupt(path, u_sync=_with(stale, np.nan), t_sync=_with(stale, np.inf))
-    loaded = load_checkpoint(path)
-    resume(loaded, 1.0)
-    resume(pop, 1.0)
-    assert np.array_equal(loaded.current_u(), pop.current_u())
-    assert loaded.events_loc_deloc == pop.events_loc_deloc

@@ -16,7 +16,6 @@ from randloc.meanfield import (
     residual_resummed,
     solve_steady,
 )
-from randloc.popmc import Population, save_checkpoint
 from randloc.udist import (
     UDensity,
     UGrid,
@@ -44,12 +43,6 @@ def _evolve_with_a_scaled_kernel(tmp_path, monkeypatch):
                         lambda p, q: UDensity(p.grid, 1.5 * kernel(p, q).values))
     cfg = SolverConfig(h=0.1)
     evolve_transient(default_init_density(cfg.grid), 0.5, 0.1, cfg)
-
-
-def _save_without_a_generator(tmp_path, monkeypatch):
-    pop = Population(seed=1, tau=0.0, localized=np.zeros(2, dtype=bool),
-                     u_sync=np.zeros(2), t_sync=np.zeros(2))
-    save_checkpoint(pop, tmp_path / "pop.npz")
 
 
 @pytest.mark.parametrize(
@@ -84,8 +77,6 @@ def _save_without_a_generator(tmp_path, monkeypatch):
         pytest.param(lambda *_: residual_resummed(
                          TransientSolution(_GRID, np.array([0.0]), np.ones((1, 5)), 0.5), 0.5),
                      ValueError, "need at least two snapshots", id="resummed-one-snapshot"),
-        pytest.param(_save_without_a_generator, ValueError,
-                     "population carries no generator state to save", id="checkpoint-no-rng"),
         pytest.param(_read_shifted_density, ValueError,
                      "{tmp}/u.csv: node column must start at 0 with >= 2 nodes",
                      id="density-file-first-node"),
