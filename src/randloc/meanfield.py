@@ -197,11 +197,14 @@ def _check_steady_grid(grid: UGrid) -> None:
 # Initial densities by name, the choices of resolve_init. The transient's
 # "init" key offers only "ue" and "point": drift_shift moves p(0) from node
 # 0's half weight onto a full weight, a real mass gain of h/2 p(0), so "exp"
-# (p(0) = 1) stops at its first step on any grid.
+# (p(0) = 1) stops at its first step on any grid. The point sits on the
+# multiple of 2h nearest u = 1 (u = 1 itself at h = 0.02): its kernel is a
+# spike at half the point, which between two nodes the node scheme's cubics
+# make negative there and the clip to nonnegative values leaves massless.
 _INIT_GUESSES = {
     "ue": default_init_density,
     "exp": exponential_density,
-    "point": lambda g: point_mass(g, 1.0),
+    "point": lambda g: point_mass(g, 2 * g.h * round(0.5 / g.h)),
 }
 
 

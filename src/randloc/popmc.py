@@ -24,40 +24,40 @@ starts from a fresh population and returns it as a record of its end
 state; run_steady is run_transient at g0 = 1.
 
 Determinism. All randomness comes from one counter-based Philox stream
-keyed by the run seed. Initial values are drawn first; then the event
-loop draws uniforms in blocks of 3 * _BLOCK_EVENTS. The first gap is one
-uniform (scaled by / rate); after it each event consumes a triple (first
-index, second index, next gap), the gap scaled by * (1 / rate). So every
-refill finds a tail of two uniforms, the indices of the event whose gap
-opens the new block, and nothing is dropped. Identical (seed, config)
-runs therefore reproduce bit-identical trajectories, and the event loop
-does so on every platform that rounds doubles to IEEE 754 (see Gaps
-below); the initial values come from numpy's gamma sampler, which reads
-the platform's log, log1p and exp, so across platforms one can rarely
-differ in its last bits. The thread count never changes the bits: runs
-are drawn and prepared one after another in stream order, whichever
-thread prepares them, and applied in that order.
+keyed by the run seed. Initial values are drawn first, then the first
+gap, one uniform scaled by / rate. After it each run of events draws its
+own uniforms, a triple an event (first index, second index, next gap),
+the gap scaled by * (1 / rate). Philox yields the same uniforms however
+the draws are split, and only the last run of a call leaves triples
+unread, so every event reads the same uniforms at any run length.
+Identical (seed, config) runs therefore reproduce bit-identical
+trajectories, and the event loop does so on every platform that rounds
+doubles to IEEE 754 (see Gaps below); the initial values come from
+numpy's gamma sampler, which reads the platform's log, log1p and exp, so
+across platforms one can rarely differ in its last bits. The thread count
+never changes the bits: runs are drawn and prepared one after another in
+stream order, whichever thread prepares them, and applied in that order.
 
-Wavefront schedule. The loop takes a block's triples as arrays, at most
-_RUN_EVENTS at a time (a run; twice that with the look-ahead below), and
-gets the event times from one cumulative sum seeded with the current
-time, which performs the same left-to-right additions as stepping event
-by event. It cuts the run at the first event past tau_end and at each
-pending snapshot. Within a run every event gets a wavefront level, one
-more than the highest level of the earlier events that touched either of
-its particles. One sort of the keys particle << b | event, b the bit
-length of the last event index, lists each particle's events in order;
-the keys are 32 bits wide while M - 1 fits 32 - b bits (M up to 2^18 in
+Wavefront schedule. The loop takes the triples as arrays, _RUN_EVENTS at
+a time (a run; twice that with the look-ahead below), and gets the event
+times from one cumulative sum seeded with the current time, which
+performs the same left-to-right additions as stepping event by event. It
+cuts the run at the first event past tau_end and at each pending
+snapshot. Within a run every event gets a wavefront level, one more than
+the highest level of the earlier events that touched either of its
+particles. One sort of the keys particle << b | event, b the bit length
+of the last event index, lists each particle's events in order; the keys
+are 32 bits wide while M - 1 fits 32 - b bits (M up to 2^18 in
 16384-event runs, 2^19 in 8192-event ones) and 64 bits wide above. One
 stable sort puts each cut in level order. Events of one level touch
-disjoint particles and depend only on lower levels, so
-each level is applied with numpy gathers and scatters and yields the
-floats and counts of the one-event-at-a-time rule (kept as the dense
-reference in the tests); in a fully localized population every event is
-loc-loc and no flag is read. Preparing a run (its draws, gaps, times,
-cuts and levels) never reads the particles, so while the caller applies
-one run the kernel's helper thread prepares the next: a look-ahead of one
-run. With one usable CPU, or in a population of fewer than
+disjoint particles and depend only on lower levels, so each level is
+applied with numpy gathers and scatters and yields the floats and counts
+of the one-event-at-a-time rule (kept as the dense reference in the
+tests); in a fully localized population every event is loc-loc and no
+flag is read. Preparing a run (its draws, gaps, times, cuts and levels)
+never reads the particles, so while the caller applies one run the
+kernel's helper thread prepares the next: a look-ahead of one run. With
+one usable CPU, or in a population of fewer than
 _MIN_LOOKAHEAD_PARTICLES, the same preparation runs inline.
 
 Gaps. A gap is -log1p(-u) / rate, and a last-bit change in one gap moves
@@ -92,7 +92,6 @@ __all__ = [
 
 _MIN_STEADY = 1000
 _MIN_SEEDED = 10
-_BLOCK_EVENTS = 1 << 15
 _RUN_EVENTS = 1 << 13  # events per wavefront run; keeps a run's temporaries in cache
 # Smaller populations prepare every run inline: their runs have many small
 # levels, whose numpy calls hold the interpreter lock. On two cores the
@@ -261,7 +260,7 @@ def _check_span(m: int, tau_end: float) -> None:
     stop, would run backwards or expects more than _MAX_EVENTS events."""
     if not np.isfinite(tau_end):  # a NaN or infinite end would never stop the loop
         raise ValueError(f"tau_end must be finite, got {tau_end}")
-    if tau_end < -1e-12:
+    if tau_end < 0:
         raise ValueError(f"tau_end={tau_end} is before the population time 0.0")
     events = m * tau_end / 2.0
     if events > _MAX_EVENTS:
@@ -281,7 +280,7 @@ def _advance(pop: Population, rng: np.random.Generator, tau_end: float,
     """
     pending = sorted(float(t) for t in snapshot_taus)
     for t in pending:
-        if not pop.tau - 1e-12 <= t <= tau_end + 1e-12:  # also refuses NaN
+        if not pop.tau <= t <= tau_end + 1e-12:  # also refuses NaN
             raise ValueError(f"snapshot time {t} outside [{pop.tau}, {tau_end}]")
     snaps: list[PopulationSnapshot] = []
     m = pop.size
@@ -297,14 +296,13 @@ def _advance(pop: Population, rng: np.random.Generator, tau_end: float,
             snaps.append(PopulationSnapshot(tau=ts, g_empirical=pop.n_localized / m, u_values=u))
         snap_i = until
 
-    buf = rng.random(3 * _BLOCK_EVENTS)
-    gap = float(_neg_log1p(buf[:1])[0]) / rate  # the first gap
+    gap = float(_neg_log1p(rng.random(1))[0]) / rate  # the first gap
     pool = _helper() if m >= _MIN_LOOKAHEAD_PARTICLES else None
     # Handed between threads, runs of twice the length overlap better; on one
     # thread the length makes no difference at these sizes.
     run_events = _RUN_EVENTS if pool is None else 2 * _RUN_EVENTS
     prepare = partial(_prepare_run, rng, m, tau_end, pending, run_events)
-    parts, cur = prepare(_Cursor(buf, 1, pop.tau, gap, 0))
+    parts, cur = prepare(_Cursor(pop.tau, gap, 0))
     n_loc = pop.n_localized
     ahead = None
     try:
@@ -325,12 +323,9 @@ def _advance(pop: Population, rng: np.random.Generator, tau_end: float,
 
 
 class _Cursor(NamedTuple):
-    """Where the event loop stands: the uniforms buffer and the position of
-    the next unread one, the time of the last event, the gap to the next
-    one and the index of the next pending snapshot."""
+    """Where the event loop stands: the time of the last event, the gap to
+    the next one and the index of the next pending snapshot."""
 
-    buffer: np.ndarray
-    pos: int
     tau: float
     gap: float
     snap_i: int
@@ -350,16 +345,10 @@ def _prepare_run(rng: np.random.Generator, m: int, tau_end: float, pending: list
     stream order with their wavefront levels, and the index of the first
     snapshot still pending after it.
     """
-    buf, pos, tau, gap, snap_i = cur
+    tau, gap, snap_i = cur
     if tau + gap > tau_end:
         return [], cur
-    if buf.size - pos < 3:
-        # The tail is always two uniforms: the indices of the event whose gap
-        # opens the new block.
-        buf = np.concatenate((buf[pos:], rng.random(3 * _BLOCK_EVENTS)))
-        pos = 0
-    k = min((buf.size - pos) // 3, run_events)
-    draws = buf[pos : pos + 3 * k].reshape(k, 3)
+    draws = rng.random(3 * run_events).reshape(run_events, 3)
     i = (draws[:, 0] * m).astype(np.int64)
     j = (draws[:, 1] * (m - 1)).astype(np.int64)
     j += j >= i
@@ -380,7 +369,7 @@ def _prepare_run(rng: np.random.Generator, m: int, tau_end: float, pending: list
         if c == n:
             break
         a = c
-    return parts, _Cursor(buf, pos + 3 * n, float(times[n - 1]), float(gaps[n - 1]), snap_i)
+    return parts, _Cursor(float(times[n - 1]), float(gaps[n - 1]), snap_i)
 
 
 # fdlibm's log1p constants (Sun Microsystems, 1993), as in glibc 2.36

@@ -1,18 +1,22 @@
 """Dense reference of ``randloc.popmc._advance``: the scalar event loop.
 
 It applies one event per Python iteration on lists of floats, drawing the
-indices and the next gap from the block buffer exactly as the stream layout
-prescribes. The batched loop applies the same events in wavefront levels
-with numpy gathers and scatters, so the two agree bit for bit: final
-state, counters and every snapshot. Both take their gaps from
-``popmc._neg_log1p``, here applied to each whole buffer. Tests swap this
-function in for ``popmc._advance`` to run the public API on it.
+first gap and then a triple an event (first index, second index, next
+gap) from the Philox stream, in chunks of its own size: the stream gives
+the same uniforms however its draws are split. The batched loop applies
+the same events in wavefront levels with numpy gathers and scatters, so
+the two agree bit for bit: final state, counters and every snapshot. Both
+take their gaps from ``popmc._neg_log1p``, here applied to each whole
+chunk. Tests swap this function in for ``popmc._advance`` to run the
+public API on it.
 """
 
 import numpy as np
 
 from randloc import popmc
 from randloc.popmc import Population, PopulationSnapshot
+
+_CHUNK_EVENTS = 5000  # events a draw; any size gives the same uniforms
 
 
 def reference_advance(pop: Population, rng: np.random.Generator, tau_end: float,
@@ -21,12 +25,11 @@ def reference_advance(pop: Population, rng: np.random.Generator, tau_end: float,
     returns the snapshots."""
     pending = sorted(float(t) for t in snapshot_taus)
     for t in pending:
-        if not pop.tau - 1e-12 <= t <= tau_end + 1e-12:
+        if not pop.tau <= t <= tau_end + 1e-12:
             raise ValueError(f"snapshot time {t} outside [{pop.tau}, {tau_end}]")
     snaps: list[PopulationSnapshot] = []
     m = pop.size
     rate = m / 2.0
-    block_events = popmc._BLOCK_EVENTS
 
     # Hot loop runs on plain Python floats/lists; numpy arrays are rebuilt at exit.
     u_s = pop.u_sync.tolist()
@@ -49,12 +52,12 @@ def reference_advance(pop: Population, rng: np.random.Generator, tau_end: float,
             snaps.append(PopulationSnapshot(tau=ts, g_empirical=n_loc / m, u_values=u))
             snap_i += 1
 
-    def refill():
+    def draw_chunk():
         # -log1p(-u) of every uniform, so a gap is one lookup
-        block = rng.random(3 * block_events)
-        return block.tolist(), popmc._neg_log1p(block).tolist()
+        chunk = rng.random(3 * _CHUNK_EVENTS)
+        return chunk.tolist(), popmc._neg_log1p(chunk).tolist()
 
-    buf, neg = refill()
+    buf, neg = draw_chunk()
     gap = neg[0] / rate
     pos = 1
     inv_rate = 1.0 / rate
@@ -69,7 +72,7 @@ def reference_advance(pop: Population, rng: np.random.Generator, tau_end: float,
         if snap_i < n_pending and pending[snap_i] <= t_next + 1e-12:
             emit_until(t_next)
         tau = t_next
-        # the indices always fit: each block opens with a gap, so it ends with the
+        # the indices always fit: each chunk opens with a gap, so it ends with the
         # indices of the event whose gap opens the next
         i = int(buf[pos] * m)
         j = int(buf[pos + 1] * m1)
@@ -103,9 +106,9 @@ def reference_advance(pop: Population, rng: np.random.Generator, tau_end: float,
             n_loc += 1
         else:
             n_dd += 1
-        # draw the next interarrival with the same block discipline
+        # the next interarrival, from a new chunk once this one is used up
         if pos + 1 > n_buf:
-            buf, neg = refill()
+            buf, neg = draw_chunk()
             pos = 0
             n_buf = len(buf)
         gap = neg[pos] * inv_rate

@@ -291,6 +291,9 @@ def _fail(what):
         ("oracle", ["fit_order=no", "boxes="], "boxes must list at least one box"),
         # an empty g0 list wrote the inset and no curve
         ("fig1", ["g0_list=", "h=0.5", "u_max=10"], "g0_list must list at least one g0"),
+        # an end just before 0 wrote one row at that time
+        ("mc-steady", ["m_particles=1000", "tau_end=-1e-13"],
+         "tau_end=-1e-13 is before the population time 0.0"),
     ],
 )
 def test_out_of_range_key_is_exit_code_one_naming_the_key(tmp_path, capsys, monkeypatch,
@@ -471,11 +474,13 @@ def test_blocked_output_root_is_exit_code_three(tmp_path, capsys):
          "m_particles=10000000000000 is more than 2e+07"),
         ("oracle", ["fit_order=no", "xi2_sq=1e-11"],
          "xi1_sq=1.0 and xi2_sq=1e-11 need more than 4194304 quadrature points"),
+        ("oracle", ["fit_order=no", "boxes=1e-310"], "acceptance norm 0.000e+00 below 1e-300"),
     ],
 )
 def test_refused_run_leaves_no_run_directory(tmp_path, capsys, subcommand, sets, message):
     # each of these once left <out>/<subcommand>/<name>/config.echo behind; the
-    # m_particles run ended in numpy's "Unable to allocate", which names no key
+    # m_particles run ended in numpy's "Unable to allocate", which names no key;
+    # a box of 1e-310 has an acceptance norm that underflows to 0
     out = tmp_path / "out"
     rc = main([subcommand, "--jobs", "1", "--out", str(out)]
               + [x for kv in sets for x in ("--set", kv)])
@@ -581,6 +586,27 @@ def test_failed_run_leaves_any_earlier_run_as_it_was(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err.endswith("after 1 iterations\n")
     assert {q.name: q.read_bytes() for q in d.iterdir()} == before
     assert [q.name for q in tmp_path.joinpath("fig1").iterdir()] == ["f"]
+
+
+def test_failed_publish_puts_the_earlier_run_back(tmp_path, capsys, monkeypatch):
+    # the earlier run is moved aside before the stage takes its name; when that
+    # rename fails it goes back, and neither the stage nor the aside is left
+    argv = ["gamma", "--out", str(tmp_path), "--set", "name=run"]
+    d = Path(run_ok(capsys, argv))
+    before = {q.name: q.read_bytes() for q in d.iterdir()}
+    rename = Path.rename
+
+    def refuse_stage(self, target):
+        if self.name.startswith(".partial-"):
+            raise OSError("rename refused")
+        return rename(self, target)
+
+    monkeypatch.setattr(Path, "rename", refuse_stage)
+    rc = main(argv + ["--set", "dtau=0.05"])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: rename refused\n"
+    assert {q.name: q.read_bytes() for q in d.iterdir()} == before
+    assert [q.name for q in tmp_path.joinpath("gamma").iterdir()] == ["run"]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -78,6 +78,12 @@ def test_acceptance_norm_matches_point_density():
     assert m.norm == pytest.approx(analytic, rel=1e-3)
 
 
+def test_box_far_below_the_widths_is_refused_by_its_norm():
+    # a 1e-310 box has an acceptance norm that underflows to 0
+    with pytest.raises(ValueError, match="acceptance norm 0.000e\\+00 below 1e-300"):
+        posterior_moments(GaussPair(1.0, 1.0, 1e-310))
+
+
 def test_posterior_means_vanish_by_symmetry():
     m = posterior_moments(GaussPair(0.5, 2.0, 0.2))
     assert abs(m.mean1) < 1e-10

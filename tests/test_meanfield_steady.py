@@ -100,6 +100,24 @@ def test_custom_density_init(steady):
     assert float(w @ np.abs(p.values - steady.values)) < 1e-6
 
 
+@pytest.mark.parametrize("u_max, k", [(10.0, 5), (10.0, 6), (10.0, 25), (30.0, 25), (6.0, 11)])
+def test_every_start_converges_on_odd_and_even_grids(u_max, k):
+    # the point start at u = 1 had a kernel spike at u = 1/2, which off the
+    # nodes (odd k at h = 1/k) the clip to nonnegative values made massless
+    cfg = SolverConfig(u_max=u_max, h=1.0 / k)
+    w = cfg.grid.quad_weights()
+    base = solve_steady(cfg, "ue")
+    for init in ("exp", "point"):
+        assert float(w @ np.abs(solve_steady(cfg, init).values - base.values)) < 1e-6
+
+
+def test_point_start_sits_at_one_on_the_default_grids():
+    for u_max in (6.0, 10.0, 30.0):
+        grid = UGrid.from_spacing(u_max, 0.02)
+        assert np.array_equal(meanfield.resolve_init(grid, "point").values,
+                              point_mass(grid, 1.0).values)
+
+
 def test_init_validation():
     with pytest.raises(ValueError, match="different grid"):
         solve_steady(COARSE, point_mass(UGrid.from_spacing(10.0, 0.05), 1.0))
@@ -146,6 +164,23 @@ def test_non_finite_anderson_step_raises(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", lstsq)
     with pytest.raises(ConvergenceError, match="Anderson step lost its mass"):
         solve_steady(COARSE)
+
+
+def test_growing_residual_clears_the_anderson_history(monkeypatch):
+    # at h = 0.25 the exp start's residual grows once; the fits after it start
+    # from an empty history, so their column count drops
+    columns = []
+    lstsq = np.linalg.lstsq
+
+    def recording(a, b, rcond=None):
+        columns.append(a.shape[1])
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    cfg = SolverConfig(u_max=6.0, h=0.25)
+    p = solve_steady(cfg, init="exp")
+    assert any(b < a for a, b in zip(columns, columns[1:]))
+    assert mass(p) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_residual_shrinks_with_resolution(steady):

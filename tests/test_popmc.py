@@ -175,6 +175,11 @@ def test_snapshot_and_rate_guards():
         run_steady(1000, 1.0, seed=0, snapshot_taus=(2.0,))
     with pytest.raises(ValueError, match="tau_end=-0.5 is before the population time 0.0"):
         run_steady(1000, -0.5, seed=0)
+    # a fresh population starts at tau = 0, so no time before it is let through
+    with pytest.raises(ValueError, match="tau_end=-1e-13 is before the population time 0.0"):
+        run_steady(1000, -1e-13, seed=0)
+    with pytest.raises(ValueError, match="outside"):
+        run_steady(1000, 1.0, seed=0, snapshot_taus=(-1e-13,))
 
 
 @pytest.mark.parametrize("tau_end", [np.nan, np.inf])
@@ -242,7 +247,7 @@ def test_batched_steady_matches_reference(seed, M):
     assert_bit_identical(*both_loops(lambda: run_steady(M, 3.0, seed, (0.5, 1.7, 3.0))))
 
 
-# Runs of a few events split the wavefronts and the blocks at every place; runs
+# Runs of a few events split the wavefronts and the draws at every place; runs
 # of one event (slow: about 100 numpy calls an event) take only seed 0.
 @pytest.mark.parametrize("run_events, seed", [(n, s) for n in (3, 7) for s in (0, 1, 2)] + [(1, 0)])
 @pytest.mark.parametrize("M", [1000, 2000, 4001])
@@ -284,18 +289,6 @@ def test_wavefront_levels_follow_the_scalar_rule(m):
 @pytest.mark.parametrize("g0", [0.1, 1.0])
 def test_batched_transient_matches_reference(g0):
     assert_bit_identical(*both_loops(lambda: run_transient(6000, g0, 4.0, 17, (0.0, 1.0, 2.5))))
-
-
-@pytest.mark.parametrize("block_events", [None, 1, 2, 5])
-def test_batched_refills_match_reference(monkeypatch, block_events):
-    # Blocks of a few events make most events straddle a refill.
-    if block_events is not None:
-        monkeypatch.setattr(popmc, "_BLOCK_EVENTS", block_events)
-    tau_end = 1.5
-    batched, dense = both_loops(lambda: run_transient(
-        1000, 0.2, tau_end, 4, snapshot_taus=(0.3 * tau_end,)))
-    assert sum(getattr(batched[0], n) for n in popmc._COUNTERS) > 200
-    assert_bit_identical(batched, dense)
 
 
 def test_snapshots_at_event_times_match_reference():
@@ -369,7 +362,6 @@ _REFERENCE_CASES = {
     "steady": lambda mp: test_batched_steady_matches_reference(1, 4001),
     "short-runs": lambda mp: test_batched_run_sizes_match_reference(mp, 7, 2, 2000),
     "transient": lambda mp: test_batched_transient_matches_reference(0.1),
-    "refills": lambda mp: test_batched_refills_match_reference(mp, 2),
     "snapshots-at-events": lambda mp: test_snapshots_at_event_times_match_reference(),
 }
 
