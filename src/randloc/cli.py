@@ -29,7 +29,8 @@ from . import config as cfgmod
 from .csvio import atomic_writer, write_density, write_table, write_trajectory
 from .errors import ConfigError, ConvergenceError
 from .gamma import _check_g0, closed_trajectory, gamma_ode
-from .gaussoracle import GaussPair, convergence_study, posterior_moments
+# cli calls no posterior_moments; perfbench's tracer wraps it under this module's name
+from .gaussoracle import convergence_study, posterior_moments  # noqa: F401
 from .meanfield import (
     _HIERARCHY_LIMIT,
     SolverConfig,
@@ -46,10 +47,7 @@ __all__ = ["main"]
 
 
 def cmd_gamma(cfg: dict, run_dir: Path) -> None:
-    if cfg["method"] == "closed":
-        traj = closed_trajectory(cfg["g0"], cfg["tau_end"], cfg["dtau"])
-    else:
-        traj = gamma_ode(cfg["g0"], cfg["tau_end"], cfg["dtau"])
+    traj = gamma_ode(cfg["g0"], cfg["tau_end"], cfg["dtau"])
     write_trajectory(run_dir / "gamma.csv", traj.taus, traj.values, cfg)
 
 
@@ -158,30 +156,18 @@ def cmd_mc(subcommand: str, cfg: dict, run_dir: Path, jobs: int) -> None:
 
 
 def cmd_oracle(cfg: dict, run_dir: Path) -> None:
-    boxes = cfg["boxes"]
-    extra = {}
-    if cfg["fit_order"] == "yes":
-        study = convergence_study(cfg["xi1_sq"], cfg["xi2_sq"], boxes)
-        boxes_out = study.boxes
-        moments = study.moments
-        extra["fitted_order"] = study.order
-    else:
-        if not boxes:
-            raise ConfigError("boxes must list at least one box")
-        boxes_out = np.asarray(sorted((float(b) for b in boxes), reverse=True))
-        moments = tuple(
-            posterior_moments(GaussPair(cfg["xi1_sq"], cfg["xi2_sq"], b)) for b in boxes_out
-        )
+    study = convergence_study(cfg["xi1_sq"], cfg["xi2_sq"], cfg["boxes"])
+    moments = study.moments
     write_table(
         run_dir / "oracle.csv",
         {
-            "box": boxes_out,
+            "box": study.boxes,
             "var1": np.array([m.var1 for m in moments]),
             "var2": np.array([m.var2 for m in moments]),
             "var_rel": np.array([m.var_rel for m in moments]),
             "norm": np.array([m.norm for m in moments]),
         },
-        dict(cfg, **extra),
+        dict(cfg, fitted_order=study.order),
     )
 
 
@@ -287,7 +273,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

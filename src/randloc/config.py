@@ -63,7 +63,6 @@ _KEYS: dict[str, dict[str, Field]] = {
         "g0": Field("float", 0.01),
         "tau_end": Field("float", 20.0),
         "dtau": Field("float", 0.01),
-        "method": Field("str", "ode", ("ode", "closed")),
     },
     "steady": {
         "u_max": Field("float", SolverConfig.u_max),
@@ -90,7 +89,6 @@ _KEYS: dict[str, dict[str, Field]] = {
         "xi1_sq": Field("float", 1.0),
         "xi2_sq": Field("float", 1.0),
         "boxes": Field("floats", (0.4, 0.2, 0.1, 0.05)),
-        "fit_order": Field("str", "yes", ("yes", "no")),
     },
     "fig1": {
         "g0_list": Field("floats", (0.01, 0.005, 0.0025, 0.0008, 0.0)),

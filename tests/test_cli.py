@@ -36,7 +36,7 @@ def test_gamma_creates_run_dir_with_echo(tmp_path, capsys):
     taus, g, meta = read_trajectory(f"{d}/gamma.csv")
     assert taus[-1] == 20.0
     assert g[-1] == pytest.approx(1.0, abs=1e-3)
-    assert meta["method"] == "ode"
+    assert "method" not in meta  # the ODE is the one path
 
 
 def test_rerun_rewrites_identical_bytes(tmp_path, capsys):
@@ -166,7 +166,7 @@ def test_non_finite_mc_end_time_is_exit_code_one(tmp_path, tau_end):
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     proc = subprocess.run(
-        [sys.executable, "-m", "randloc.cli", "mc-steady", "--out", str(tmp_path),
+        [sys.executable, "-m", "randloc", "mc-steady", "--out", str(tmp_path),
          "--set", f"tau_end={tau_end}", "--set", "m_particles=2000"],
         capture_output=True, text=True, timeout=60, env=env,
     )
@@ -264,8 +264,8 @@ def _fail(what):
         ("oracle", ["xi2_sq=inf"], "xi2_sq must be positive and finite, got inf"),
         ("oracle", ["boxes=nan,0.1,0.05"],
          "boxes must be positive and finite, got [nan, 0.1, 0.05]"),
-        ("oracle", ["fit_order=no", "boxes=nan,0.1,0.05"],
-         "box must be positive and finite, got nan"),
+        # an oracle run always fits the order, so it takes only boxes a fit can use
+        ("oracle", ["boxes=0.4,0.2,0.05"], "box sizes must be geometrically spaced"),
         ("transient", ["dtau=-0.02"],
          "dtau=-0.02 is not an integer multiple of h=0.02, 1 or more times"),
         ("gamma", ["dtau=nan"], "dtau must be positive and finite, got nan"),
@@ -280,15 +280,16 @@ def _fail(what):
         # a snapshot past tau_end was once dropped, its time still in the header
         ("mc-steady", ["m_particles=1000", "tau_end=1", "snapshot_taus=0.5,50"],
          "snapshot time 50.0 outside [0.0, 1.0]"),
-        # fig1 wrote one curve file for two g0 values, and oracle two equal rows
+        # fig1 wrote one curve file for two g0 values
         ("fig1", ["g0_list=0.01,0.01", "h=0.5", "u_max=10"], "g0_list lists 0.01 more than once"),
-        ("oracle", ["fit_order=no", "boxes=0.1,0.1"], "boxes lists 0.1 more than once"),
+        ("oracle", ["boxes=0.8,0.4,0.2"],
+         "largest box 0.8 is not small next to the narrower width 1"),
         # a constant g0 of 1.5 ran, and nan and inf exited 2 blaming the density
         ("transient", ["g_mode=const", "g0=1.5"], "g0 must lie in [0, 1], got 1.5"),
         ("transient", ["g_mode=const", "g0=nan"], "g0 must lie in [0, 1], got nan"),
         ("transient", ["g_mode=const", "g0=inf"], "g0 must lie in [0, 1], got inf"),
         # an empty box list wrote a header and no rows
-        ("oracle", ["fit_order=no", "boxes="], "boxes must list at least one box"),
+        ("oracle", ["boxes="], "need at least three box sizes to fit an order"),
         # an empty g0 list wrote the inset and no curve
         ("fig1", ["g0_list=", "h=0.5", "u_max=10"], "g0_list must list at least one g0"),
         # an end just before 0 wrote one row at that time
@@ -335,13 +336,15 @@ def test_histogram_grid_beyond_uint16_fails_before_any_event(tmp_path, capsys, m
     [("mc-steady", "u_ceiling"), ("mc-transient", "u_ceiling"),
      ("mc-transient", "entrant_rule"), ("mc-transient", "entrant_cap"),
      ("steady", "tol_fixed_point"), ("steady", "max_iters"), ("steady", "init"),
-     ("fig1", "tol_fixed_point"), ("fig1", "max_iters"), ("oracle", "box_convention")],
+     ("fig1", "tol_fixed_point"), ("fig1", "max_iters"), ("oracle", "box_convention"),
+     ("gamma", "method"), ("oracle", "fit_order")],
 )
 def test_removed_mc_key_is_an_unknown_key(tmp_path, capsys, subcommand, key):
     # the Monte Carlo runs only the adopt rule and keeps no overflow ceiling,
     # the steady solve stops on the library's own tolerance and iteration cap
-    # from its default start, and the oracle's box is the window's full width;
-    # a config that still sets one of these keys is refused like any typo
+    # from its default start, the oracle's box is the window's full width, gamma
+    # always integrates the ODE and the oracle always fits the order; a config
+    # that still sets one of these keys is refused like any typo
     rc = main([subcommand, "--out", str(tmp_path), "--set", f"{key}=1"])
     assert rc == 1
     assert capsys.readouterr().err == f"error: unknown config keys for {subcommand}: {key}\n"
@@ -357,9 +360,13 @@ def test_population_of_fewer_than_two_is_exit_code_one(tmp_path, capsys, m_parti
         f"error: a population needs at least 2 particles, got {m_particles}\n")
 
 
-@pytest.mark.parametrize("method", ["ode", "closed"])
+@pytest.mark.parametrize(
+    "subcommand, sets",
+    [pytest.param("gamma", ["tau_end=1e9", "dtau=1e-3"], id="ode"),
+     pytest.param("fig1", ["g0_list=0.01", "tau_end=1e9", "dtau=1e-3"], id="closed")],
+)
 def test_trajectory_beyond_the_node_limit_is_exit_code_one(tmp_path, capsys, monkeypatch,
-                                                           method):
+                                                           subcommand, sets):
     # 1e12 time nodes once died allocating 7.28 TiB
     arange = np.arange
 
@@ -369,8 +376,7 @@ def test_trajectory_beyond_the_node_limit_is_exit_code_one(tmp_path, capsys, mon
         return arange(*args, **kwargs)
 
     monkeypatch.setattr(np, "arange", guarded)
-    rc = main(["gamma", "--out", str(tmp_path), "--set", f"method={method}",
-               "--set", "tau_end=1e9", "--set", "dtau=1e-3"])
+    rc = main([subcommand, "--out", str(tmp_path)] + [x for kv in sets for x in ("--set", kv)])
     err = capsys.readouterr().err
     assert rc == 1
     assert err == ("error: tau_end=1000000000.0 and dtau=0.001 give more than 10000000 "
@@ -472,9 +478,9 @@ def test_blocked_output_root_is_exit_code_three(tmp_path, capsys):
         ("transient", ["dtau=-0.02"], "dtau=-0.02 is not an integer multiple of h=0.02"),
         ("mc-steady", ["m_particles=10000000000000"],
          "m_particles=10000000000000 is more than 2e+07"),
-        ("oracle", ["fit_order=no", "xi2_sq=1e-11"],
+        ("oracle", ["xi2_sq=1e-11", "boxes=1e-6,5e-7,2.5e-7"],
          "xi1_sq=1.0 and xi2_sq=1e-11 need more than 4194304 quadrature points"),
-        ("oracle", ["fit_order=no", "boxes=1e-310"], "acceptance norm 0.000e+00 below 1e-300"),
+        ("oracle", ["boxes=4e-310,2e-310,1e-310"], "acceptance norm 0.000e+00 below 1e-300"),
     ],
 )
 def test_refused_run_leaves_no_run_directory(tmp_path, capsys, subcommand, sets, message):

@@ -46,6 +46,22 @@ def test_table_round_trip_is_bit_exact(tmp_path):
     assert meta == {"seed": "3", "note": "probe"}
 
 
+def test_read_skips_blank_lines(tmp_path):
+    # a hand-edited table may hold empty and whitespace-only lines
+    path = tmp_path / "t.csv"
+    write_table(path, {"x": np.array([0.5, 1.5, 2.5]), "y": np.array([-1.0, 0.0, 1e-300])},
+                meta={"seed": 3})
+    lines = path.read_text().splitlines()
+    edited = tmp_path / "edited.csv"
+    edited.write_text("\n".join([*lines[:-1], "", " \t ", lines[-1], "  "]) + "\n")
+    assert edited.read_text().count("\n") == len(lines) + 3
+    cols, meta = read_table(path)
+    edited_cols, edited_meta = read_table(edited)
+    assert list(edited_cols) == list(cols) == ["x", "y"]
+    assert all(np.array_equal(edited_cols[k], cols[k]) for k in cols)
+    assert edited_meta == meta
+
+
 def test_table_bytes_match_per_value_formatting(tmp_path):
     # more rows than one formatting block, with the floats %.17g treats specially
     n = 70001
@@ -332,7 +348,7 @@ def test_parse_file_missing_path():
 
 def test_resolve_defaults_and_overrides(tmp_path):
     cfg = resolve("gamma")
-    assert cfg["g0"] == 0.01 and cfg["method"] == "ode"
+    assert cfg["g0"] == 0.01
     path = tmp_path / "run.cfg"
     path.write_text("g0 = 0.5\n")
     cfg = resolve("gamma", path, {"tau_end": "7"})
@@ -348,7 +364,7 @@ def test_resolve_rejects_unknown_and_untyped():
     with pytest.raises(ConfigError, match="cannot parse"):
         resolve("gamma", None, {"g0": "fast"})
     with pytest.raises(ConfigError, match="not one of"):
-        resolve("gamma", None, {"method": "euler"})
+        resolve("transient", None, {"g_mode": "linear"})
 
 
 @pytest.mark.parametrize("subcommand", ["transient"])

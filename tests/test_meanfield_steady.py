@@ -166,6 +166,13 @@ def test_non_finite_anderson_step_raises(monkeypatch):
         solve_steady(COARSE)
 
 
+def test_massless_sweep_raises():
+    # on 15 cells of h = 2 the exp start's first sweep leaves one spike at
+    # u = h; half of h is no node, so the next node kernel is zero everywhere
+    with pytest.raises(ConvergenceError, match=r"sweep lost its mass \(total=0\.0\)"):
+        solve_steady(SolverConfig(u_max=30.0, h=2.0), init="exp")
+
+
 def test_growing_residual_clears_the_anderson_history(monkeypatch):
     # at h = 0.25 the exp start's residual grows once; the fits after it start
     # from an empty history, so their column count drops
